@@ -35,20 +35,16 @@ import (
 
 var (
 	matrixOnce    sync.Once
-	matrixResults []*experiment.DatasetResult
-	matrixModel   *power.Model
+	matrixResults []*experiment.MatrixResult
 )
 
-func evaluationMatrix(b *testing.B) ([]*experiment.DatasetResult, *power.Model) {
+// evaluationMatrix returns the paper's study — the config matrix on
+// Dragonboard — for every dataset, plus the calibrated Krait model.
+func evaluationMatrix(b *testing.B) ([]*experiment.MatrixResult, *power.Model) {
 	b.Helper()
 	matrixOnce.Do(func() {
-		model, err := power.Calibrate(power.Snapdragon8074(), power.DefaultSilicon(), 100*sim.Millisecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		matrixModel = model
 		for _, w := range workload.Datasets() {
-			res, err := experiment.RunDataset(w, model, experiment.Options{Reps: 2, Seed: 1})
+			res, err := experiment.RunMatrix(w, soc.Dragonboard(), experiment.Options{Reps: 2, Seed: 1})
 			if err != nil {
 				b.Fatalf("%s: %v", w.Name, err)
 			}
@@ -58,18 +54,14 @@ func evaluationMatrix(b *testing.B) ([]*experiment.DatasetResult, *power.Model) 
 	if matrixResults == nil {
 		b.Fatal("evaluation matrix unavailable")
 	}
-	return matrixResults, matrixModel
+	return matrixResults, matrixResults[0].Model.Cluster(0)
 }
 
 // BenchmarkEvaluationMatrix measures the full §III-A experiment for one
-// dataset: record, annotate, 17 configurations × 2 reps, oracle.
+// dataset: calibrate, record, annotate, 17 configurations × 2 reps, oracle.
 func BenchmarkEvaluationMatrix(b *testing.B) {
-	model, err := power.Calibrate(power.Snapdragon8074(), power.DefaultSilicon(), 100*sim.Millisecond)
-	if err != nil {
-		b.Fatal(err)
-	}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunDataset(workload.Dataset02(), model, experiment.Options{Reps: 2, Seed: 1}); err != nil {
+		if _, err := experiment.RunMatrix(workload.Dataset02(), soc.Dragonboard(), experiment.Options{Reps: 2, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -315,14 +307,8 @@ func BenchmarkAblationThresholdModel(b *testing.B) {
 	})
 }
 
-func rebuildOracle(res *experiment.DatasetResult, th *core.Thresholds) (float64, error) {
-	tbl := res.Model.Table
-	var fixed []oracle.FixedRun
-	for idx := range tbl {
-		r := res.Runs[tbl[idx].Label()][0]
-		fixed = append(fixed, oracle.FixedRun{OPPIndex: idx, Profile: r.Profile, BusyCurve: r.BusyCurve})
-	}
-	o, err := oracle.Build(fixed, res.Model, 0, th)
+func rebuildOracle(res *experiment.MatrixResult, th *core.Thresholds) (float64, error) {
+	o, err := oracle.BuildCluster(res.Candidates[0], res.Model, 0, th)
 	if err != nil {
 		return 0, err
 	}

@@ -26,6 +26,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/screen"
 	"repro/internal/sim"
+	"repro/internal/soc"
 	"repro/internal/suggest"
 	"repro/internal/video"
 	"repro/internal/workload"
@@ -60,22 +61,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		progress = func(msg string) { fmt.Fprintln(stderr, msg) }
 	}
 
-	model, err := power.Calibrate(power.Snapdragon8074(), power.DefaultSilicon(), 2*sim.Second)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "power model: %s\n", model)
-	fmt.Fprintf(stdout, "energy/cycle by OPP (nJ):")
-	for i := range model.Table {
-		fmt.Fprintf(stdout, " %.2f=%0.3f", model.Table[i].GHz(), model.EnergyPerCycleNJ(i))
-	}
-	fmt.Fprintln(stdout)
-
+	// The paper's study is the config matrix on its Dragonboard.
 	start := time.Now()
 	opts := experiment.Options{Reps: *reps, Seed: *seed, Progress: progress}
-	var results []*experiment.DatasetResult
+	var results []*experiment.MatrixResult
 	for _, w := range workload.Datasets() {
-		res, err := experiment.RunDataset(w, model, opts)
+		res, err := experiment.RunMatrix(w, soc.Dragonboard(), opts)
 		if err != nil {
 			return err
 		}
@@ -83,6 +74,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stderr, "matrix complete: %d datasets x %d configs x %d reps in %v\n",
 		len(results), len(results[0].Configs), *reps, time.Since(start).Round(time.Millisecond))
+
+	model := results[0].Model.Cluster(0)
+	fmt.Fprintf(stdout, "power model: %s\n", model)
+	fmt.Fprintf(stdout, "energy/cycle by OPP (nJ):")
+	for i := range model.Table {
+		fmt.Fprintf(stdout, " %.2f=%0.3f", model.Table[i].GHz(), model.EnergyPerCycleNJ(i))
+	}
+	fmt.Fprintln(stdout)
 
 	if *jsonOut != "" {
 		f, err := os.Create(*jsonOut)
@@ -158,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 // figure7 re-creates the paper's suggester example: the Gallery cold launch
 // of dataset 01 replayed at the lowest fixed frequency ("loading the Gallery
 // takes about 200 frames at the lowest CPU frequency").
-func figure7(stdout io.Writer, res *experiment.DatasetResult, model *power.Model) {
+func figure7(stdout io.Writer, res *experiment.MatrixResult, model *power.Model) {
 	w := res.Workload
 	art := workload.Replay(w, res.Recording, governor.NewFixed(model.Table, 0), "0.30 GHz", 77, true)
 	gs := res.Gestures

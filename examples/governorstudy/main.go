@@ -9,18 +9,13 @@ import (
 	"os"
 
 	"repro/internal/experiment"
-	"repro/internal/power"
 	"repro/internal/report"
-	"repro/internal/sim"
+	"repro/internal/soc"
 	"repro/internal/workload"
 )
 
 func main() {
-	model, err := power.Calibrate(power.Snapdragon8074(), power.DefaultSilicon(), 2*sim.Second)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := experiment.RunDataset(workload.Dataset02(), model, experiment.Options{
+	res, err := experiment.RunMatrix(workload.Dataset02(), soc.Dragonboard(), experiment.Options{
 		Reps: 2,
 		Seed: 1,
 		Progress: func(msg string) {

@@ -10,26 +10,23 @@ import (
 	"os"
 
 	"repro/internal/experiment"
-	"repro/internal/power"
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/soc"
 	"repro/internal/workload"
 )
 
 func main() {
-	model, err := power.Calibrate(power.Snapdragon8074(), power.DefaultSilicon(), 2*sim.Second)
+	res, err := experiment.RunMatrix(workload.Dataset01(), soc.Dragonboard(), experiment.Options{Reps: 2, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := experiment.RunDataset(workload.Dataset01(), model, experiment.Options{Reps: 2, Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
+	tbl := res.Model.Cluster(0).Table
 
 	o := res.Oracles[0]
 	fmt.Printf("oracle for %s:\n", res.Workload.Name)
 	fmt.Printf("  base frequency outside lags: %s (whole-workload energy optimum)\n",
-		model.Table[o.BaseOPP].Label())
+		tbl[o.Base.OPPIndex].Label())
 	fmt.Printf("  irritation: %v (zero by construction)\n", o.Irritation())
 	fmt.Printf("  energy: %.2f J vs interactive %.2f J / ondemand %.2f J\n",
 		res.OracleEnergyJ, res.MeanEnergyJ("interactive"), res.MeanEnergyJ("ondemand"))
@@ -37,12 +34,12 @@ func main() {
 	// Per-lag frequency choices: CPU-bound lags force high frequencies,
 	// IO-heavy lags allow low ones.
 	counts := map[string]int{}
-	for _, opp := range o.PerLagOPP {
-		counts[model.Table[opp].Label()]++
+	for _, ch := range o.PerLag {
+		counts[tbl[ch.OPPIndex].Label()]++
 	}
 	fmt.Println("  per-lag frequency histogram:")
-	for i := range model.Table {
-		label := model.Table[i].Label()
+	for i := range tbl {
+		label := tbl[i].Label()
 		if counts[label] > 0 {
 			fmt.Printf("    %-10s %3d lags\n", label, counts[label])
 		}
@@ -53,5 +50,5 @@ func main() {
 
 	fmt.Printf("\nsavings at zero irritation: %.0f%% vs interactive, %.0f%% vs fixed 2.15 GHz\n",
 		(1-1/res.NormEnergy("interactive"))*100,
-		(1-1/res.NormEnergy(model.Table[len(model.Table)-1].Label()))*100)
+		(1-1/res.NormEnergy(tbl[len(tbl)-1].Label()))*100)
 }

@@ -51,11 +51,13 @@ func main() {
 			NewGovernor: func() governor.Governor { return governor.NewOndemand() }},
 	}
 	res, err := experiment.RunSustained(w, configs, experiment.SustainedOptions{
-		Repeats:  3,
-		Reps:     2,
-		Seed:     1,
-		Thermal:  cfg,
-		Progress: func(msg string) { fmt.Fprintln(os.Stderr, msg) },
+		Options: experiment.Options{
+			Reps:     2,
+			Seed:     1,
+			Progress: func(msg string) { fmt.Fprintln(os.Stderr, msg) },
+		},
+		Repeats: 3,
+		Thermal: cfg,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -81,6 +83,6 @@ func main() {
 		}
 		fmt.Printf("  t=%7.1fs %s -> OPP %d\n", sim.Time(e.At).Sub(0).Seconds(), state, e.CapIndex)
 	}
-	above := hot.Clusters[1].Temp.TimeAbove(cfg.Zones[1].Throttle.TripC, sim.Time(hot.Window))
-	fmt.Printf("time above trip: %s of %s\n", above, hot.Window)
+	above := hot.Clusters[1].Temp.TimeAbove(cfg.Zones[1].Throttle.TripC, sim.Time(res.Window))
+	fmt.Printf("time above trip: %s of %s\n", above, res.Window)
 }

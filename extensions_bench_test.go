@@ -24,16 +24,20 @@ func BenchmarkQoEAwareGovernor(b *testing.B) {
 	results, _ := evaluationMatrix(b)
 	res := results[0]
 
+	perLagOPP := make(map[int]int)
+	for lag, ch := range res.Oracles[0].PerLag {
+		perLagOPP[lag] = ch.OPPIndex
+	}
 	var normE, irr float64
 	for i := 0; i < b.N; i++ {
 		gov := governor.NewQoEAware()
-		gov.LearnBoost(res.Oracles[0].PerLagOPP, 0.9)
+		gov.LearnBoost(perLagOPP, 0.9)
 		art := workload.Replay(res.Workload, res.Recording, gov, gov.Name(), 123, true)
 		profile, err := match.Match(art.Video, res.DB, res.Gestures, gov.Name(), match.Options{Strict: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		energy, err := res.Model.Energy(art.BusyByOPP)
+		energy, err := res.Model.Energy(art.BusyByCluster)
 		if err != nil {
 			b.Fatal(err)
 		}

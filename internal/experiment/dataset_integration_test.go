@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/power"
 	"repro/internal/sim"
+	"repro/internal/soc"
 	"repro/internal/workload"
 )
 
@@ -16,15 +16,11 @@ func TestDataset01FullMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full dataset matrix")
 	}
-	model, err := power.Calibrate(power.Snapdragon8074(), power.DefaultSilicon(), 100*sim.Millisecond)
+	res, err := RunMatrix(workload.Dataset01(), soc.Dragonboard(), Options{Reps: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunDataset(workload.Dataset01(), model, Options{Reps: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := model.Table
+	tbl := res.Model.Cluster(0).Table
 
 	// Irritation decreases monotonically over fixed frequencies (Fig. 12).
 	prev := sim.Duration(1 << 62)
@@ -76,7 +72,7 @@ func TestDataset01FullMatrix(t *testing.T) {
 		if o.Irritation() != 0 {
 			t.Errorf("oracle irritation %v", o.Irritation())
 		}
-		if got := tbl[o.BaseOPP].Label(); got != "0.88 GHz" && got != "0.96 GHz" && got != "1.04 GHz" {
+		if got := tbl[o.Base.OPPIndex].Label(); got != "0.88 GHz" && got != "0.96 GHz" && got != "1.04 GHz" {
 			t.Errorf("oracle base %s, want the race-to-idle plateau", got)
 		}
 	}

@@ -2,8 +2,12 @@
 // each workload replayed at every fixed frequency and under the three
 // governors — "altogether we execute each workload 5·(14+3) = 85 times" —
 // followed by oracle construction and the figure-level aggregations.
-// RunMatrix generalises the sweep to heterogeneous SoC specs with
-// per-cluster governor arms and the energy-aware cluster oracle.
+// RunMatrix is that sweep on any SoC spec (the paper's study is RunMatrix
+// on soc.Dragonboard); RunSustained adds a thermal arm axis; RunPopulation
+// loops RunMatrix over a device fleet. Every sweep runs on one kernel:
+// record and annotate once (prepare), then fan the replays out over a
+// worker pool with panic containment, cancellation and streaming (fanOut),
+// each replay forked off a warm session and analysed by executeRun.
 //
 // Units: energies are joules, irritation is virtual time (sim.Duration;
 // Seconds() for display), frequencies carry their ladder's kHz. Concurrency:
@@ -24,9 +28,7 @@ import (
 	"repro/internal/evdev"
 	"repro/internal/governor"
 	"repro/internal/match"
-	"repro/internal/oracle"
 	"repro/internal/power"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -163,32 +165,7 @@ type Run struct {
 	Migrations int
 }
 
-// DatasetResult holds everything the figures need for one workload. It is
-// immutable once RunDataset returns and safe to read from any goroutine.
-type DatasetResult struct {
-	// Workload, Recording, Gestures, RecordTruths and DB are the shared
-	// record/annotate artefacts every replay of the sweep consumed.
-	Workload     *workload.Workload
-	Recording    *workload.Recording
-	Gestures     []evdev.Gesture
-	RecordTruths []device.GroundTruth
-	DB           *annotate.DB
-	// Model is the calibrated single-ladder power model (watts per OPP).
-	Model *power.Model
-	// Configs is the swept matrix in figure order; Runs maps config name
-	// to its repetitions in rep order.
-	Configs []Config
-	Runs    map[string][]*Run
-	// Thresholds is the paper's oracle-study rule: 110% of the mean lag
-	// duration at the fastest fixed frequency.
-	Thresholds core.Thresholds
-	// Oracles holds one oracle per repetition; OracleEnergyJ is their mean
-	// dynamic energy in joules.
-	Oracles       []*oracle.Oracle
-	OracleEnergyJ float64
-}
-
-// Options configures a dataset or matrix sweep.
+// Options configures a sweep.
 type Options struct {
 	Reps    int     // repetitions per configuration (paper: 5)
 	Workers int     // parallel replays (0 → GOMAXPROCS; ignored when Pool is set)
@@ -210,7 +187,8 @@ type Options struct {
 	// subset of MatrixConfigs (unknown names are an error). On
 	// single-cluster specs the selection must retain at least one fixed
 	// frequency, which doubles as the oracle's candidate set and the
-	// threshold reference.
+	// threshold reference. Sustained sweeps take their configs as an
+	// argument and reject a selection here.
 	Configs []string
 	// OnRun, when set, is invoked once per completed replay with the
 	// sweep-relative progress — the streaming hook the serve layer turns
@@ -235,10 +213,11 @@ type Options struct {
 // Options.OnRun as workers finish. Index/Total are positions in the sweep's
 // deterministic job order, not completion order.
 type RunUpdate struct {
-	// Kind is "config" for matrix runs, "candidate" for the oracle's
-	// placement-pinned runs (Run is nil for candidates), and "fault" for a
-	// replay whose panic the pool contained (Err and Stack are set, Run is
-	// nil).
+	// Kind is "config" for matrix runs and the record-only arm of a
+	// sustained sweep, "throttled" for the sustained throttled arm,
+	// "candidate" for the oracle's placement-pinned runs (Run is nil for
+	// candidates), and "fault" for a replay whose panic the pool contained
+	// (Err and Stack are set, Run is nil).
 	Kind   string
 	Config string // config name, or "<cluster>@<OPP label>" for candidates
 	Rep    int
@@ -278,17 +257,6 @@ func (o Options) progress(format string, args ...any) {
 	}
 }
 
-// runJobs fans the sweep's replay jobs over the configured pool (the
-// caller's long-lived one, or a transient pool of Workers width). onPanic
-// receives jobs whose panic the pool contained.
-func (o Options) runJobs(n int, fn func(ji int, scratch *replayScratch), onPanic func(ji int, pe *PanicError)) error {
-	pool := o.Pool
-	if pool == nil {
-		pool = NewPool(o.Workers)
-	}
-	return pool.run(o.Context, n, fn, onPanic)
-}
-
 // emit delivers a completed-replay update to the OnRun hook, if any.
 func (o Options) emit(u RunUpdate) {
 	if o.OnRun != nil {
@@ -303,119 +271,122 @@ func (o Options) beat() {
 	}
 }
 
-// jobEnter runs the per-job test hook and the start-of-run heartbeat.
-func (o Options) jobEnter(ji int) {
-	if o.TestHookRun != nil {
-		o.TestHookRun(ji)
-	}
-	o.beat()
+// sweep holds what every replay of one sweep shares: the calibrated model
+// and Part A's artefacts — the recording the replays consume, its gestures
+// and the annotation database.
+type sweep struct {
+	model    *power.SoCModel
+	rec      *workload.Recording
+	truths   []device.GroundTruth
+	gestures []evdev.Gesture
+	db       *annotate.DB
 }
 
-// faultUpdate converts a contained panic into the Kind "fault" update
-// streamed through OnRun.
-func faultUpdate(ji, total int, pe *PanicError) RunUpdate {
-	return RunUpdate{Kind: "fault", Index: ji, Total: total, Err: pe.Error(), Stack: string(pe.Stack)}
-}
-
-// RunDataset executes the full matrix for one workload: record once,
-// annotate once, replay 17 configurations × Reps, build the per-repetition
-// oracles.
-func RunDataset(w *workload.Workload, model *power.Model, opts Options) (*DatasetResult, error) {
-	opts = opts.withDefaults()
-	res := &DatasetResult{
-		Workload: w,
-		Model:    model,
-		Configs:  AllConfigs(model.Table),
-		Runs:     make(map[string][]*Run),
+// prepare is the front half every sweep shares, the paper's Part A: record
+// the workload once under the master seed, concatenate the trace repeats
+// times back to back (sustained sweeps), and annotate the result from one
+// capture replay under the stock governors on the annotation profile.
+func prepare(w *workload.Workload, model *power.SoCModel, annProf device.Profile, repeats int, opts Options) (*sweep, error) {
+	if err := opts.Context.Err(); err != nil {
+		return nil, fmt.Errorf("experiment: %s: %w", w.Name, err)
 	}
-
-	// On a multi-cluster profile, energy must be attributed per cluster with
-	// per-cluster tables; the single model only describes the paper's one
-	// Krait ladder.
-	var socModel *power.SoCModel
-	if spec := w.Profile.SoCSpec(); len(spec.Clusters) > 1 {
-		var err error
-		if socModel, err = spec.Calibrate(0); err != nil {
-			return nil, fmt.Errorf("experiment: calibrate %s: %w", spec.Name, err)
-		}
-	}
-
-	opts.progress("[%s] recording workload", w.Name)
+	opts.progress("[%s] recording workload on %s", w.Name, w.Profile.SoCSpec().Name)
 	rec, truths, err := w.Record(opts.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: record %s: %w", w.Name, err)
 	}
-	res.Recording = rec
-	res.RecordTruths = truths
-	res.Gestures = match.Gestures(rec.Events)
+	if repeats > 1 {
+		rec = rec.Repeat(repeats)
+	}
+	s := &sweep{model: model, rec: rec, truths: truths, gestures: match.Gestures(rec.Events)}
 
 	opts.progress("[%s] annotating (Part A)", w.Name)
-	annArt := workload.ReplayMulti(w, rec, workload.StockGovernors(w.Profile), "annotation", opts.Seed^0xA11, true)
-	db, err := annotate.Build(w.Name, annArt.Video, res.Gestures, annArt.Truths, annotate.BuildOptions{MinStill: 1})
-	if err != nil {
+	ann := &workload.Workload{Name: w.Name, Profile: annProf, Duration: rec.Duration}
+	art := workload.ReplayMulti(ann, rec, workload.StockGovernors(annProf), "annotation", opts.Seed^0xA11, true)
+	if s.db, err = annotate.Build(w.Name, art.Video, s.gestures, art.Truths, annotate.BuildOptions{MinStill: 1}); err != nil {
 		return nil, fmt.Errorf("experiment: annotate %s: %w", w.Name, err)
 	}
-	res.DB = db
+	return s, nil
+}
 
-	// The replay matrix.
-	type job struct {
-		cfg Config
-		rep int
-	}
+// job is one replay of a sweep: a config on one arm (the sustained sweep's
+// record-only or throttled workload) at one repetition, or — on
+// multi-cluster matrix sweeps — an oracle candidate pinned to one
+// (cluster, OPP).
+type job struct {
+	cfg          Config
+	arm, rep     int
+	candidate    bool
+	cluster, opp int
+}
+
+// configJobs lays out the config × arm × rep job space in the order every
+// sweep's job seeds derive from: config-major, then arm, then rep.
+func configJobs(configs []Config, arms, reps int) []job {
 	var jobs []job
-	for _, cfg := range res.Configs {
-		for rep := 0; rep < opts.Reps; rep++ {
-			jobs = append(jobs, job{cfg, rep})
+	for _, cfg := range configs {
+		for arm := 0; arm < arms; arm++ {
+			for rep := 0; rep < reps; rep++ {
+				jobs = append(jobs, job{cfg: cfg, arm: arm, rep: rep})
+			}
 		}
 	}
-	opts.progress("[%s] replaying %d configurations x %d reps = %d runs",
-		w.Name, len(res.Configs), opts.Reps, len(jobs))
+	return jobs
+}
 
-	runs := make([]*Run, len(jobs))
-	errs := make([]error, len(jobs))
-	poolErr := opts.runJobs(len(jobs), func(ji int, scratch *replayScratch) {
-		opts.jobEnter(ji)
-		defer opts.beat()
-		j := jobs[ji]
-		seed := opts.Seed ^ (uint64(ji+1) * 0x9e3779b9)
-		runs[ji], errs[ji] = executeRun(w, rec, db, res.Gestures, model, socModel, j.cfg, j.rep, seed, scratch)
-		if errs[ji] == nil {
-			opts.emit(RunUpdate{Kind: "config", Config: j.cfg.Name, Rep: j.rep, Index: ji, Total: len(jobs), Run: runs[ji]})
+// fanOut is the replay half every sweep shares: jobs [0, n) over the
+// sweep's pool (the caller's long-lived one, or a transient one of Workers
+// width), each under the per-job test hook and start/end heartbeats, seeded
+// from the master seed and its job index. run replays job ji and returns the
+// update to stream through OnRun; Index and Total are filled in here. A
+// panic is contained into a *PanicError and streamed as a "fault" update.
+// The sweep fails with the context's error, or else with the first failed
+// job in job order, labelled by label.
+func (o Options) fanOut(name string, n int, label func(ji int) string,
+	run func(ji int, seed uint64, scratch *replayScratch) (RunUpdate, error)) error {
+	pool := o.Pool
+	if pool == nil {
+		pool = NewPool(o.Workers)
+	}
+	errs := make([]error, n)
+	poolErr := pool.run(o.Context, n, func(ji int, scratch *replayScratch) {
+		if o.TestHookRun != nil {
+			o.TestHookRun(ji)
+		}
+		o.beat()
+		defer o.beat()
+		u, err := run(ji, o.Seed^(uint64(ji+1)*0x9e3779b9), scratch)
+		if errs[ji] = err; err == nil {
+			u.Index, u.Total = ji, n
+			o.emit(u)
 		}
 	}, func(ji int, pe *PanicError) {
 		errs[ji] = pe
-		opts.emit(faultUpdate(ji, len(jobs), pe))
-		opts.beat()
+		o.emit(RunUpdate{Kind: "fault", Index: ji, Total: n, Err: pe.Error(), Stack: string(pe.Stack)})
+		o.beat()
 	})
 	if poolErr != nil {
-		return nil, fmt.Errorf("experiment: %s: %w", w.Name, poolErr)
+		return fmt.Errorf("experiment: %s: %w", name, poolErr)
 	}
 	for ji, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("experiment: %s %s rep %d: %w", w.Name, jobs[ji].cfg.Name, jobs[ji].rep, err)
+			return fmt.Errorf("experiment: %s %s: %w", name, label(ji), err)
 		}
 	}
-	for _, r := range runs {
-		res.Runs[r.Config] = append(res.Runs[r.Config], r)
-	}
-
-	if err := res.buildThresholdsAndOracles(opts.Factor); err != nil {
-		return nil, err
-	}
-	opts.progress("[%s] done: oracle %.2f J", w.Name, res.OracleEnergyJ)
-	return res, nil
+	return nil
 }
 
-func executeRun(w *workload.Workload, rec *workload.Recording, db *annotate.DB,
-	gestures []evdev.Gesture, model *power.Model, socModel *power.SoCModel,
-	cfg Config, rep int, seed uint64, scratch *replayScratch) (*Run, error) {
+// executeRun forks one config replay of the sweep's recording off the
+// worker's warm session for w (whose profile selects the spec and thermal
+// arm), matches its lags and prices its energy.
+func (s *sweep) executeRun(w *workload.Workload, cfg Config, rep int, seed uint64, scratch *replayScratch) (*Run, error) {
 	w = scratch.pooledWorkload(w)
 	govs, err := cfg.Governors(w.Profile)
 	if err != nil {
 		return nil, err
 	}
-	art := scratch.session(w).ReplayRecording(rec, govs, cfg.Name, seed, true)
-	profile, err := match.Match(art.Video, db, gestures, cfg.Name, match.Options{Strict: true})
+	art := scratch.session(w).ReplayRecording(s.rec, govs, cfg.Name, seed, true)
+	profile, err := match.Match(art.Video, s.db, s.gestures, cfg.Name, match.Options{Strict: true})
 	if err != nil {
 		return nil, err
 	}
@@ -423,18 +394,13 @@ func executeRun(w *workload.Workload, rec *workload.Recording, db *annotate.DB,
 	// worker's next repetition.
 	scratch.release(art.Video)
 	art.Video = nil
-	var energy float64
-	if socModel != nil {
-		energy, err = socModel.Energy(art.BusyByCluster)
-	} else {
-		energy, err = model.Energy(art.BusyByOPP)
-	}
+	energy, err := s.model.Energy(art.BusyByCluster)
 	if err != nil {
 		return nil, err
 	}
 	var leak float64
-	if socModel != nil && socModel.HasIdle() {
-		if leak, err = idleLeakEnergy(socModel, art.Clusters); err != nil {
+	if s.model.HasIdle() {
+		if leak, err = idleLeakEnergy(s.model, art.Clusters); err != nil {
 			return nil, err
 		}
 	}
@@ -470,128 +436,6 @@ func idleLeakEnergy(model *power.SoCModel, clusters []*trace.ClusterTraces) (flo
 
 // TotalEnergyJ returns the run's dynamic plus leakage energy in joules.
 func (r *Run) TotalEnergyJ() float64 { return r.EnergyJ + r.LeakEnergyJ }
-
-// buildThresholdsAndOracles derives the dataset thresholds (110% of the mean
-// fastest-frequency lag durations) and one oracle per repetition.
-func (res *DatasetResult) buildThresholdsAndOracles(factor float64) error {
-	tbl := res.Model.Table
-	fastName := tbl[len(tbl)-1].Label()
-	fastRuns := res.Runs[fastName]
-	if len(fastRuns) == 0 {
-		return fmt.Errorf("experiment: no fastest-frequency runs")
-	}
-
-	// Per-lag duration "the fastest frequency could achieve": the largest
-	// value observed across its repetitions, so the fastest configuration —
-	// and hence the oracle — is never irritating despite video-grid
-	// quantisation and per-repetition jitter.
-	refFast := &core.Profile{Workload: res.Workload.Name, Config: fastName}
-	nLags := len(fastRuns[0].Profile.Lags)
-	for i := 0; i < nLags; i++ {
-		ref := fastRuns[0].Profile.Lags[i]
-		if ref.Spurious {
-			refFast.Lags = append(refFast.Lags, ref)
-			continue
-		}
-		var worst sim.Duration
-		for _, r := range fastRuns {
-			if d := r.Profile.Lags[i].Duration(); d > worst {
-				worst = d
-			}
-		}
-		refFast.Lags = append(refFast.Lags, core.Lag{
-			Index: ref.Index, Label: ref.Label, Begin: ref.Begin, End: ref.Begin.Add(worst),
-		})
-	}
-	res.Thresholds = core.RelativeThresholds(refFast, factor)
-
-	reps := len(fastRuns)
-	var energySum float64
-	for rep := 0; rep < reps; rep++ {
-		var fixed []oracle.FixedRun
-		for idx := range tbl {
-			rs := res.Runs[tbl[idx].Label()]
-			if rep >= len(rs) {
-				return fmt.Errorf("experiment: missing rep %d for %s", rep, tbl[idx].Label())
-			}
-			fixed = append(fixed, oracle.FixedRun{
-				OPPIndex:  idx,
-				Profile:   rs[rep].Profile,
-				BusyCurve: rs[rep].BusyCurve,
-			})
-		}
-		o, err := oracle.Build(fixed, res.Model, 0, &res.Thresholds)
-		if err != nil {
-			return fmt.Errorf("experiment: oracle rep %d: %w", rep, err)
-		}
-		res.Oracles = append(res.Oracles, o)
-		energySum += o.EnergyJ
-	}
-	res.OracleEnergyJ = energySum / float64(reps)
-	return nil
-}
-
-// MeanEnergyJ returns the mean dynamic energy of a configuration.
-func (res *DatasetResult) MeanEnergyJ(config string) float64 {
-	rs := res.Runs[config]
-	if len(rs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, r := range rs {
-		s += r.EnergyJ
-	}
-	return s / float64(len(rs))
-}
-
-// NormEnergy returns energy normalised to the oracle, the y-axis of the
-// paper's Fig. 12 (right) and Fig. 14 (top).
-func (res *DatasetResult) NormEnergy(config string) float64 {
-	if res.OracleEnergyJ == 0 {
-		return 0
-	}
-	return res.MeanEnergyJ(config) / res.OracleEnergyJ
-}
-
-// MeanIrritation returns the mean user irritation of a configuration under
-// the dataset thresholds.
-func (res *DatasetResult) MeanIrritation(config string) sim.Duration {
-	rs := res.Runs[config]
-	if len(rs) == 0 {
-		return 0
-	}
-	var s sim.Duration
-	for _, r := range rs {
-		s += core.Irritation(r.Profile, res.Thresholds)
-	}
-	return s / sim.Duration(len(rs))
-}
-
-// PooledDurationsMS returns all lag durations (ms) of a configuration pooled
-// across repetitions — the Fig. 11 samples.
-func (res *DatasetResult) PooledDurationsMS(config string) []float64 {
-	var out []float64
-	for _, r := range res.Runs[config] {
-		for _, d := range r.Profile.Durations() {
-			out = append(out, d.Milliseconds())
-		}
-	}
-	return out
-}
-
-// ConfigNames returns all configuration names in figure order plus "oracle".
-func (res *DatasetResult) ConfigNames() []string {
-	var names []string
-	for _, c := range res.Configs {
-		names = append(names, c.Name)
-	}
-	return names
-}
-
-// InputClassification counts the Fig. 10 classes for the dataset recording.
-func (res *DatasetResult) InputClassification() (taps, swipes, actual, spurious int) {
-	return ClassifyInputs(res.Gestures, res.RecordTruths)
-}
 
 // ClassifyInputs computes the Fig. 10 counts from a recording's gestures and
 // ground truth.

@@ -3,18 +3,16 @@ package experiment
 import (
 	"testing"
 
-	"repro/internal/power"
 	"repro/internal/sim"
+	"repro/internal/soc"
 	"repro/internal/workload"
 )
 
-func quickResult(t *testing.T, reps int) *DatasetResult {
+// quickResult runs the paper's study — the matrix on Dragonboard — on the
+// quickstart workload.
+func quickResult(t *testing.T, reps int) *MatrixResult {
 	t.Helper()
-	model, err := power.Calibrate(power.Snapdragon8074(), power.DefaultSilicon(), 100*sim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunDataset(workload.Quickstart(), model, Options{Reps: reps, Seed: 3})
+	res, err := RunMatrix(workload.Quickstart(), soc.Dragonboard(), Options{Reps: reps, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,12 +37,12 @@ func TestQuickstartMatrix(t *testing.T) {
 		if o.Irritation() != 0 {
 			t.Errorf("oracle irritation = %v, want 0", o.Irritation())
 		}
-		if o.BaseOPP < 3 || o.BaseOPP > 8 {
+		if o.Base.OPPIndex < 3 || o.Base.OPPIndex > 8 {
 			t.Errorf("oracle base OPP = %d (%s), want a mid frequency (race-to-idle)",
-				o.BaseOPP, res.Model.Table[o.BaseOPP].Label())
+				o.Base.OPPIndex, res.Model.Cluster(0).Table[o.Base.OPPIndex].Label())
 		}
 	}
-	fastest := res.Model.Table[len(res.Model.Table)-1].Label()
+	fastest := res.Model.Cluster(0).Table[len(res.Model.Cluster(0).Table)-1].Label()
 	if res.OracleEnergyJ >= res.MeanEnergyJ(fastest) {
 		t.Errorf("oracle energy %.3f J >= fastest fixed %.3f J", res.OracleEnergyJ, res.MeanEnergyJ(fastest))
 	}
@@ -88,7 +86,7 @@ func TestGovernorOrderingOnQuickstart(t *testing.T) {
 
 func TestEnergyUShapeOverFixedFrequencies(t *testing.T) {
 	res := quickResult(t, 1)
-	tbl := res.Model.Table
+	tbl := res.Model.Cluster(0).Table
 	// The energy-optimal fixed frequency must be in the middle of the
 	// ladder, and the top must cost much more (race-to-idle, Fig. 12 right).
 	best, bestE := -1, 0.0

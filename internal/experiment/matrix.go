@@ -2,11 +2,11 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/annotate"
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/evdev"
 	"repro/internal/governor"
 	"repro/internal/match"
@@ -161,18 +161,21 @@ func mixedArmConfig(spec soc.Spec, name string) (Config, error) {
 // MatrixResult holds the spec-aware characterisation sweep of one workload:
 // the config-matrix runs, the placement-pinned candidate runs behind the
 // cluster-aware oracle, the shared thresholds, and one oracle per
-// repetition. It is the heterogeneous generalisation of DatasetResult, and
-// like it is immutable once RunMatrix returns.
+// repetition. On soc.Dragonboard it is the paper's per-dataset study. It is
+// immutable once RunMatrix returns.
 type MatrixResult struct {
 	// Workload and Spec identify the sweep; Model is the calibrated
 	// per-cluster power model (watts per OPP per cluster).
 	Workload *workload.Workload
 	Spec     soc.Spec
 	Model    *power.SoCModel
-	// Recording, Gestures and DB are the shared record/annotate artefacts.
-	Recording *workload.Recording
-	Gestures  []evdev.Gesture
-	DB        *annotate.DB
+	// Recording, RecordTruths, Gestures and DB are the shared
+	// record/annotate artefacts: the input trace, the recording pass's
+	// ground truth (Table I, Fig. 10), its gestures and the annotation.
+	Recording    *workload.Recording
+	RecordTruths []device.GroundTruth
+	Gestures     []evdev.Gesture
+	DB           *annotate.DB
 	// Configs is the swept matrix (MatrixConfigs order).
 	Configs []Config
 	// Runs maps config name to its repetitions, in rep order.
@@ -208,14 +211,14 @@ func RunMatrix(w *workload.Workload, spec soc.Spec, opts Options) (*MatrixResult
 	wc.Profile.SoC = spec
 	w = &wc
 
-	socModel, err := spec.Calibrate(0)
+	model, err := spec.Calibrate(0)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: calibrate %s: %w", spec.Name, err)
 	}
 	res := &MatrixResult{
 		Workload: w,
 		Spec:     spec,
-		Model:    socModel,
+		Model:    model,
 		Configs:  MatrixConfigs(spec),
 		Runs:     make(map[string][]*Run),
 	}
@@ -227,42 +230,18 @@ func RunMatrix(w *workload.Workload, spec soc.Spec, opts Options) (*MatrixResult
 		res.Configs = sel
 	}
 
-	if err := opts.Context.Err(); err != nil {
-		return nil, fmt.Errorf("experiment: %s: %w", w.Name, err)
-	}
-	opts.progress("[%s] recording workload on %s", w.Name, spec.Name)
-	rec, _, err := w.Record(opts.Seed)
+	s, err := prepare(w, model, w.Profile, 1, opts)
 	if err != nil {
-		return nil, fmt.Errorf("experiment: record %s: %w", w.Name, err)
+		return nil, err
 	}
-	res.Recording = rec
-	res.Gestures = match.Gestures(rec.Events)
-
-	opts.progress("[%s] annotating (Part A)", w.Name)
-	annArt := workload.ReplayMulti(w, rec, workload.StockGovernors(w.Profile), "annotation", opts.Seed^0xA11, true)
-	db, err := annotate.Build(w.Name, annArt.Video, res.Gestures, annArt.Truths, annotate.BuildOptions{MinStill: 1})
-	if err != nil {
-		return nil, fmt.Errorf("experiment: annotate %s: %w", w.Name, err)
-	}
-	res.DB = db
+	res.Recording, res.RecordTruths, res.Gestures, res.DB = s.rec, s.truths, s.gestures, s.db
 
 	// The job matrix: config runs plus, on multi-cluster specs, the
 	// placement-pinned candidate runs the oracle searches. On a
 	// single-cluster spec every candidate coincides with a fixed config run
 	// and is reused instead of re-replayed.
 	multi := len(spec.Clusters) > 1
-	type job struct {
-		candidate    bool
-		cfg          Config // matrix job
-		cluster, opp int    // candidate job
-		rep          int
-	}
-	var jobs []job
-	for _, cfg := range res.Configs {
-		for rep := 0; rep < opts.Reps; rep++ {
-			jobs = append(jobs, job{cfg: cfg, rep: rep})
-		}
-	}
+	jobs := configJobs(res.Configs, 1, opts.Reps)
 	nCand := 0
 	if multi {
 		for ci, cs := range spec.Clusters {
@@ -279,42 +258,28 @@ func RunMatrix(w *workload.Workload, spec soc.Spec, opts Options) (*MatrixResult
 
 	runs := make([]*Run, len(jobs))
 	cands := make([]oracle.ClusterFixedRun, len(jobs))
-	errs := make([]error, len(jobs))
-	poolErr := opts.runJobs(len(jobs), func(ji int, scratch *replayScratch) {
-		opts.jobEnter(ji)
-		defer opts.beat()
-		j := jobs[ji]
-		seed := opts.Seed ^ (uint64(ji+1) * 0x9e3779b9)
-		if !j.candidate {
-			runs[ji], errs[ji] = executeRun(w, rec, db, res.Gestures, nil, socModel, j.cfg, j.rep, seed, scratch)
-			if errs[ji] == nil {
-				opts.emit(RunUpdate{Kind: "config", Config: j.cfg.Name, Rep: j.rep, Index: ji, Total: len(jobs), Run: runs[ji]})
-			}
-			return
-		}
-		cands[ji], errs[ji] = executeCandidateRun(w, rec, db, res.Gestures, spec, j.cluster, j.opp, seed, scratch)
-		if errs[ji] == nil {
-			cs := spec.Clusters[j.cluster]
-			opts.emit(RunUpdate{Kind: "candidate", Config: cs.Name + "@" + cs.Table[j.opp].Label(),
-				Rep: j.rep, Index: ji, Total: len(jobs)})
-		}
-	}, func(ji int, pe *PanicError) {
-		errs[ji] = pe
-		opts.emit(faultUpdate(ji, len(jobs), pe))
-		opts.beat()
-	})
-	if poolErr != nil {
-		return nil, fmt.Errorf("experiment: %s: %w", w.Name, poolErr)
+	candName := func(j job) string {
+		cs := spec.Clusters[j.cluster]
+		return cs.Name + "@" + cs.Table[j.opp].Label()
 	}
-	for ji, err := range errs {
-		if err != nil {
-			j := jobs[ji]
-			if j.candidate {
-				return nil, fmt.Errorf("experiment: %s candidate %s@%s rep %d: %w", w.Name,
-					spec.Clusters[j.cluster].Name, spec.Clusters[j.cluster].Table[j.opp].Label(), j.rep, err)
-			}
-			return nil, fmt.Errorf("experiment: %s %s rep %d: %w", w.Name, j.cfg.Name, j.rep, err)
+	err = opts.fanOut(w.Name, len(jobs), func(ji int) string {
+		j := jobs[ji]
+		if j.candidate {
+			return fmt.Sprintf("candidate %s rep %d", candName(j), j.rep)
 		}
+		return fmt.Sprintf("%s rep %d", j.cfg.Name, j.rep)
+	}, func(ji int, seed uint64, scratch *replayScratch) (RunUpdate, error) {
+		j := jobs[ji]
+		var err error
+		if !j.candidate {
+			runs[ji], err = s.executeRun(w, j.cfg, j.rep, seed, scratch)
+			return RunUpdate{Kind: "config", Config: j.cfg.Name, Rep: j.rep, Run: runs[ji]}, err
+		}
+		cands[ji], err = s.executeCandidateRun(w, spec, j.cluster, j.opp, seed, scratch)
+		return RunUpdate{Kind: "candidate", Config: candName(j), Rep: j.rep}, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	for _, r := range runs {
 		if r != nil {
@@ -322,42 +287,20 @@ func RunMatrix(w *workload.Workload, spec soc.Spec, opts Options) (*MatrixResult
 		}
 	}
 
-	// Assemble the per-rep candidate sets. On a single-cluster spec the
-	// fixed matrix runs are the candidates.
+	// Assemble the per-rep candidate sets, (cluster, OPP) ascending — the
+	// order the candidate jobs were laid out in. On a single-cluster spec
+	// the fixed matrix runs are the candidates; under a config selection
+	// only the selected fixed frequencies exist, and selectConfigs
+	// guarantees there is at least one.
 	res.Candidates = make([][]oracle.ClusterFixedRun, opts.Reps)
-	if multi {
-		for ji, j := range jobs {
-			if j.candidate {
-				res.Candidates[j.rep] = append(res.Candidates[j.rep], cands[ji])
-			}
-		}
-		for rep := range res.Candidates {
-			sort.Slice(res.Candidates[rep], func(a, b int) bool {
-				ca, cb := res.Candidates[rep][a], res.Candidates[rep][b]
-				if ca.Cluster != cb.Cluster {
-					return ca.Cluster < cb.Cluster
-				}
-				return ca.OPPIndex < cb.OPPIndex
+	for ji, j := range jobs {
+		if j.candidate {
+			res.Candidates[j.rep] = append(res.Candidates[j.rep], cands[ji])
+		} else if !multi && j.cfg.OPPIndex >= 0 {
+			r := runs[ji]
+			res.Candidates[j.rep] = append(res.Candidates[j.rep], oracle.ClusterFixedRun{
+				OPPIndex: j.cfg.OPPIndex, Profile: r.Profile, BusyCurve: r.BusyCurve,
 			})
-		}
-	} else {
-		// Single-cluster candidates are the fixed matrix runs themselves.
-		// Under a config selection only the selected fixed frequencies
-		// exist; selectConfigs guarantees there is at least one.
-		for rep := 0; rep < opts.Reps; rep++ {
-			for _, cfg := range res.Configs {
-				if cfg.OPPIndex < 0 {
-					continue
-				}
-				rs := res.Runs[cfg.Name]
-				if rep >= len(rs) {
-					return nil, fmt.Errorf("experiment: missing rep %d for %s", rep, cfg.Name)
-				}
-				res.Candidates[rep] = append(res.Candidates[rep], oracle.ClusterFixedRun{
-					Cluster: 0, OPPIndex: cfg.OPPIndex,
-					Profile: rs[rep].Profile, BusyCurve: rs[rep].BusyCurve,
-				})
-			}
 		}
 	}
 
@@ -375,8 +318,7 @@ func RunMatrix(w *workload.Workload, spec soc.Spec, opts Options) (*MatrixResult
 // handling and background services run there, which is exactly the
 // counterfactual the oracle needs ("what if this lag were served on the
 // little cluster at 0.80 GHz?").
-func executeCandidateRun(w *workload.Workload, rec *workload.Recording, db *annotate.DB,
-	gestures []evdev.Gesture, spec soc.Spec, cluster, opp int, seed uint64,
+func (s *sweep) executeCandidateRun(w *workload.Workload, spec soc.Spec, cluster, opp int, seed uint64,
 	scratch *replayScratch) (oracle.ClusterFixedRun, error) {
 	cs := spec.Clusters[cluster]
 	wc := *w
@@ -402,8 +344,8 @@ func executeCandidateRun(w *workload.Workload, rec *workload.Recording, db *anno
 	// the worker's next one (the next Seal consumes the scratch).
 	sess.Dev.SetTraceScratch(scratch.takeTraces())
 	govs := []governor.Governor{governor.NewFixed(cs.Table, opp)}
-	art := sess.ReplayRecording(rec, govs, name, seed, true)
-	profile, err := match.Match(art.Video, db, gestures, name, match.Options{Strict: true})
+	art := sess.ReplayRecording(s.rec, govs, name, seed, true)
+	profile, err := match.Match(art.Video, s.db, s.gestures, name, match.Options{Strict: true})
 	if err != nil {
 		return oracle.ClusterFixedRun{}, err
 	}
@@ -467,9 +409,6 @@ func (res *MatrixResult) buildClusterOracles(factor float64) error {
 			Index: lag.Index, Label: lag.Label, Begin: lag.Begin, End: lag.Begin.Add(worst),
 		})
 	}
-	if factor <= 0 {
-		factor = 1.10
-	}
 	res.Thresholds = core.RelativeThresholds(ref, factor)
 
 	var energySum float64
@@ -485,31 +424,28 @@ func (res *MatrixResult) buildClusterOracles(factor float64) error {
 	return nil
 }
 
-// MeanEnergyJ returns the mean dynamic energy of a configuration in joules.
-func (res *MatrixResult) MeanEnergyJ(config string) float64 {
+// meanOf averages f over a configuration's runs (0 when it has none).
+func (res *MatrixResult) meanOf(config string, f func(*Run) float64) float64 {
 	rs := res.Runs[config]
 	if len(rs) == 0 {
 		return 0
 	}
 	var s float64
 	for _, r := range rs {
-		s += r.EnergyJ
+		s += f(r)
 	}
 	return s / float64(len(rs))
+}
+
+// MeanEnergyJ returns the mean dynamic energy of a configuration in joules.
+func (res *MatrixResult) MeanEnergyJ(config string) float64 {
+	return res.meanOf(config, func(r *Run) float64 { return r.EnergyJ })
 }
 
 // MeanLeakEnergyJ returns the mean idle leakage energy of a configuration in
 // joules (0 on specs without C-state ladders).
 func (res *MatrixResult) MeanLeakEnergyJ(config string) float64 {
-	rs := res.Runs[config]
-	if len(rs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, r := range rs {
-		s += r.LeakEnergyJ
-	}
-	return s / float64(len(rs))
+	return res.meanOf(config, func(r *Run) float64 { return r.LeakEnergyJ })
 }
 
 // MeanTotalEnergyJ returns the mean dynamic-plus-leakage energy of a
@@ -543,17 +479,26 @@ func (res *MatrixResult) MeanIrritation(config string) sim.Duration {
 	return s / sim.Duration(len(rs))
 }
 
+// PooledDurationsMS returns all lag durations (ms) of a configuration pooled
+// across repetitions — the Fig. 11 samples.
+func (res *MatrixResult) PooledDurationsMS(config string) []float64 {
+	var out []float64
+	for _, r := range res.Runs[config] {
+		for _, d := range r.Profile.Durations() {
+			out = append(out, d.Milliseconds())
+		}
+	}
+	return out
+}
+
+// InputClassification counts the Fig. 10 classes of the sweep's recording.
+func (res *MatrixResult) InputClassification() (taps, swipes, actual, spurious int) {
+	return ClassifyInputs(res.Gestures, res.RecordTruths)
+}
+
 // MeanMigrations returns a configuration's mean scheduler migration count.
 func (res *MatrixResult) MeanMigrations(config string) float64 {
-	rs := res.Runs[config]
-	if len(rs) == 0 {
-		return 0
-	}
-	s := 0
-	for _, r := range rs {
-		s += r.Migrations
-	}
-	return float64(s) / float64(len(rs))
+	return res.meanOf(config, func(r *Run) float64 { return float64(r.Migrations) })
 }
 
 // ClusterBusyShare returns the mean fraction of core-busy time each cluster

@@ -11,140 +11,189 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/report"
 	"repro/internal/soc"
+	"repro/internal/thermal"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// chaosSweep runs the small Dragonboard matrix on the pool with the given
-// extra options and returns the result plus the canonical run-record JSON.
-func chaosSweep(t *testing.T, pool *experiment.Pool, mutate func(*experiment.Options)) (*experiment.MatrixResult, string, error) {
-	t.Helper()
-	opts := experiment.Options{
-		Reps: 1, Seed: 7, Pool: pool,
-		Configs: []string{"0.30 GHz", "2.15 GHz", "ondemand"},
-	}
+// sweepKind is one sweep driver in a small, fast shape: run executes it on
+// the given options and returns its canonical JSON, so tests can pin any
+// sweep kind bit for bit through the same contract.
+type sweepKind struct {
+	name string
+	run  func(opts experiment.Options) (string, error)
+}
+
+var sweepKinds = []sweepKind{
+	{"matrix", func(opts experiment.Options) (string, error) {
+		opts.Configs = []string{"0.30 GHz", "2.15 GHz", "ondemand"}
+		res, err := experiment.RunMatrix(workload.Quickstart(), soc.Dragonboard(), opts)
+		if err != nil {
+			return "", err
+		}
+		return canonical(report.MatrixRunRecords(res))
+	}},
+	{"sustained", func(opts experiment.Options) (string, error) {
+		w := workload.ExportMarathon()
+		w.Profile.SoC = soc.BigLittle44()
+		configs := []experiment.Config{
+			{Name: "interactive", OPPIndex: -1, ArmNames: []string{"interactive", "interactive"}},
+			{Name: "ondemand", OPPIndex: -1, ArmNames: []string{"ondemand", "ondemand"}},
+		}
+		res, err := experiment.RunSustained(w, configs, experiment.SustainedOptions{
+			Options: opts, Repeats: 2, Thermal: thermal.PhoneConfig(2, 30, 5),
+		})
+		if err != nil {
+			return "", err
+		}
+		// Every run's record plus its arm and full per-cluster traces
+		// (temperatures and throttle caps included).
+		type sustainedRecord struct {
+			report.RunRecord
+			Throttled bool                   `json:"throttled"`
+			Clusters  []*trace.ClusterTraces `json:"clusters"`
+		}
+		var recs []sustainedRecord
+		for _, r := range res.Runs {
+			recs = append(recs, sustainedRecord{report.NewRunRecord(res.Workload, r.Run), r.Throttled, r.Clusters})
+		}
+		return canonical(recs)
+	}},
+}
+
+func canonical(v any) (string, error) {
+	raw, err := json.Marshal(v)
+	return string(raw), err
+}
+
+// chaosSweep runs a sweep kind on the pool at seed 7, one rep, with the
+// given extra options.
+func chaosSweep(kind sweepKind, pool *experiment.Pool, mutate func(*experiment.Options)) (string, error) {
+	opts := experiment.Options{Reps: 1, Seed: 7, Pool: pool}
 	if mutate != nil {
 		mutate(&opts)
 	}
-	res, err := experiment.RunMatrix(workload.Quickstart(), soc.Dragonboard(), opts)
-	if err != nil {
-		return nil, "", err
-	}
-	raw, err := json.Marshal(report.MatrixRunRecords(res))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, string(raw), nil
+	return kind.run(opts)
 }
 
-// TestPoolContainsInjectedPanic pins the containment contract end to end: a
-// fault-injected panic in the middle of a sweep fails the sweep with a
-// structured *PanicError instead of killing the process, the fault is
-// streamed through OnRun with its stack, and the same pool then reproduces
-// an undisturbed sweep bit for bit.
+// TestPoolContainsInjectedPanic pins the containment contract end to end,
+// for every sweep kind: a fault-injected panic in the middle of a sweep
+// fails the sweep with a structured *PanicError instead of killing the
+// process, the fault is streamed through OnRun with its stack, and the same
+// pool then reproduces an undisturbed sweep bit for bit.
 func TestPoolContainsInjectedPanic(t *testing.T) {
-	pool := experiment.NewPool(1)
-	_, want, err := chaosSweep(t, pool, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	plan := faultinject.NewPlan()
-	plan.Arm("experiment.run", 2)
-	var mu sync.Mutex
-	var faults []experiment.RunUpdate
-	_, _, err = chaosSweep(t, pool, func(o *experiment.Options) {
-		o.TestHookRun = func(ji int) {
-			if plan.Fire("experiment.run") {
-				faultinject.PanicNow(plan, "experiment.run")
+	for _, kind := range sweepKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			pool := experiment.NewPool(1)
+			want, err := chaosSweep(kind, pool, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		o.OnRun = func(u experiment.RunUpdate) {
-			if u.Kind == "fault" {
-				mu.Lock()
-				faults = append(faults, u)
-				mu.Unlock()
-			}
-		}
-	})
-	if err == nil {
-		t.Fatal("sweep with an injected panic returned no error")
-	}
-	var pe *experiment.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("sweep error %v does not unwrap to *PanicError", err)
-	}
-	if !faultinject.IsInjected(pe.Value) {
-		t.Fatalf("recovered value %v is not the injected fault", pe.Value)
-	}
-	if len(pe.Stack) == 0 {
-		t.Error("contained panic carries no stack")
-	}
-	if pool.RecoveredPanics() != 1 {
-		t.Fatalf("pool recovered %d panics, want 1", pool.RecoveredPanics())
-	}
-	if len(faults) != 1 {
-		t.Fatalf("%d fault updates streamed, want 1", len(faults))
-	}
-	if faults[0].Index != 1 || faults[0].Err == "" || !strings.Contains(faults[0].Stack, "goroutine") {
-		t.Fatalf("fault update malformed: %+v", faults[0])
-	}
 
-	// The pool survives: the next sweep on the same warm sessions matches
-	// the pre-fault sweep bit for bit.
-	_, got, err := chaosSweep(t, pool, nil)
-	if err != nil {
-		t.Fatalf("pool unusable after contained panic: %v", err)
-	}
-	if got != want {
-		t.Errorf("sweep after contained panic diverged:\nwant %s\ngot  %s", want, got)
+			plan := faultinject.NewPlan()
+			plan.Arm("experiment.run", 2)
+			var mu sync.Mutex
+			var faults []experiment.RunUpdate
+			_, err = chaosSweep(kind, pool, func(o *experiment.Options) {
+				o.TestHookRun = func(ji int) {
+					if plan.Fire("experiment.run") {
+						faultinject.PanicNow(plan, "experiment.run")
+					}
+				}
+				o.OnRun = func(u experiment.RunUpdate) {
+					if u.Kind == "fault" {
+						mu.Lock()
+						faults = append(faults, u)
+						mu.Unlock()
+					}
+				}
+			})
+			if err == nil {
+				t.Fatal("sweep with an injected panic returned no error")
+			}
+			var pe *experiment.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("sweep error %v does not unwrap to *PanicError", err)
+			}
+			if !faultinject.IsInjected(pe.Value) {
+				t.Fatalf("recovered value %v is not the injected fault", pe.Value)
+			}
+			if len(pe.Stack) == 0 {
+				t.Error("contained panic carries no stack")
+			}
+			if pool.RecoveredPanics() != 1 {
+				t.Fatalf("pool recovered %d panics, want 1", pool.RecoveredPanics())
+			}
+			if len(faults) != 1 {
+				t.Fatalf("%d fault updates streamed, want 1", len(faults))
+			}
+			if faults[0].Index != 1 || faults[0].Err == "" || !strings.Contains(faults[0].Stack, "goroutine") {
+				t.Fatalf("fault update malformed: %+v", faults[0])
+			}
+
+			// The pool survives: the next sweep on the same warm sessions
+			// matches the pre-fault sweep bit for bit.
+			got, err := chaosSweep(kind, pool, nil)
+			if err != nil {
+				t.Fatalf("pool unusable after contained panic: %v", err)
+			}
+			if got != want {
+				t.Errorf("sweep after contained panic diverged:\nwant %s\ngot  %s", want, got)
+			}
+		})
 	}
 }
 
-// TestCorruptCheckpointQuarantineHeals drives the worst containment case: a
-// warm session whose fork-point checkpoint has silently rotted. The next run
-// panics inside Restore, the pool quarantines the session (cold reboot on
-// next use), and the rebooted session reproduces the original sweep bit for
-// bit — fork≡cold means quarantine is invisible in the results.
+// TestCorruptCheckpointQuarantineHeals drives the worst containment case,
+// for every sweep kind: a warm session whose fork-point checkpoint has
+// silently rotted. The next run panics inside Restore, the pool quarantines
+// the session (cold reboot on next use), and the rebooted session
+// reproduces the original sweep bit for bit — fork≡cold means quarantine is
+// invisible in the results.
 func TestCorruptCheckpointQuarantineHeals(t *testing.T) {
-	pool := experiment.NewPool(1)
-	_, want, err := chaosSweep(t, pool, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pool.WarmSessions() == 0 {
-		t.Fatal("no warm sessions after a sweep")
-	}
+	for _, kind := range sweepKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			pool := experiment.NewPool(1)
+			want, err := chaosSweep(kind, pool, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pool.WarmSessions() == 0 {
+				t.Fatal("no warm sessions after a sweep")
+			}
 
-	corrupted := 0
-	pool.EachRegistry(func(r *workload.SessionRegistry) {
-		r.Each(func(key string, s *workload.ReplaySession) {
-			s.CorruptCheckpoint()
-			corrupted++
+			corrupted := 0
+			pool.EachRegistry(func(r *workload.SessionRegistry) {
+				r.Each(func(key string, s *workload.ReplaySession) {
+					s.CorruptCheckpoint()
+					corrupted++
+				})
+			})
+			if corrupted == 0 {
+				t.Fatal("corrupted no checkpoints")
+			}
+
+			_, err = chaosSweep(kind, pool, nil)
+			var pe *experiment.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("sweep on a corrupted checkpoint returned %v, want a contained *PanicError", err)
+			}
+			if pool.Quarantines() == 0 {
+				t.Fatal("corrupted session was not quarantined")
+			}
+			quarantines := pool.Quarantines()
+
+			got, err := chaosSweep(kind, pool, nil)
+			if err != nil {
+				t.Fatalf("sweep after quarantine: %v", err)
+			}
+			if got != want {
+				t.Errorf("rebooted session diverged from the original:\nwant %s\ngot  %s", want, got)
+			}
+			if pool.Quarantines() != quarantines {
+				t.Errorf("healthy sweep quarantined %d more sessions", pool.Quarantines()-quarantines)
+			}
 		})
-	})
-	if corrupted == 0 {
-		t.Fatal("corrupted no checkpoints")
-	}
-
-	_, _, err = chaosSweep(t, pool, nil)
-	var pe *experiment.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("sweep on a corrupted checkpoint returned %v, want a contained *PanicError", err)
-	}
-	if pool.Quarantines() == 0 {
-		t.Fatal("corrupted session was not quarantined")
-	}
-	quarantines := pool.Quarantines()
-
-	_, got, err := chaosSweep(t, pool, nil)
-	if err != nil {
-		t.Fatalf("sweep after quarantine: %v", err)
-	}
-	if got != want {
-		t.Errorf("rebooted session diverged from the original:\nwant %s\ngot  %s", want, got)
-	}
-	if pool.Quarantines() != quarantines {
-		t.Errorf("healthy sweep quarantined %d more sessions", pool.Quarantines()-quarantines)
 	}
 }
 

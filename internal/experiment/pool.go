@@ -140,8 +140,6 @@ func (p *Pool) ReleaseSessions(match func(key string) bool) int {
 // Each fn call runs under a per-worker recover: a panic is captured as a
 // *PanicError, the session the job was replaying on is quarantined, and the
 // panic is reported through onPanic — the worker then claims the next job.
-// A nil onPanic re-raises the panic (one-shot callers that have no failure
-// channel keep crash-on-bug semantics).
 //
 // ctx cancellation is honoured between jobs: in-flight jobs run to
 // completion (a replay is not interruptible mid-run), no further jobs are
@@ -171,9 +169,6 @@ func (p *Pool) run(ctx context.Context, n int, fn func(ji int, scratch *replaySc
 				p.inFlight.Add(-1)
 				if pe != nil {
 					p.panics.Add(1)
-					if onPanic == nil {
-						panic(pe.Value)
-					}
 					onPanic(ji, pe)
 				}
 			}

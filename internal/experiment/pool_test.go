@@ -61,86 +61,94 @@ func TestMatrixOrderingDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestPoolReuseAcrossSweepsBitIdentical runs the same sweep twice on one
-// long-lived pool: the second sweep rides entirely on warmed sessions and
-// recycled scratch, and must reproduce the first bit for bit.
+// long-lived pool, for every sweep kind: the second sweep rides entirely on
+// warmed sessions and recycled scratch, and must reproduce the first — run
+// on the fresh pool — bit for bit.
 func TestPoolReuseAcrossSweepsBitIdentical(t *testing.T) {
-	pool := experiment.NewPool(2)
-	sel := []string{"0.30 GHz", "2.15 GHz", "ondemand"}
-	sweep := func() string {
-		res, err := experiment.RunMatrix(workload.Quickstart(), soc.Dragonboard(),
-			experiment.Options{Reps: 2, Seed: 11, Configs: sel, Pool: pool})
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs := report.MatrixRunRecords(res)
-		raw, err := json.Marshal(recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(raw)
-	}
-	first := sweep()
-	forksAfterFirst := 0
-	for _, n := range pool.Forks() {
-		forksAfterFirst += n
-	}
-	if second := sweep(); second != first {
-		t.Errorf("pool reuse perturbed the sweep:\nfirst:  %s\nsecond: %s", first, second)
-	}
-	if pool.WarmSessions() == 0 {
-		t.Error("no warm sessions on the pool after two sweeps")
-	}
-	forksAfterSecond := 0
-	for _, n := range pool.Forks() {
-		forksAfterSecond += n
-	}
-	if forksAfterSecond <= forksAfterFirst {
-		t.Errorf("second sweep recorded no forks (%d -> %d); sessions were not reused",
-			forksAfterFirst, forksAfterSecond)
-	}
-}
-
-// TestMatrixContextCancellation cancels a sweep mid-flight via OnRun and
-// verifies RunMatrix surfaces context.Canceled — and that the pool remains
-// fully usable for a subsequent complete sweep.
-func TestMatrixContextCancellation(t *testing.T) {
-	pool := experiment.NewPool(2)
-	ctx, cancel := context.WithCancel(context.Background())
-	var seen atomic.Int64
-	_, err := experiment.RunMatrix(workload.Quickstart(), soc.Dragonboard(),
-		experiment.Options{Reps: 3, Seed: 5, Pool: pool, Context: ctx,
-			OnRun: func(experiment.RunUpdate) {
-				if seen.Add(1) == 1 {
-					cancel()
+	for _, kind := range sweepKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			pool := experiment.NewPool(2)
+			sweep := func() string {
+				out, err := kind.run(experiment.Options{Reps: 2, Seed: 11, Pool: pool})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
-	}
-
-	res, err := experiment.RunMatrix(workload.Quickstart(), soc.Dragonboard(),
-		experiment.Options{Reps: 1, Seed: 5, Configs: []string{"0.96 GHz"}, Pool: pool})
-	if err != nil {
-		t.Fatalf("pool unusable after cancelled sweep: %v", err)
-	}
-	if len(res.Runs["0.96 GHz"]) != 1 {
-		t.Fatalf("follow-up sweep incomplete: %v", res.Runs)
+				return out
+			}
+			forks := func() int {
+				n := 0
+				for _, f := range pool.Forks() {
+					n += f
+				}
+				return n
+			}
+			first := sweep()
+			forksAfterFirst := forks()
+			if second := sweep(); second != first {
+				t.Errorf("pool reuse perturbed the sweep:\nfirst:  %s\nsecond: %s", first, second)
+			}
+			if pool.WarmSessions() == 0 {
+				t.Error("no warm sessions on the pool after two sweeps")
+			}
+			if forks() <= forksAfterFirst {
+				t.Errorf("second sweep recorded no forks (%d -> %d); sessions were not reused",
+					forksAfterFirst, forks())
+			}
+		})
 	}
 }
 
-// TestMatrixPreCancelledContext returns immediately without running anything.
-func TestMatrixPreCancelledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ran atomic.Int64
-	_, err := experiment.RunMatrix(workload.Quickstart(), soc.Dragonboard(),
-		experiment.Options{Reps: 1, Context: ctx,
-			OnRun: func(experiment.RunUpdate) { ran.Add(1) }})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
+// TestMatrixContextCancellation cancels a sweep of every kind mid-flight via
+// OnRun and verifies it surfaces context.Canceled — and that the pool then
+// runs a complete sweep bit-identical to one on a fresh pool.
+func TestMatrixContextCancellation(t *testing.T) {
+	for _, kind := range sweepKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			pool := experiment.NewPool(2)
+			ctx, cancel := context.WithCancel(context.Background())
+			var seen atomic.Int64
+			_, err := kind.run(experiment.Options{Reps: 3, Seed: 5, Pool: pool, Context: ctx,
+				OnRun: func(experiment.RunUpdate) {
+					if seen.Add(1) == 1 {
+						cancel()
+					}
+				}})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
+			}
+
+			got, err := kind.run(experiment.Options{Reps: 1, Seed: 5, Pool: pool})
+			if err != nil {
+				t.Fatalf("pool unusable after cancelled sweep: %v", err)
+			}
+			want, err := kind.run(experiment.Options{Reps: 1, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("sweep after cancellation diverged from a fresh pool:\nwant %s\ngot  %s", want, got)
+			}
+		})
 	}
-	if ran.Load() != 0 {
-		t.Errorf("%d runs executed under a pre-cancelled context", ran.Load())
+}
+
+// TestMatrixPreCancelledContext returns immediately without running
+// anything, for every sweep kind.
+func TestMatrixPreCancelledContext(t *testing.T) {
+	for _, kind := range sweepKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			var ran atomic.Int64
+			_, err := kind.run(experiment.Options{Reps: 1, Context: ctx,
+				OnRun: func(experiment.RunUpdate) { ran.Add(1) }})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("got %v, want context.Canceled", err)
+			}
+			if ran.Load() != 0 {
+				t.Errorf("%d runs executed under a pre-cancelled context", ran.Load())
+			}
+		})
 	}
 }
 

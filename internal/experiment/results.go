@@ -53,8 +53,8 @@ type BoxJSON struct {
 	Fliers int     `json:"fliers"` // outliers beyond the whiskers
 }
 
-// Summarise digests a DatasetResult.
-func (res *DatasetResult) Summarise() *Summary {
+// Summarise digests a matrix result.
+func (res *MatrixResult) Summarise() *Summary {
 	s := &Summary{
 		Workload:    res.Workload.Name,
 		Description: res.Workload.Description,
@@ -63,7 +63,8 @@ func (res *DatasetResult) Summarise() *Summary {
 		LagStats:    map[string]BoxJSON{},
 	}
 	if len(res.Oracles) > 0 {
-		s.BaseOPP = res.Model.Table[res.Oracles[0].BaseOPP].Label()
+		base := res.Oracles[0].Base
+		s.BaseOPP = res.Model.Cluster(base.Cluster).Table[base.OPPIndex].Label()
 	}
 	taps, swipes, actual, spurious := res.InputClassification()
 	s.InputCounts["taps"] = taps
@@ -106,7 +107,7 @@ func (res *DatasetResult) Summarise() *Summary {
 }
 
 // WriteSummaries serialises dataset summaries as indented JSON.
-func WriteSummaries(w io.Writer, results []*DatasetResult) error {
+func WriteSummaries(w io.Writer, results []*MatrixResult) error {
 	var out []*Summary
 	for _, res := range results {
 		out = append(out, res.Summarise())

@@ -33,7 +33,7 @@ func TestSummariseAndRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteSummaries(&buf, []*DatasetResult{res}); err != nil {
+	if err := WriteSummaries(&buf, []*MatrixResult{res}); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadSummaries(&buf)

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"context"
-
 	"repro/internal/trace"
 	"repro/internal/video"
 	"repro/internal/workload"
@@ -84,12 +82,3 @@ func (s *replayScratch) pooledWorkload(w *workload.Workload) *workload.Workload 
 // release hands a matched video's frames back to the worker pool. The video
 // must not be used afterwards.
 func (s *replayScratch) release(v *video.Video) { s.frames.Release(v) }
-
-// forEachJob runs jobs [0, n) across at most workers goroutines on a
-// transient pool — the one-shot form the sustained sweeps use. fn must be
-// safe to call concurrently for distinct job indices and write results only
-// to its own index — the same contract the sweeps' pre-sized result slices
-// already rely on for deterministic ordering.
-func forEachJob(workers, n int, fn func(ji int, scratch *replayScratch)) {
-	NewPool(workers).run(context.Background(), n, fn, nil)
-}

@@ -2,15 +2,10 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 
-	"repro/internal/annotate"
 	"repro/internal/core"
-	"repro/internal/match"
 	"repro/internal/sim"
-	"repro/internal/soc"
 	"repro/internal/thermal"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -20,47 +15,17 @@ import (
 // and once with the trip configured — the QoE-vs-skin-temperature trade the
 // governor rankings invert under.
 type SustainedOptions struct {
+	// Options are the base sweep options (seed, reps, pool, factor,
+	// cancellation, streaming hooks). Reps defaults to 2 here; Configs must
+	// stay empty, since RunSustained takes its configs as an argument.
+	Options
 	// Repeats is how many back-to-back passes of the recording make one
 	// sustained run (default 3).
 	Repeats int
-	// Reps is the number of repetitions per (config, arm) cell (default 2).
-	Reps int
-	// Workers bounds the replay worker pool (0 → GOMAXPROCS).
-	Workers int
 	// Thermal is the throttled arm's config; it must have a trip set on at
 	// least one zone. The unthrottled arm runs the same zones with trips
 	// removed, so both arms trace temperatures.
 	Thermal thermal.Config
-	// SoC, when it has clusters, overrides the workload profile's SoC spec
-	// for the whole sweep — the same platform-selection knob RunMatrix
-	// takes as a parameter. Leave zero to use the workload's own profile.
-	SoC soc.Spec
-	// Seed is the master seed; every job derives its own from it.
-	Seed uint64
-	// Progress receives per-phase progress messages when set.
-	Progress func(msg string)
-}
-
-func (o SustainedOptions) withDefaults() SustainedOptions {
-	if o.Repeats <= 0 {
-		o.Repeats = 3
-	}
-	if o.Reps <= 0 {
-		o.Reps = 2
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
-func (o SustainedOptions) progress(format string, args ...any) {
-	if o.Progress != nil {
-		o.Progress(fmt.Sprintf(format, args...))
-	}
 }
 
 // recordOnly strips every trip from a thermal config, leaving the zones
@@ -74,20 +39,12 @@ func recordOnly(cfg thermal.Config) thermal.Config {
 }
 
 // SustainedRun is the analysed outcome of one sustained replay, immutable
-// once the sweep returns.
+// once the sweep returns: the run itself (config, rep, lag profile, energy,
+// per-cluster freq/busy/temp/throttle traces) and its arm — trip configured
+// or record-only.
 type SustainedRun struct {
-	// Config names the configuration; Throttled selects the arm (trip
-	// configured vs record-only); Rep is the repetition index.
-	Config    string
+	*Run
 	Throttled bool
-	Rep       int
-	// Profile is the matched lag profile; EnergyJ the dynamic energy in
-	// joules; Clusters the per-cluster freq/busy/temp/throttle traces.
-	Profile  *core.Profile
-	EnergyJ  float64
-	Clusters []*trace.ClusterTraces
-	// Window is the replay's wall-clock window (recording plus tail).
-	Window sim.Duration
 }
 
 // IrritationS returns the run's user irritation in seconds under th.
@@ -115,7 +72,7 @@ type SustainedResult struct {
 	// deterministic (config, arm, rep) order.
 	Configs []string
 	Runs    []*SustainedRun
-	// Thresholds is the sustained relative rule: 110% of the best
+	// Thresholds is the sustained relative rule: Factor (110%) of the best
 	// record-only duration per lag.
 	Thresholds core.Thresholds
 	// Duration is the sustained recording's active length; Window adds the
@@ -161,17 +118,22 @@ func (res *SustainedResult) MeanPeakC(config string, throttled bool, cluster int
 	return s / float64(len(runs))
 }
 
-// RunSustained executes the sustained thermal sweep for one workload: record
-// once, repeat the recording, annotate once (record-only thermal), then
-// replay every configuration × {record-only, throttled} × Reps across a
-// bounded worker pool. Each replay owns an independent sim engine, so the
-// pool scales to the machine while result ordering stays deterministic.
+// RunSustained executes the sustained thermal sweep for one workload on its
+// profile's SoC: record once, repeat the recording, annotate once
+// (record-only thermal), then replay every configuration × {record-only,
+// throttled} × Reps on the sweep kernel — forked off warm per-arm sessions,
+// with the same panic containment, cancellation and streaming as RunMatrix
+// (throttled-arm runs stream as Kind "throttled").
 func RunSustained(w *workload.Workload, configs []Config, opts SustainedOptions) (*SustainedResult, error) {
-	opts = opts.withDefaults()
-	if len(opts.SoC.Clusters) > 0 {
-		wc := *w
-		wc.Profile.SoC = opts.SoC
-		w = &wc
+	if opts.Reps <= 0 {
+		opts.Reps = 2
+	}
+	opts.Options = opts.Options.withDefaults()
+	if opts.Repeats <= 0 {
+		opts.Repeats = 3
+	}
+	if len(opts.Configs) > 0 {
+		return nil, fmt.Errorf("experiment: sustained sweeps take their configs as an argument, not Options.Configs")
 	}
 	spec := w.Profile.SoCSpec()
 	if !opts.Thermal.Enabled() {
@@ -180,124 +142,68 @@ func RunSustained(w *workload.Workload, configs []Config, opts SustainedOptions)
 	if err := opts.Thermal.Validate(len(spec.Clusters)); err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
-	socModel, err := spec.Calibrate(0)
+	model, err := spec.Calibrate(0)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: calibrate %s: %w", spec.Name, err)
 	}
 
-	opts.progress("[%s] recording workload", w.Name)
-	rec, _, err := w.Record(opts.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: record %s: %w", w.Name, err)
+	// The two arms share the platform and the calibrated heat model; only
+	// the trips differ, so each arm forks off its own warm session.
+	arms := make([]*workload.Workload, 2)
+	for i, th := range []thermal.Config{recordOnly(opts.Thermal), opts.Thermal} {
+		wa := *w
+		wa.Profile.Thermal = th
+		wa.Profile.ThermalPower = model
+		arms[i] = &wa
 	}
-	sustained := rec.Repeat(opts.Repeats)
-	gestures := match.Gestures(sustained.Events)
-
-	opts.progress("[%s] annotating %d back-to-back passes", w.Name, opts.Repeats)
-	annProf := w.Profile
-	annProf.Thermal = recordOnly(opts.Thermal)
-	annProf.ThermalPower = socModel
-	annArt := workload.ReplayMulti(&workload.Workload{
-		Name: w.Name, Profile: annProf, Duration: sustained.Duration,
-	}, sustained, workload.StockGovernors(annProf), "annotation", opts.Seed^0xA11, true)
-	db, err := annotate.Build(w.Name, annArt.Video, gestures, annArt.Truths, annotate.BuildOptions{MinStill: 1})
+	s, err := prepare(w, model, arms[0].Profile, opts.Repeats, opts.Options)
 	if err != nil {
-		return nil, fmt.Errorf("experiment: annotate %s: %w", w.Name, err)
+		return nil, err
 	}
-
 	res := &SustainedResult{
 		Workload: w.Name,
 		Repeats:  opts.Repeats,
-		Duration: sustained.Duration,
-		Window:   sustained.RunWindow(),
+		Duration: s.rec.Duration,
+		Window:   s.rec.RunWindow(),
 	}
 	for _, cfg := range configs {
 		res.Configs = append(res.Configs, cfg.Name)
 	}
 
-	// The (config, arm, rep) job matrix: results land in a pre-sized slice
-	// indexed by job, so ordering is deterministic however workers
-	// interleave.
-	type job struct {
-		cfg       Config
-		throttled bool
-		rep       int
-	}
-	var jobs []job
-	for _, cfg := range configs {
-		for _, throttled := range []bool{false, true} {
-			for rep := 0; rep < opts.Reps; rep++ {
-				jobs = append(jobs, job{cfg, throttled, rep})
-			}
-		}
-	}
+	jobs := configJobs(configs, len(arms), opts.Reps)
+	armNames := []string{"record-only", "throttled"}
 	opts.progress("[%s] replaying %d configs x 2 arms x %d reps = %d sustained runs",
 		w.Name, len(configs), opts.Reps, len(jobs))
-
-	runs := make([]*SustainedRun, len(jobs))
-	errs := make([]error, len(jobs))
-	forEachJob(opts.Workers, len(jobs), func(ji int, scratch *replayScratch) {
+	res.Runs = make([]*SustainedRun, len(jobs))
+	err = opts.fanOut(w.Name, len(jobs), func(ji int) string {
+		return fmt.Sprintf("%s (%s) rep %d", jobs[ji].cfg.Name, armNames[jobs[ji].arm], jobs[ji].rep)
+	}, func(ji int, seed uint64, scratch *replayScratch) (RunUpdate, error) {
 		j := jobs[ji]
-		prof := w.Profile
-		prof.ThermalPower = socModel
-		prof.FramePool = scratch.frames
-		if j.throttled {
-			prof.Thermal = opts.Thermal
-		} else {
-			prof.Thermal = recordOnly(opts.Thermal)
-		}
-		sw := &workload.Workload{Name: w.Name, Profile: prof, Duration: sustained.Duration}
-		seed := opts.Seed ^ (uint64(ji+1) * 0x9e3779b9)
-		govs, err := j.cfg.Governors(prof)
+		r, err := s.executeRun(arms[j.arm], j.cfg, j.rep, seed, scratch)
 		if err != nil {
-			errs[ji] = err
-			return
+			return RunUpdate{}, err
 		}
-		art := workload.ReplayMulti(sw, sustained, govs, j.cfg.Name, seed, true)
-		profile, err := match.Match(art.Video, db, gestures, j.cfg.Name, match.Options{Strict: true})
-		if err != nil {
-			errs[ji] = err
-			return
+		res.Runs[ji] = &SustainedRun{Run: r, Throttled: j.arm == 1}
+		kind := "config"
+		if j.arm == 1 {
+			kind = "throttled"
 		}
-		scratch.release(art.Video)
-		art.Video = nil
-		energy, err := socModel.Energy(art.BusyByCluster)
-		if err != nil {
-			errs[ji] = err
-			return
-		}
-		runs[ji] = &SustainedRun{
-			Config:    j.cfg.Name,
-			Throttled: j.throttled,
-			Rep:       j.rep,
-			Profile:   profile,
-			EnergyJ:   energy,
-			Clusters:  art.Clusters,
-			Window:    art.Window,
-		}
+		return RunUpdate{Kind: kind, Config: j.cfg.Name, Rep: j.rep, Run: r}, nil
 	})
-	for ji, err := range errs {
-		if err != nil {
-			arm := "record-only"
-			if jobs[ji].throttled {
-				arm = "throttled"
-			}
-			return nil, fmt.Errorf("experiment: %s %s (%s) rep %d: %w",
-				w.Name, jobs[ji].cfg.Name, arm, jobs[ji].rep, err)
-		}
+	if err != nil {
+		return nil, err
 	}
-	res.Runs = runs
-	res.Thresholds = sustainedThresholds(runs)
+	res.Thresholds = sustainedThresholds(res.Runs, opts.Factor)
 	return res, nil
 }
 
 // sustainedThresholds applies the paper's relative rule to the sustained
-// sweep: each lag's irritation threshold is 110% of the best duration any
-// record-only (unthrottled) run achieved for it. Throttling then registers
+// sweep: each lag's irritation threshold is factor (paper: 110%) times the
+// best duration any record-only (unthrottled) run achieved for it. Throttling then registers
 // as irritation exactly where it stretches a lag beyond what the same
 // platform does with thermals unconstrained — the HCI class ceilings
 // (e.g. 12 s for a complex task) would swallow the whole effect.
-func sustainedThresholds(runs []*SustainedRun) core.Thresholds {
+func sustainedThresholds(runs []*SustainedRun, factor float64) core.Thresholds {
 	var ref *core.Profile
 	for _, r := range runs {
 		if r.Throttled {
@@ -321,5 +227,5 @@ func sustainedThresholds(runs []*SustainedRun) core.Thresholds {
 	if ref == nil {
 		return core.UniformThresholds(core.SimpleFrequent.Threshold())
 	}
-	return core.RelativeThresholds(ref, 1.10)
+	return core.RelativeThresholds(ref, factor)
 }

@@ -26,7 +26,8 @@ func TestSustainedThermalSweep(t *testing.T) {
 			NewGovernor: func() governor.Governor { return governor.NewInteractive() }},
 	}
 	res, err := RunSustained(w, configs, SustainedOptions{
-		Repeats: 3, Reps: 1, Seed: 1,
+		Options: Options{Reps: 1, Seed: 1},
+		Repeats: 3,
 		Thermal: thermal.PhoneConfig(2, 30, 5),
 	})
 	if err != nil {
@@ -58,7 +59,7 @@ func TestSustainedThermalSweep(t *testing.T) {
 		t.Fatalf("throttled performance arm: %d cap-downs, %d cap-ups; want both > 0",
 			big.Throttle.CapDowns(), big.Throttle.CapUps())
 	}
-	if big.Throttle.ThrottledTime(sim.Time(hot.Window)) == 0 {
+	if big.Throttle.ThrottledTime(sim.Time(res.Window)) == 0 {
 		t.Fatal("throttled performance arm reports zero throttled time")
 	}
 	dIrr := res.MeanIrritationS("performance", true) - res.MeanIrritationS("performance", false)
@@ -105,7 +106,8 @@ func TestSustainedWorkerPoolDeterminism(t *testing.T) {
 				NewGovernor: func() governor.Governor { return governor.NewOndemand() }},
 		}
 		res, err := RunSustained(w, configs, SustainedOptions{
-			Repeats: 2, Reps: 2, Seed: 3, Workers: workers,
+			Options: Options{Reps: 2, Seed: 3, Workers: workers},
+			Repeats: 2,
 			Thermal: thermal.PhoneConfig(2, 30, 5),
 		})
 		if err != nil {
@@ -149,5 +151,21 @@ func TestSustainedWorkerPoolDeterminism(t *testing.T) {
 			t.Fatalf("run %d = (%s,%v,%d), want (%s,%v,%d)",
 				i, r.Config, r.Throttled, r.Rep, wnt.cfg, wnt.throttled, wnt.rep)
 		}
+	}
+}
+
+// TestSustainedRejectsConfigSelection pins that no sweep option is silently
+// ignored: sustained sweeps take their configs as an argument, so a matrix
+// selection in Options is an error rather than a no-op.
+func TestSustainedRejectsConfigSelection(t *testing.T) {
+	w := workload.ExportMarathon()
+	w.Profile.SoC = soc.BigLittle44()
+	configs := []Config{{Name: "ondemand", OPPIndex: -1, ArmNames: []string{"ondemand", "ondemand"}}}
+	_, err := RunSustained(w, configs, SustainedOptions{
+		Options: Options{Configs: []string{"ondemand"}},
+		Thermal: thermal.PhoneConfig(2, 30, 5),
+	})
+	if err == nil {
+		t.Fatal("sustained sweep accepted an Options.Configs selection it cannot honour")
 	}
 }

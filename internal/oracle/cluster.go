@@ -1,3 +1,18 @@
+// Package oracle composes the paper's optimal frequency profile (§III-B):
+// "we use the traces of all fixed frequency workload executions to compose
+// an optimal frequency trace (oracle) that uses the least amount of energy
+// possible without irritating the user ... For each interval in a workload
+// where there is no lag, we pick the frequency and corresponding load that
+// had the lowest overall energy consumption for the complete workload."
+//
+// Per lag the paper picks "the lowest frequency ... that is still below the
+// chosen irritation threshold". On the calibrated model per-lag energy is
+// U-shaped in frequency (race-to-idle), so the lowest satisfying frequency
+// is not always the cheapest one. BuildCluster keeps the paper's stated
+// goal instead of its wording: per lag it takes the cheapest candidate that
+// meets the threshold, a set that contains the lowest satisfying one, so its
+// energy is never above the lowest-frequency rule's. The same search spans
+// cluster placements on heterogeneous SoCs.
 package oracle
 
 import (
@@ -33,15 +48,14 @@ type ClusterChoice struct {
 	OPPIndex int `json:"opp_index"`
 }
 
-// ClusterOracle is the composed optimal profile of a heterogeneous SoC: for
-// each lag the cheapest (cluster, OPP) pair that still meets the lag's
-// irritation threshold, and outside lags the (cluster, OPP) with the lowest
-// whole-workload energy. Unlike the single-ladder Oracle, which walks one
-// ladder bottom-up ("lowest frequency below the threshold"), this oracle is
-// energy-aware: candidates are compared by the dynamic energy they charge
+// ClusterOracle is the composed optimal profile: for each lag the cheapest
+// (cluster, OPP) pair that still meets the lag's irritation threshold, and
+// outside lags the (cluster, OPP) with the lowest whole-workload energy. It
+// is energy-aware: candidates are compared by the dynamic energy they charge
 // under the calibrated power.SoCModel, so a little-cluster point can win a
 // lag even when a big-cluster point is slower-clocked but hungrier, and
-// vice versa.
+// vice versa. On a single-cluster spec the candidates are the paper's fixed
+// frequencies.
 type ClusterOracle struct {
 	// Thresholds are the per-lag irritation deadlines used (the paper's
 	// 110%-of-fastest rule unless overridden).
@@ -58,11 +72,11 @@ type ClusterOracle struct {
 	Profile *core.Profile
 }
 
-// BuildCluster composes the big.LITTLE oracle from one placement-pinned run
-// per (cluster, OPP) candidate. model supplies per-cluster dynamic power;
+// BuildCluster composes the oracle from one placement-pinned run per
+// (cluster, OPP) candidate. model supplies per-cluster dynamic power;
 // factor is the threshold slack over the fastest candidate (the paper uses
-// 1.10). Passing explicit thresholds (non-nil ByIndex) overrides the
-// relative rule, as in the single-ladder Build.
+// 1.10). Passing explicit thresholds overrides the relative rule — the
+// HCI-class ablation does.
 func BuildCluster(runs []ClusterFixedRun, model *power.SoCModel, factor float64, override *core.Thresholds) (*ClusterOracle, error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("oracle: no cluster fixed runs")

@@ -6,60 +6,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/power"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
-// synthRuns fabricates fixed-frequency runs for a workload of three lags:
-// lag durations scale inversely with frequency plus a fixed IO tail, and the
-// busy curves charge work accordingly.
-func synthRuns(t *testing.T, model *power.Model) []FixedRun {
+// paperModel is the paper's single-cluster Dragonboard model: one Krait
+// ladder, the configuration every figure of the evaluation uses.
+func paperModel(t *testing.T) *power.SoCModel {
 	t.Helper()
-	tbl := model.Table
-	const window = 60 * sim.Second
-	lagWork := []sim.Duration{0, 0, 0} // busy time at 1 GHz reference
-	lagWork[0] = 500 * sim.Millisecond
-	lagWork[1] = 150 * sim.Millisecond
-	lagWork[2] = 2000 * sim.Millisecond
-	io := []sim.Duration{0, 100 * sim.Millisecond, 1500 * sim.Millisecond}
-	begins := []sim.Time{sim.Time(5 * sim.Second), sim.Time(20 * sim.Second), sim.Time(35 * sim.Second)}
-
-	var runs []FixedRun
-	for idx := range tbl {
-		ghz := tbl[idx].GHz()
-		p := &core.Profile{Workload: "synth", Config: tbl[idx].Label()}
-		bc := trace.NewBusyCurve(100 * sim.Millisecond)
-		// Build the busy curve sample by sample: background 10% duty plus
-		// full busy inside lag windows.
-		type span struct{ b, e sim.Time }
-		var spans []span
-		for i := range lagWork {
-			dur := sim.Duration(float64(lagWork[i])/ghz) + io[i]
-			end := begins[i].Add(dur)
-			p.Lags = append(p.Lags, core.Lag{Index: i, Begin: begins[i], End: end})
-			spans = append(spans, span{begins[i], begins[i].Add(sim.Duration(float64(lagWork[i]) / ghz))})
-		}
-		var cum sim.Duration
-		// Background work is 10 M cycles per 100 ms window, so its busy
-		// time scales inversely with frequency like real work does.
-		bgBusy := sim.Duration(float64(10*sim.Millisecond) / ghz)
-		for ts := sim.Time(0); ts <= sim.Time(window); ts = ts.Add(100 * sim.Millisecond) {
-			step := bgBusy
-			for _, s := range spans {
-				if ts >= s.b && ts < s.e {
-					step = 100 * sim.Millisecond
-				}
-			}
-			cum += step
-			bc.AppendSample(cum)
-		}
-		runs = append(runs, FixedRun{OPPIndex: idx, Profile: p, BusyCurve: bc})
-	}
-	return runs
-}
-
-func model(t *testing.T) *power.Model {
-	t.Helper()
-	m, err := power.Calibrate(power.Snapdragon8074(), power.DefaultSilicon(), 100*sim.Millisecond)
+	m, err := power.CalibrateClusters([]string{"krait"}, []power.Table{power.Snapdragon8074()},
+		[]power.Silicon{power.DefaultSilicon()}, 100*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +21,8 @@ func model(t *testing.T) *power.Model {
 }
 
 func TestOracleZeroIrritation(t *testing.T) {
-	m := model(t)
-	o, err := Build(synthRuns(t, m), m, 1.10, nil)
+	m := paperModel(t)
+	o, err := BuildCluster(synthClusterRuns(t, m), m, 1.10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,51 +31,43 @@ func TestOracleZeroIrritation(t *testing.T) {
 	}
 }
 
-func TestOraclePicksLowestSatisfyingFrequency(t *testing.T) {
-	m := model(t)
-	o, err := Build(synthRuns(t, m), m, 1.10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := o.Thresholds
-	for i, opp := range o.PerLagOPP {
-		// The chosen OPP satisfies the threshold...
-		lag := o.Profile.ByIndex()[i]
-		if lag.Duration() > th.For(i) {
-			t.Errorf("lag %d at OPP %d exceeds its threshold", i, opp)
-		}
-	}
-	// Lag 2 is IO-dominated (1.5s of its deadline is IO), so the oracle
-	// should pick a much lower frequency for it than for the CPU-bound lag 0.
-	if o.PerLagOPP[2] >= o.PerLagOPP[0] {
-		t.Errorf("IO-heavy lag 2 at OPP %d, CPU-bound lag 0 at OPP %d: expected 2 < 0",
-			o.PerLagOPP[2], o.PerLagOPP[0])
-	}
-	// A CPU-bound lag's threshold is 110% of the fastest: the oracle cannot
-	// run it much below max/1.1.
-	if o.PerLagOPP[0] < 10 {
-		t.Errorf("CPU-bound lag 0 at OPP %d: expected near the top of the ladder", o.PerLagOPP[0])
-	}
-}
-
 func TestOracleBaseIsEnergyOptimalFixed(t *testing.T) {
-	m := model(t)
-	o, err := Build(synthRuns(t, m), m, 1.10, nil)
+	m := paperModel(t)
+	o, err := BuildCluster(synthClusterRuns(t, m), m, 1.10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// With busy time scaling inversely with frequency, the base must land on
 	// the energy-per-cycle plateau around the 0.96 GHz optimum (0.88–1.04
 	// differ by <1% and sampling quantisation can pick either neighbour).
-	if got := m.Table[o.BaseOPP].Label(); got != "0.88 GHz" && got != "0.96 GHz" && got != "1.04 GHz" {
+	if got := m.Cluster(0).Table[o.Base.OPPIndex].Label(); got != "0.88 GHz" && got != "0.96 GHz" && got != "1.04 GHz" {
 		t.Errorf("base OPP = %s, want on the 0.88-1.04 GHz plateau", got)
 	}
 }
 
+// TestOracleIOHeavyLagRunsLower checks the per-lag choices on the paper's
+// ladder: the CPU-bound lag 0's threshold is 110% of the fastest run, so it
+// needs the top of the ladder, while the IO-dominated lag 2 has slack and
+// runs far lower.
+func TestOracleIOHeavyLagRunsLower(t *testing.T) {
+	m := paperModel(t)
+	o, err := BuildCluster(synthClusterRuns(t, m), m, 1.10, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.PerLag[0].OPPIndex < 10 {
+		t.Errorf("CPU-bound lag 0 at OPP %d, want near the top of the ladder", o.PerLag[0].OPPIndex)
+	}
+	if o.PerLag[2].OPPIndex >= o.PerLag[0].OPPIndex {
+		t.Errorf("IO-heavy lag 2 at OPP %d, CPU-bound lag 0 at OPP %d: want 2 below 0",
+			o.PerLag[2].OPPIndex, o.PerLag[0].OPPIndex)
+	}
+}
+
 func TestOracleEnergyBelowAllSatisfyingFixed(t *testing.T) {
-	m := model(t)
-	runs := synthRuns(t, m)
-	o, err := Build(runs, m, 1.10, nil)
+	m := paperModel(t)
+	runs := synthClusterRuns(t, m)
+	o, err := BuildCluster(runs, m, 1.10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,58 +75,38 @@ func TestOracleEnergyBelowAllSatisfyingFixed(t *testing.T) {
 	// as much energy as the oracle (the oracle is optimal within the
 	// composition space, which includes all-one-frequency profiles).
 	for _, r := range runs {
-		satisfies := core.Irritation(r.Profile, o.Thresholds) == 0
-		if !satisfies {
+		if core.Irritation(r.Profile, o.Thresholds) != 0 {
 			continue
 		}
-		fixedE := m.DynamicPowerW(r.OPPIndex) * r.BusyCurve.Total().Seconds()
+		fixedE := m.Cluster(0).DynamicPowerW(r.OPPIndex) * r.BusyCurve.Total().Seconds()
 		if fixedE < o.EnergyJ-1e-9 {
 			t.Errorf("fixed %s satisfies thresholds with %.4f J < oracle %.4f J",
-				m.Table[r.OPPIndex].Label(), fixedE, o.EnergyJ)
+				m.Cluster(0).Table[r.OPPIndex].Label(), fixedE, o.EnergyJ)
 		}
 	}
 }
 
-func TestOracleTraceShape(t *testing.T) {
-	m := model(t)
-	o, err := Build(synthRuns(t, m), m, 1.10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Outside lags the trace sits at the base OPP.
-	if got := o.Trace.IndexAt(sim.Time(2 * sim.Second)); got != o.BaseOPP {
-		t.Errorf("trace outside lags at OPP %d, want base %d", got, o.BaseOPP)
-	}
-	// Inside the CPU-bound lag 0 it sits at the chosen OPP.
-	if got := o.Trace.IndexAt(sim.Time(5*sim.Second + 50)); got != o.PerLagOPP[0] {
-		t.Errorf("trace inside lag 0 at OPP %d, want %d", got, o.PerLagOPP[0])
-	}
-}
-
+// TestOracleHCIOverride pins the override path the HCI-class ablation uses:
+// explicit thresholds replace the relative rule, the oracle meets them, and
+// a looser deadline never costs more energy.
 func TestOracleHCIOverride(t *testing.T) {
-	m := model(t)
+	m := paperModel(t)
 	loose := core.UniformThresholds(12 * sim.Second)
-	o, err := Build(synthRuns(t, m), m, 0, &loose)
+	o, err := BuildCluster(synthClusterRuns(t, m), m, 0, &loose)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With a 12s deadline every lag can run at the cheapest-per-cycle OPP or
-	// lower; energy must be no higher than the 110% oracle.
-	tight, err := Build(synthRuns(t, m), m, 1.10, nil)
+	if got := o.Thresholds.For(0); got != 12*sim.Second {
+		t.Errorf("override threshold %v, want 12s", got)
+	}
+	if o.Irritation() != 0 {
+		t.Errorf("oracle irritates under its override thresholds: %v", o.Irritation())
+	}
+	tight, err := BuildCluster(synthClusterRuns(t, m), m, 1.10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.EnergyJ > tight.EnergyJ {
 		t.Errorf("loose-threshold oracle %.4f J > tight oracle %.4f J", o.EnergyJ, tight.EnergyJ)
-	}
-}
-
-func TestOracleErrors(t *testing.T) {
-	m := model(t)
-	if _, err := Build(nil, m, 1.1, nil); err == nil {
-		t.Error("empty runs accepted")
-	}
-	if _, err := Build([]FixedRun{{OPPIndex: 0}}, m, 1.1, nil); err == nil {
-		t.Error("incomplete run accepted")
 	}
 }

@@ -13,8 +13,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiment"
+	"repro/internal/oracle"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // bar renders a horizontal ASCII bar scaled to width.
@@ -31,7 +33,7 @@ func bar(value, max float64, width int) string {
 
 // TableI prints the workload overview (paper Table I) plus recorded input
 // statistics.
-func TableI(w io.Writer, results []*experiment.DatasetResult) {
+func TableI(w io.Writer, results []*experiment.MatrixResult) {
 	fmt.Fprintln(w, "TABLE I: MAIN ACTIVITIES THE USERS WERE EXECUTING IN EACH WORKLOAD")
 	fmt.Fprintf(w, "%-10s  %-55s %8s %8s\n", "Dataset", "Description", "Inputs", "Lags")
 	for _, res := range results {
@@ -44,11 +46,11 @@ func TableI(w io.Writer, results []*experiment.DatasetResult) {
 }
 
 // Figure3 prints the Ondemand-vs-oracle frequency snapshot around one
-// interaction (paper Fig. 3). It selects a window centred on the lag closest
-// to wantT in the first repetition's traces.
-func Figure3(w io.Writer, res *experiment.DatasetResult, wantT sim.Time) {
+// interaction (paper Fig. 3) on a single-cluster sweep. It selects a window
+// centred on the lag closest to wantT in the first repetition's traces.
+func Figure3(w io.Writer, res *experiment.MatrixResult, wantT sim.Time) {
 	ond := res.Runs["ondemand"][0]
-	orc := res.Oracles[0]
+	tbl := res.Model.Cluster(0).Table
 
 	// Pick the non-spurious lag whose begin is closest to wantT.
 	var pick core.Lag
@@ -76,8 +78,8 @@ func Figure3(w io.Writer, res *experiment.DatasetResult, wantT sim.Time) {
 	fmt.Fprintf(w, "FIG. 3: frequency snapshot, %s, input received at %.2fs (A), serviced at %.2fs (B)\n",
 		res.Workload.Name, pick.Begin.Seconds(), pick.End.Seconds())
 	fmt.Fprintf(w, "%8s  %-10s %-10s\n", "t (s)", "ondemand", "oracle")
-	ondSeries := ond.FreqTrace.Series(t0, t1, step, res.Model.Table)
-	orcSeries := orc.Trace.Series(t0, t1, step, res.Model.Table)
+	ondSeries := ond.FreqTrace.Series(t0, t1, step, tbl)
+	orcSeries := oracleTrace(res.Oracles[0]).Series(t0, t1, step, tbl)
 	for i := range ondSeries {
 		ts := t0.Add(sim.Duration(i) * step)
 		marker := ""
@@ -93,6 +95,21 @@ func Figure3(w io.Writer, res *experiment.DatasetResult, wantT sim.Time) {
 	}
 }
 
+// oracleTrace composes an oracle's frequency trace for the Fig. 3 overlay:
+// the base OPP everywhere, each lag's chosen OPP inside it (lag begins are
+// shared across runs by replay construction; Append drops non-transitions).
+func oracleTrace(o *oracle.ClusterOracle) *trace.FreqTrace {
+	tr := &trace.FreqTrace{}
+	tr.Append(0, o.Base.OPPIndex)
+	for _, lag := range o.Profile.Lags {
+		if !lag.Spurious {
+			tr.Append(lag.Begin, o.PerLag[lag.Index].OPPIndex)
+			tr.Append(lag.End, o.Base.OPPIndex)
+		}
+	}
+	return tr
+}
+
 func abs64(v int64) int64 {
 	if v < 0 {
 		return -v
@@ -102,7 +119,7 @@ func abs64(v int64) int64 {
 
 // Figure10 prints the input classification per dataset (paper Fig. 10):
 // taps/swipes on the left, actual/spurious lags on the right.
-func Figure10(w io.Writer, results []*experiment.DatasetResult, extra map[string][4]int) {
+func Figure10(w io.Writer, results []*experiment.MatrixResult, extra map[string][4]int) {
 	fmt.Fprintln(w, "FIG. 10: INPUT CLASSIFICATION PER WORKLOAD")
 	fmt.Fprintf(w, "%-10s %6s %7s %8s %9s   %s\n", "Dataset", "Taps", "Swipes", "Actual", "Spurious", "lag bar")
 	var sumTaps, sumSwipes, sumActual, sumSpurious, n int
@@ -147,7 +164,7 @@ func clampInt(v, lo, hi int) int {
 // Figure11 prints the lag-duration distribution per configuration (paper
 // Fig. 11): box statistics per configuration and a kernel density estimate
 // for the ondemand governor.
-func Figure11(w io.Writer, res *experiment.DatasetResult) {
+func Figure11(w io.Writer, res *experiment.MatrixResult) {
 	fmt.Fprintf(w, "FIG. 11: LAG DURATIONS PER CONFIGURATION, %s (ms)\n", res.Workload.Name)
 	fmt.Fprintf(w, "%-14s %5s %7s %7s %7s %7s %7s %8s %7s\n",
 		"config", "n", "q1", "median", "q3", "whisLo", "whisHi", "fliers", "max")
@@ -180,7 +197,7 @@ func Figure11(w io.Writer, res *experiment.DatasetResult) {
 
 // Figure12 prints user irritation and oracle-normalised energy for every
 // configuration of one dataset (paper Fig. 12).
-func Figure12(w io.Writer, res *experiment.DatasetResult) {
+func Figure12(w io.Writer, res *experiment.MatrixResult) {
 	fmt.Fprintf(w, "FIG. 12: USER IRRITATION AND ENERGY, %s\n", res.Workload.Name)
 	fmt.Fprintf(w, "%-14s %12s   %-30s %8s  %s\n", "config", "irritation", "", "E/oracle", "")
 	names := append(res.ConfigNames(), "oracle")
@@ -205,7 +222,7 @@ func Figure12(w io.Writer, res *experiment.DatasetResult) {
 
 // Figure13 prints the energy-vs-irritation scatter for one dataset (paper
 // Fig. 13): fixed frequencies, governors, and the oracle.
-func Figure13(w io.Writer, res *experiment.DatasetResult) {
+func Figure13(w io.Writer, res *experiment.MatrixResult) {
 	fmt.Fprintf(w, "FIG. 13: ENERGY VS IRRITATION SCATTER, %s\n", res.Workload.Name)
 	fmt.Fprintf(w, "%-14s %6s %12s %14s\n", "config", "kind", "energy (J)", "irritation (s)")
 	for _, cfg := range res.Configs {
@@ -221,7 +238,7 @@ func Figure13(w io.Writer, res *experiment.DatasetResult) {
 
 // Figure14 prints the cross-dataset governor summary (paper Fig. 14):
 // oracle-normalised energy (top) and user irritation (bottom) per governor.
-func Figure14(w io.Writer, results []*experiment.DatasetResult) {
+func Figure14(w io.Writer, results []*experiment.MatrixResult) {
 	fmt.Fprintln(w, "FIG. 14: GOVERNOR SUMMARY ACROSS DATASETS")
 	fmt.Fprintf(w, "\nenergy normalised to oracle:\n%-10s", "dataset")
 	for _, g := range experiment.GovernorNames {
@@ -270,12 +287,13 @@ func Figure14(w io.Writer, results []*experiment.DatasetResult) {
 // results: possible energy savings versus the best standard governor at
 // equal-or-better user experience, and versus the maximum fixed frequency
 // with indistinguishable performance.
-func Headlines(w io.Writer, results []*experiment.DatasetResult) {
+func Headlines(w io.Writer, results []*experiment.MatrixResult) {
 	fmt.Fprintln(w, "HEADLINE RESULTS")
 	bestVsGovernor, bestVsMax := 0.0, 0.0
 	var atGov, atMax string
 	for _, res := range results {
-		maxLabel := res.Model.Table[len(res.Model.Table)-1].Label()
+		tbl := res.Model.Cluster(0).Table
+		maxLabel := tbl[len(tbl)-1].Label()
 		// The oracle never irritates, so against the stock Android governor
 		// (interactive) its saving is 1 - oracle/interactive.
 		if v := 1 - 1/res.NormEnergy("interactive"); v > bestVsGovernor {

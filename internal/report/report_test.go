@@ -5,26 +5,24 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiment"
-	"repro/internal/power"
+	"repro/internal/oracle"
 	"repro/internal/sim"
+	"repro/internal/soc"
 	"repro/internal/suggest"
 	"repro/internal/video"
 	"repro/internal/workload"
 )
 
-var cached *experiment.DatasetResult
+var cached *experiment.MatrixResult
 
-func result(t *testing.T) *experiment.DatasetResult {
+func result(t *testing.T) *experiment.MatrixResult {
 	t.Helper()
 	if cached != nil {
 		return cached
 	}
-	model, err := power.Calibrate(power.Snapdragon8074(), power.DefaultSilicon(), 100*sim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := experiment.RunDataset(workload.Quickstart(), model, experiment.Options{Reps: 2, Seed: 9})
+	res, err := experiment.RunMatrix(workload.Quickstart(), soc.Dragonboard(), experiment.Options{Reps: 2, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +32,7 @@ func result(t *testing.T) *experiment.DatasetResult {
 
 func TestTableI(t *testing.T) {
 	var buf bytes.Buffer
-	TableI(&buf, []*experiment.DatasetResult{result(t)})
+	TableI(&buf, []*experiment.MatrixResult{result(t)})
 	out := buf.String()
 	if !strings.Contains(out, "TABLE I") || !strings.Contains(out, "quickstart") {
 		t.Fatalf("table I output:\n%s", out)
@@ -50,6 +48,34 @@ func TestFigure3MarksInputAndService(t *testing.T) {
 	}
 	if !strings.Contains(out, "ondemand") || !strings.Contains(out, "oracle") {
 		t.Error("missing series names")
+	}
+}
+
+// TestOracleTraceShape pins the oracle series of the Fig. 3 overlay:
+// the base OPP outside lags, each lag's chosen OPP inside it, and no
+// transition for a lag served at the base.
+func TestOracleTraceShape(t *testing.T) {
+	at := func(s float64) sim.Time { return sim.Time(s * float64(sim.Second)) }
+	o := &oracle.ClusterOracle{
+		Base:   oracle.ClusterChoice{OPPIndex: 5},
+		PerLag: map[int]oracle.ClusterChoice{0: {OPPIndex: 12}, 1: {OPPIndex: 5}},
+		Profile: &core.Profile{Lags: []core.Lag{
+			{Index: 0, Begin: at(5), End: at(5.5)},
+			{Index: 1, Begin: at(20), End: at(20.3)},
+			{Index: 2, Begin: at(30), End: at(30.1), Spurious: true},
+		}},
+	}
+	tr := oracleTrace(o)
+	for _, c := range []struct {
+		t    float64
+		want int
+	}{{2, 5}, {5.05, 12}, {5.6, 5}, {20.1, 5}, {30.05, 5}} {
+		if got := tr.IndexAt(at(c.t)); got != c.want {
+			t.Errorf("oracle trace at %.2fs on OPP %d, want %d", c.t, got, c.want)
+		}
+	}
+	if n := tr.TransitionCount(); n != 3 {
+		t.Errorf("oracle trace has %d points, want 3 (base, into and out of lag 0)", n)
 	}
 }
 
@@ -99,7 +125,7 @@ func TestFigure7CompressesZeros(t *testing.T) {
 
 func TestFigures10Through14Render(t *testing.T) {
 	res := result(t)
-	results := []*experiment.DatasetResult{res, res}
+	results := []*experiment.MatrixResult{res, res}
 	checks := []struct {
 		name   string
 		render func(*bytes.Buffer)

@@ -44,7 +44,7 @@ func ThermalSummary(w io.Writer, res *experiment.SustainedResult) error {
 			for _, r := range runs {
 				energy += r.EnergyJ
 				for _, ct := range r.Clusters {
-					thrS += ct.Throttle.ThrottledTime(sim.Time(r.Window)).Seconds()
+					thrS += ct.Throttle.ThrottledTime(sim.Time(res.Window)).Seconds()
 					downs += ct.Throttle.CapDowns()
 					ups += ct.Throttle.CapUps()
 				}

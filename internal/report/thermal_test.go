@@ -32,7 +32,8 @@ func TestThermalSummaryGolden(t *testing.T) {
 			NewGovernor: func() governor.Governor { return governor.NewOndemand() }},
 	}
 	res, err := experiment.RunSustained(w, configs, experiment.SustainedOptions{
-		Repeats: 2, Reps: 1, Seed: 1,
+		Options: experiment.Options{Reps: 1, Seed: 1},
+		Repeats: 2,
 		Thermal: thermal.PhoneConfig(2, 30, 5),
 	})
 	if err != nil {

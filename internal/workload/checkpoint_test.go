@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/device"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/record"
 	"repro/internal/sim"
 	"repro/internal/soc"
+	"repro/internal/thermal"
 	"repro/internal/video"
 )
 
@@ -57,10 +60,21 @@ func coldReplay(w *Workload, rec *Recording, govs []governor.Governor, configNam
 	return art
 }
 
-// fullHash extends replayHash with the idle-ladder traces, so equivalence
-// checks on idle-enabled specs cover residency accounting too.
+// fullHash extends replayHash with the idle-ladder and thermal traces, so
+// equivalence checks on idle-enabled and thermal specs cover residency
+// accounting, zone temperatures and throttle cap changes too.
 func fullHash(art *RunArtifacts) string {
 	h := replayHash(art)
+	th := sha256.New()
+	for ci, ct := range art.Clusters {
+		for _, p := range ct.Temp.Points {
+			fmt.Fprintf(th, "%d|%d:%x;", ci, p.At, math.Float64bits(p.TempC))
+		}
+		for _, e := range ct.Throttle.Events {
+			fmt.Fprintf(th, "%d|%d:%d:%t;", ci, e.At, e.CapIndex, e.Throttled)
+		}
+	}
+	h += fmt.Sprintf("|t%x", th.Sum(nil)[:8])
 	for ci, ct := range art.Clusters {
 		if ct.Idle == nil || len(ct.Idle.States) == 0 {
 			continue
@@ -110,56 +124,89 @@ func requireSameRun(t *testing.T, label string, cold, fork *RunArtifacts) {
 }
 
 // TestForkEqualsColdRun is the tentpole correctness gate of checkpoint/fork
-// replay: on both platform specs, with the idle ladder off and on, a run
-// forked from a session's boot checkpoint must be bit-for-bit identical —
-// traces, busy histograms, idle residency, ground truth and captured video —
-// to a cold boot with the same seed and governors. The session is "dirtied"
-// with a different-seed fork first, so the test also proves that one run
-// leaves no residue in the next (the property that lets sweeps fork hundreds
-// of runs off one prefix).
+// replay: on both platform specs, with the idle ladder off and on, and on a
+// sustained thermal run whose throttler binds, a run forked from a session's
+// boot checkpoint must be bit-for-bit identical — traces, busy histograms,
+// idle residency, temperatures, throttle caps, ground truth and captured
+// video — to a cold boot with the same seed and governors. The session is
+// "dirtied" with a different-seed fork first, so the test also proves that
+// one run leaves no residue in the next (the property that lets sweeps fork
+// hundreds of runs off one prefix, sustained sweeps included).
 func TestForkEqualsColdRun(t *testing.T) {
-	specs := []struct {
-		name string
-		soc  func() soc.Spec
-	}{
-		{"dragonboard", nil}, // workload default
-		{"biglittle", soc.BigLittle44},
-		{"biglittle-idle", func() soc.Spec { return soc.WithDefaultIdle(soc.BigLittle44()) }},
-	}
-	for _, spec := range specs {
-		spec := spec
-		t.Run(spec.name, func(t *testing.T) {
+	quickstartOn := func(spec soc.Spec) func(*testing.T) *Workload {
+		return func(*testing.T) *Workload {
 			w := Quickstart()
-			if spec.soc != nil {
-				w.Profile.SoC = spec.soc()
+			w.Profile.SoC = spec
+			return w
+		}
+	}
+	ondemand := func() governor.Governor { return governor.NewOndemand() }
+	rows := []struct {
+		name   string
+		w      func(*testing.T) *Workload
+		repeat int
+		gov    func() governor.Governor
+	}{
+		{"dragonboard", func(*testing.T) *Workload { return Quickstart() }, 1, ondemand},
+		{"biglittle", quickstartOn(soc.BigLittle44()), 1, ondemand},
+		{"biglittle-idle", quickstartOn(soc.WithDefaultIdle(soc.BigLittle44())), 1, ondemand},
+		// The sustained sweep's shape: two back-to-back passes of the
+		// export marathon with a binding trip, so the checkpoint must
+		// carry zone temperatures and throttle caps across forks.
+		{"thermal", func(t *testing.T) *Workload {
+			w := ExportMarathon()
+			w.Profile.SoC = soc.BigLittle44()
+			w.Profile.Thermal = thermal.PhoneConfig(2, 30, 5)
+			model, err := w.Profile.SoC.Calibrate(0)
+			if err != nil {
+				t.Fatal(err)
 			}
+			w.Profile.ThermalPower = model
+			return w
+		}, 2, func() governor.Governor { return governor.NewInteractive() }},
+	}
+	for _, row := range rows {
+		row := row
+		t.Run(row.name, func(t *testing.T) {
+			w := row.w(t)
 			rec, _, err := w.Record(1)
 			if err != nil {
 				t.Fatal(err)
 			}
+			rec = rec.Repeat(row.repeat)
 			mkGovs := func() []governor.Governor {
 				govs := make([]governor.Governor, len(w.Profile.SoCSpec().Clusters))
 				for i := range govs {
-					govs[i] = governor.NewOndemand()
+					govs[i] = row.gov()
 				}
 				return govs
 			}
 
-			cold := coldReplay(w, rec, mkGovs(), "ondemand", 42, true)
+			name := row.gov().Name()
+			cold := coldReplay(w, rec, mkGovs(), name, 42, true)
+			if w.Profile.Thermal.Enabled() {
+				caps := 0
+				for _, ct := range cold.Clusters {
+					caps += ct.Throttle.Len()
+				}
+				if caps == 0 {
+					t.Fatal("thermal row never throttled; it would not exercise throttle state")
+				}
+			}
 
 			sess := NewReplaySession(w, rec)
 			// Burn-in fork with a different seed: the equivalence fork below
 			// then runs on a session whose device has already lived a full,
 			// divergent run.
-			sess.Replay(mkGovs(), "ondemand", 7, true)
-			fork := sess.Replay(mkGovs(), "ondemand", 42, true)
-			requireSameRun(t, spec.name+"/fork-after-burn-in", cold, fork)
+			sess.Replay(mkGovs(), name, 7, true)
+			fork := sess.Replay(mkGovs(), name, 42, true)
+			requireSameRun(t, row.name+"/fork-after-burn-in", cold, fork)
 
 			// Forking the same seed again must reproduce the same run: the
 			// artefacts handed out above stay valid and the session state is
 			// fully rewound each time.
-			again := sess.Replay(mkGovs(), "ondemand", 42, true)
-			requireSameRun(t, spec.name+"/fork-repeat", fork, again)
+			again := sess.Replay(mkGovs(), name, 42, true)
+			requireSameRun(t, row.name+"/fork-repeat", fork, again)
 		})
 	}
 }

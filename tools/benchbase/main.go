@@ -42,8 +42,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/governor"
 	"repro/internal/population"
-	"repro/internal/power"
-	"repro/internal/sim"
 	"repro/internal/soc"
 	"repro/internal/thermal"
 	"repro/internal/workload"
@@ -361,17 +359,13 @@ func benchThermalReplay() (testing.BenchmarkResult, float64) {
 	return r, rec.RunWindow().Seconds() * float64(r.N) / r.T.Seconds()
 }
 
-// benchEvaluationMatrix mirrors BenchmarkEvaluationMatrix: record, annotate,
-// 17 configurations x 2 reps, oracle — for one dataset.
+// benchEvaluationMatrix mirrors BenchmarkEvaluationMatrix: calibrate,
+// record, annotate, 17 configurations x 2 reps, oracle — for one dataset.
 func benchEvaluationMatrix() (testing.BenchmarkResult, float64) {
-	model, err := power.Calibrate(power.Snapdragon8074(), power.DefaultSilicon(), 100*sim.Millisecond)
-	if err != nil {
-		fatal(err)
-	}
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := experiment.RunDataset(workload.Dataset02(), model, experiment.Options{Reps: 2, Seed: 1}); err != nil {
+			if _, err := experiment.RunMatrix(workload.Dataset02(), soc.Dragonboard(), experiment.Options{Reps: 2, Seed: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
