@@ -211,14 +211,14 @@ func RunMatrix(w *workload.Workload, spec soc.Spec, opts Options) (*MatrixResult
 	wc.Profile.SoC = spec
 	w = &wc
 
-	model, err := spec.Calibrate(0)
+	socModel, err := spec.Calibrate(0)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: calibrate %s: %w", spec.Name, err)
 	}
 	res := &MatrixResult{
 		Workload: w,
 		Spec:     spec,
-		Model:    model,
+		Model:    socModel,
 		Configs:  MatrixConfigs(spec),
 		Runs:     make(map[string][]*Run),
 	}
@@ -230,7 +230,7 @@ func RunMatrix(w *workload.Workload, spec soc.Spec, opts Options) (*MatrixResult
 		res.Configs = sel
 	}
 
-	s, err := prepare(w, model, w.Profile, 1, opts)
+	s, err := prepare(w, socModel, w.Profile, 1, opts)
 	if err != nil {
 		return nil, err
 	}

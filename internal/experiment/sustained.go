@@ -171,7 +171,9 @@ func RunSustained(w *workload.Workload, configs []Config, opts SustainedOptions)
 	}
 
 	jobs := configJobs(configs, len(arms), opts.Reps)
+	// Per arm: the label in errors and the Kind its runs stream as.
 	armNames := []string{"record-only", "throttled"}
+	armKinds := []string{"config", "throttled"}
 	opts.progress("[%s] replaying %d configs x 2 arms x %d reps = %d sustained runs",
 		w.Name, len(configs), opts.Reps, len(jobs))
 	res.Runs = make([]*SustainedRun, len(jobs))
@@ -184,11 +186,7 @@ func RunSustained(w *workload.Workload, configs []Config, opts SustainedOptions)
 			return RunUpdate{}, err
 		}
 		res.Runs[ji] = &SustainedRun{Run: r, Throttled: j.arm == 1}
-		kind := "config"
-		if j.arm == 1 {
-			kind = "throttled"
-		}
-		return RunUpdate{Kind: kind, Config: j.cfg.Name, Rep: j.rep, Run: r}, nil
+		return RunUpdate{Kind: armKinds[j.arm], Config: j.cfg.Name, Rep: j.rep, Run: r}, nil
 	})
 	if err != nil {
 		return nil, err
