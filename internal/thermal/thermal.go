@@ -76,6 +76,11 @@ func (p ZoneParams) withDefaults() ZoneParams {
 type Zone struct {
 	p     ZoneParams
 	tempC float64
+	// alpha is the relaxation factor 1 - exp(-alphaDt/TauS) for the last
+	// step length. Devices step at a fixed tick, so it is computed once
+	// per zone rather than once per tick.
+	alphaDt sim.Duration
+	alpha   float64
 }
 
 // NewZone returns a zone at its initial temperature.
@@ -109,8 +114,10 @@ func (z *Zone) Step(dt sim.Duration, powerW, couplingC float64) float64 {
 		return z.tempC
 	}
 	steady := z.p.AmbientC + (powerW+z.p.IdleW)*z.p.RThermCPerW + couplingC
-	alpha := 1 - math.Exp(-dt.Seconds()/z.p.TauS)
-	z.tempC += (steady - z.tempC) * alpha
+	if dt != z.alphaDt {
+		z.alphaDt, z.alpha = dt, 1-math.Exp(-dt.Seconds()/z.p.TauS)
+	}
+	z.tempC += (steady - z.tempC) * z.alpha
 	return z.tempC
 }
 

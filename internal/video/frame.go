@@ -21,11 +21,9 @@ import (
 // FPS is the capture rate used throughout the paper (30 frames/second).
 const FPS = 30
 
-// Frame is one captured framebuffer image with a cached content hash for
-// fast equality tests.
+// Frame is one captured framebuffer image.
 type Frame struct {
-	pix  []uint8
-	hash uint64
+	pix []uint8
 }
 
 // NewFrame wraps pixel data (not copied; callers hand over ownership).
@@ -34,7 +32,7 @@ func NewFrame(pix []uint8) *Frame {
 	if len(pix) != screen.FBW*screen.FBH {
 		panic(fmt.Sprintf("video: frame size %d, want %d", len(pix), screen.FBW*screen.FBH))
 	}
-	return &Frame{pix: pix, hash: fnv1a(pix)}
+	return &Frame{pix: pix}
 }
 
 // Pix exposes the raw pixels (do not mutate).
@@ -43,43 +41,15 @@ func (f *Frame) Pix() []uint8 { return f.pix }
 // EqualPix reports whether the frame's pixels equal pix exactly. This is the
 // capture path's change detector: comparing the rendered framebuffer against
 // the previously captured frame before cloning costs one early-exiting
-// memory compare instead of a copy plus a hash of every rendered frame.
+// memory compare instead of a copy of every rendered frame.
 func (f *Frame) EqualPix(pix []uint8) bool { return bytes.Equal(f.pix, pix) }
 
-// Hash returns the FNV-1a content hash.
-func (f *Frame) Hash() uint64 { return f.hash }
-
-// fnv1a is an FNV-1a-style 64-bit content fingerprint processed 8 bytes per
-// step. It exists purely for in-memory equality short-circuits (nothing
-// persists or compares hash values across processes), so the word-wide
-// variant — 8× fewer multiplies than the byte-wise classic on a 5 KB frame —
-// is a free speedup for the capture hot path.
-func fnv1a(b []uint8) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	for len(b) >= 8 {
-		w := binary.LittleEndian.Uint64(b)
-		h ^= w
-		h *= prime
-		b = b[8:]
-	}
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return h
-}
-
-// Equal reports exact pixel equality, short-circuiting on pointer identity
-// and hash mismatch.
+// Equal reports exact pixel equality, short-circuiting on pointer identity.
 func Equal(a, b *Frame) bool {
 	if a == b {
 		return true
 	}
 	if a == nil || b == nil {
-		return false
-	}
-	if a.hash != b.hash {
 		return false
 	}
 	return bytes.Equal(a.pix, b.pix)

@@ -20,8 +20,8 @@ type FramePool struct {
 // NewFramePool returns an empty pool.
 func NewFramePool() *FramePool { return &FramePool{} }
 
-// Capture returns a frame holding a copy of pix with its content hash
-// computed, reusing pooled storage when available. A nil pool degenerates to
+// Capture returns a frame holding a copy of pix, reusing pooled storage
+// when available. A nil pool degenerates to
 // a plain allocation, so callers can thread an optional pool unconditionally.
 func (p *FramePool) Capture(pix []uint8) *Frame {
 	if p == nil || len(p.free) == 0 {
@@ -37,7 +37,6 @@ func (p *FramePool) Capture(pix []uint8) *Frame {
 		f.pix = make([]uint8, len(pix))
 	}
 	copy(f.pix, pix)
-	f.hash = fnv1a(f.pix)
 	return f
 }
 

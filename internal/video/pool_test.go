@@ -15,8 +15,8 @@ func poolPix(fill uint8) []uint8 {
 }
 
 // TestFramePoolRoundTrip checks the capture/release cycle: released frame
-// storage is reused by the next capture, contents and hashes are correct,
-// and the released video is emptied.
+// storage is reused by the next capture, contents are correct, and the
+// released video is emptied.
 func TestFramePoolRoundTrip(t *testing.T) {
 	p := NewFramePool()
 	v := New(FPS)
@@ -24,7 +24,7 @@ func TestFramePoolRoundTrip(t *testing.T) {
 	b := p.Capture(poolPix(20))
 	v.Append(a)
 	v.Append(b)
-	if want := NewFrame(poolPix(10)); want.Hash() != a.Hash() || !Equal(want, a) {
+	if want := NewFrame(poolPix(10)); !Equal(want, a) {
 		t.Fatal("pooled capture differs from plain NewFrame")
 	}
 
@@ -43,8 +43,8 @@ func TestFramePoolRoundTrip(t *testing.T) {
 	if (c != a && c != b) || c.Pix()[0] != 30 {
 		t.Fatal("reused frame does not carry the new contents")
 	}
-	if want := NewFrame(poolPix(30)); want.Hash() != c.Hash() {
-		t.Fatal("reused frame hash not recomputed")
+	if want := NewFrame(poolPix(30)); !Equal(want, c) {
+		t.Fatal("reused frame differs from plain NewFrame")
 	}
 }
 

@@ -117,8 +117,8 @@ func requireSameRun(t *testing.T, label string, cold, fork *RunArtifacts) {
 	}
 	for i := range cr {
 		if cr[i].Start != fr[i].Start || cr[i].Count != fr[i].Count || !video.Equal(cr[i].Frame, fr[i].Frame) {
-			t.Fatalf("%s: video run %d diverged (cold start=%d count=%d hash=%x, fork start=%d count=%d hash=%x)",
-				label, i, cr[i].Start, cr[i].Count, cr[i].Frame.Hash(), fr[i].Start, fr[i].Count, fr[i].Frame.Hash())
+			t.Fatalf("%s: video run %d diverged (cold start=%d count=%d, fork start=%d count=%d, frames equal %t)",
+				label, i, cr[i].Start, cr[i].Count, fr[i].Start, fr[i].Count, video.Equal(cr[i].Frame, fr[i].Frame))
 		}
 	}
 }
