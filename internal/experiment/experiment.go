@@ -4,10 +4,11 @@
 // followed by oracle construction and the figure-level aggregations.
 // RunMatrix is that sweep on any SoC spec (the paper's study is RunMatrix
 // on soc.Dragonboard); RunSustained adds a thermal arm axis; RunPopulation
-// loops RunMatrix over a device fleet. Every sweep runs on one kernel:
-// record and annotate once (prepare), then fan the replays out over a
-// worker pool with panic containment, cancellation and streaming (fanOut),
-// each replay forked off a warm session and analysed by executeRun.
+// runs RunMatrix's two halves over a device fleet, preparing each unit
+// while the previous one replays. Every sweep runs on one kernel: record
+// and annotate once (prepare), then fan the replays out over a worker pool
+// with panic containment, cancellation and streaming (fanOut), each replay
+// forked off a warm session and analysed by executeRun.
 //
 // Units: energies are joules, irritation is virtual time (sim.Duration;
 // Seconds() for display), frequencies carry their ladder's kHz. Concurrency:
@@ -334,22 +335,45 @@ func configJobs(configs []Config, arms, reps int) []job {
 	return jobs
 }
 
+// sideJob is work that rides along a replay batch as its first-claimed job,
+// so it fills a worker the replays would leave idle. It sits outside the
+// batch's job index space: no seed, test hook, heartbeat or OnRun update,
+// and it cannot fail the batch. A panic in it is contained like a replay's
+// and kept in panicked for the job's owner to report. A batch that returns
+// without error has run it: only cancellation stops workers claiming jobs.
+type sideJob struct {
+	run      func()
+	panicked *PanicError
+}
+
 // fanOut is the replay half every sweep shares: jobs [0, n) over the
 // sweep's pool (the caller's long-lived one, or a transient one of Workers
 // width), each under the per-job test hook and start/end heartbeats, seeded
 // from the master seed and its job index. run replays job ji and returns the
 // update to stream through OnRun; Index and Total are filled in here. A
 // panic is contained into a *PanicError and streamed as a "fault" update.
-// The sweep fails with the context's error, or else with the first failed
-// job in job order, labelled by label.
-func (o Options) fanOut(name string, n int, label func(ji int) string,
+// side, when set, is claimed before any replay. The sweep fails with the
+// context's error, or else with the first failed job in job order, labelled
+// by label.
+func (o Options) fanOut(name string, n int, side *sideJob, label func(ji int) string,
 	run func(ji int, seed uint64, scratch *replayScratch) (RunUpdate, error)) error {
 	pool := o.Pool
 	if pool == nil {
 		pool = NewPool(o.Workers)
 	}
+	// Pool job 0 is the side job when there is one; replay ji is pool job
+	// ji+off.
+	off := 0
+	if side != nil {
+		off = 1
+	}
 	errs := make([]error, n)
-	poolErr := pool.run(o.Context, n, func(ji int, scratch *replayScratch) {
+	poolErr := pool.run(o.Context, off+n, func(pj int, scratch *replayScratch) {
+		if pj < off {
+			side.run()
+			return
+		}
+		ji := pj - off
 		if o.TestHookRun != nil {
 			o.TestHookRun(ji)
 		}
@@ -360,7 +384,12 @@ func (o Options) fanOut(name string, n int, label func(ji int) string,
 			u.Index, u.Total = ji, n
 			o.emit(u)
 		}
-	}, func(ji int, pe *PanicError) {
+	}, func(pj int, pe *PanicError) {
+		if pj < off {
+			side.panicked = pe
+			return
+		}
+		ji := pj - off
 		errs[ji] = pe
 		o.emit(RunUpdate{Kind: "fault", Index: ji, Total: n, Err: pe.Error(), Stack: string(pe.Stack)})
 		o.beat()

@@ -204,8 +204,23 @@ type MatrixResult struct {
 // is exactly the paper's 17x5 study plus the oracle.
 func RunMatrix(w *workload.Workload, spec soc.Spec, opts Options) (*MatrixResult, error) {
 	opts = opts.withDefaults()
+	res, s, err := prepareMatrix(w, spec, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := res.replay(s, opts, nil); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// prepareMatrix is RunMatrix's front half: validate the spec, calibrate its
+// power model, select the configs and run Part A. The result it returns
+// holds everything but the runs, candidates and oracles. opts must carry its
+// defaults already.
+func prepareMatrix(w *workload.Workload, spec soc.Spec, opts Options) (*MatrixResult, *sweep, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
+		return nil, nil, fmt.Errorf("experiment: %w", err)
 	}
 	wc := *w
 	wc.Profile.SoC = spec
@@ -213,7 +228,7 @@ func RunMatrix(w *workload.Workload, spec soc.Spec, opts Options) (*MatrixResult
 
 	socModel, err := spec.Calibrate(0)
 	if err != nil {
-		return nil, fmt.Errorf("experiment: calibrate %s: %w", spec.Name, err)
+		return nil, nil, fmt.Errorf("experiment: calibrate %s: %w", spec.Name, err)
 	}
 	res := &MatrixResult{
 		Workload: w,
@@ -225,16 +240,25 @@ func RunMatrix(w *workload.Workload, spec soc.Spec, opts Options) (*MatrixResult
 	if len(opts.Configs) > 0 {
 		sel, err := selectConfigs(spec, res.Configs, opts.Configs)
 		if err != nil {
-			return nil, fmt.Errorf("experiment: %w", err)
+			return nil, nil, fmt.Errorf("experiment: %w", err)
 		}
 		res.Configs = sel
 	}
 
 	s, err := prepare(w, socModel, w.Profile, 1, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res.Recording, res.RecordTruths, res.Gestures, res.DB = s.rec, s.truths, s.gestures, s.db
+	return res, s, nil
+}
+
+// replay is RunMatrix's back half: lay out the config and candidate jobs,
+// fan them out over the pool (side, when set, rides along as the batch's
+// first-claimed job), assemble the per-rep candidate sets and build the
+// oracles into res.
+func (res *MatrixResult) replay(s *sweep, opts Options, side *sideJob) error {
+	w, spec := res.Workload, res.Spec
 
 	// The job matrix: config runs plus, on multi-cluster specs, the
 	// placement-pinned candidate runs the oracle searches. On a
@@ -262,7 +286,7 @@ func RunMatrix(w *workload.Workload, spec soc.Spec, opts Options) (*MatrixResult
 		cs := spec.Clusters[j.cluster]
 		return cs.Name + "@" + cs.Table[j.opp].Label()
 	}
-	err = opts.fanOut(w.Name, len(jobs), func(ji int) string {
+	err := opts.fanOut(w.Name, len(jobs), side, func(ji int) string {
 		j := jobs[ji]
 		if j.candidate {
 			return fmt.Sprintf("candidate %s rep %d", candName(j), j.rep)
@@ -279,7 +303,7 @@ func RunMatrix(w *workload.Workload, spec soc.Spec, opts Options) (*MatrixResult
 		return RunUpdate{Kind: "candidate", Config: candName(j), Rep: j.rep}, err
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, r := range runs {
 		if r != nil {
@@ -305,10 +329,10 @@ func RunMatrix(w *workload.Workload, spec soc.Spec, opts Options) (*MatrixResult
 	}
 
 	if err := res.buildClusterOracles(opts.Factor); err != nil {
-		return nil, err
+		return err
 	}
 	opts.progress("[%s] done: cluster oracle %.2f J", w.Name, res.OracleEnergyJ)
-	return res, nil
+	return nil
 }
 
 // executeCandidateRun replays the workload with every task placed on one

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/faultinject"
+	"repro/internal/population"
 	"repro/internal/report"
 	"repro/internal/soc"
 	"repro/internal/thermal"
@@ -18,10 +19,13 @@ import (
 
 // sweepKind is one sweep driver in a small, fast shape: run executes it on
 // the given options and returns its canonical JSON, so tests can pin any
-// sweep kind bit for bit through the same contract.
+// sweep kind bit for bit through the same contract. retires marks a kind
+// that releases its warm sessions before it returns (population units), so
+// no session outlives the sweep.
 type sweepKind struct {
-	name string
-	run  func(opts experiment.Options) (string, error)
+	name    string
+	run     func(opts experiment.Options) (string, error)
+	retires bool
 }
 
 var sweepKinds = []sweepKind{
@@ -32,7 +36,7 @@ var sweepKinds = []sweepKind{
 			return "", err
 		}
 		return canonical(report.MatrixRunRecords(res))
-	}},
+	}, false},
 	{"sustained", func(opts experiment.Options) (string, error) {
 		w := workload.ExportMarathon()
 		w.Profile.SoC = soc.BigLittle44()
@@ -58,7 +62,25 @@ var sweepKinds = []sweepKind{
 			recs = append(recs, sustainedRecord{report.NewRunRecord(res.Workload, r.Run), r.Throttled, r.Clusters})
 		}
 		return canonical(recs)
-	}},
+	}, false},
+	{"population", func(opts experiment.Options) (string, error) {
+		opts.Configs = []string{"2.15 GHz", "ondemand"}
+		var recs []experiment.PopRun
+		res, err := experiment.RunPopulation(workload.Quickstart(), soc.Dragonboard(), experiment.PopulationOptions{
+			Options:     opts,
+			Units:       2,
+			Model:       population.DefaultModel(),
+			BaseThermal: thermal.PhoneConfig(1, 0, 0), // record-only zones
+			OnPop:       func(pr experiment.PopRun) { recs = append(recs, pr) },
+		})
+		if err != nil {
+			return "", err
+		}
+		return canonical(struct {
+			Recs    []experiment.PopRun
+			Summary report.PopulationSummary
+		}{recs, report.NewPopulationSummary(res)})
+	}, true},
 }
 
 func canonical(v any) (string, error) {
@@ -158,22 +180,40 @@ func TestCorruptCheckpointQuarantineHeals(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pool.WarmSessions() == 0 {
-				t.Fatal("no warm sessions after a sweep")
-			}
 
 			corrupted := 0
-			pool.EachRegistry(func(r *workload.SessionRegistry) {
-				r.Each(func(key string, s *workload.ReplaySession) {
-					s.CorruptCheckpoint()
-					corrupted++
+			corrupt := func() {
+				pool.EachRegistry(func(r *workload.SessionRegistry) {
+					r.Each(func(key string, s *workload.ReplaySession) {
+						s.CorruptCheckpoint()
+						corrupted++
+					})
 				})
-			})
+			}
+			if kind.retires {
+				// No session outlives a retiring sweep, so the checkpoint
+				// rots mid-sweep instead: in the hook of the first unit's
+				// second replay, after the first booted the session. The
+				// pool's one worker is the hook's own goroutine, so no
+				// replay touches the registry meanwhile.
+				var once sync.Once
+				_, err = chaosSweep(kind, pool, func(o *experiment.Options) {
+					o.TestHookRun = func(ji int) {
+						if ji == 1 {
+							once.Do(corrupt)
+						}
+					}
+				})
+			} else {
+				if pool.WarmSessions() == 0 {
+					t.Fatal("no warm sessions after a sweep")
+				}
+				corrupt()
+				_, err = chaosSweep(kind, pool, nil)
+			}
 			if corrupted == 0 {
 				t.Fatal("corrupted no checkpoints")
 			}
-
-			_, err = chaosSweep(kind, pool, nil)
 			var pe *experiment.PanicError
 			if !errors.As(err, &pe) {
 				t.Fatalf("sweep on a corrupted checkpoint returned %v, want a contained *PanicError", err)

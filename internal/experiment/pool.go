@@ -68,7 +68,8 @@ func NewPool(workers int) *Pool {
 // Workers returns the pool width.
 func (p *Pool) Workers() int { return p.workers }
 
-// InFlightRuns returns the number of replay jobs executing right now.
+// InFlightRuns returns the number of jobs executing right now: replays,
+// plus a side job riding along a batch.
 func (p *Pool) InFlightRuns() int { return int(p.inFlight.Load()) }
 
 // RecoveredPanics returns the number of run panics the pool has contained

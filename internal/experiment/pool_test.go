@@ -61,9 +61,10 @@ func TestMatrixOrderingDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestPoolReuseAcrossSweepsBitIdentical runs the same sweep twice on one
-// long-lived pool, for every sweep kind: the second sweep rides entirely on
-// warmed sessions and recycled scratch, and must reproduce the first — run
-// on the fresh pool — bit for bit.
+// long-lived pool, for every sweep kind: the second sweep rides on recycled
+// scratch and, unless its kind retires its sessions, entirely on warmed
+// sessions, and must reproduce the first — run on the fresh pool — bit for
+// bit.
 func TestPoolReuseAcrossSweepsBitIdentical(t *testing.T) {
 	for _, kind := range sweepKinds {
 		t.Run(kind.name, func(t *testing.T) {
@@ -86,6 +87,12 @@ func TestPoolReuseAcrossSweepsBitIdentical(t *testing.T) {
 			forksAfterFirst := forks()
 			if second := sweep(); second != first {
 				t.Errorf("pool reuse perturbed the sweep:\nfirst:  %s\nsecond: %s", first, second)
+			}
+			if kind.retires {
+				if warm := pool.WarmSessions(); warm != 0 {
+					t.Errorf("pool holds %d warm sessions after two sweeps that retire theirs", warm)
+				}
+				return
 			}
 			if pool.WarmSessions() == 0 {
 				t.Error("no warm sessions on the pool after two sweeps")

@@ -129,17 +129,25 @@ func (r *PopulationResult) Quantile(config, metric string, q float64) float64 {
 // RunPopulation executes a Monte Carlo population sweep: Units simulated
 // devices, each generated by population.Generate from (Seed, unit index),
 // each swept through the full RunMatrix (configs × reps + oracle
-// candidates) on the shared pool, with every run's scalar outcomes streamed
-// through OnPop and folded into mergeable quantile digests. Memory stays
-// flat in Units: each unit's MatrixResult is dropped as soon as its digests
-// are folded in, and the unit's warm sessions are released from the pool.
+// candidates), with every run's scalar outcomes streamed through OnPop and
+// folded into mergeable quantile digests. Memory stays flat in Units: each
+// unit's MatrixResult is dropped as soon as its digests are folded in, and
+// the unit's warm sessions are released from the pool.
 //
-// Determinism: units run in index order, each unit's matrix is internally
-// parallel across the pool with the usual deterministic job ordering, and
-// unit i's replays are seeded from population.UnitSeed(Seed, i) — so the
-// streamed records and the digest tables are bit-identical regardless of
-// worker count. Unit 0 of any population runs at exactly Options.Seed,
-// which pins the Units == 1 zero-model sweep to RunMatrix bit for bit.
+// Every unit runs on one pool: the caller's, or a transient one of Workers
+// width. Unit i+1's Part A (generate, calibrate, record, annotate) runs as
+// the first-claimed job of unit i's replay batch, so it fills the worker the
+// replays leave idle; at most Workers jobs are ever live. Its outcome,
+// progress messages and any failure, a contained panic included, are held
+// until the loop reaches unit i+1.
+//
+// Determinism: units are folded in index order on the caller's goroutine,
+// each unit's matrix is internally parallel across the pool with the usual
+// deterministic job ordering, and unit i's replays are seeded from
+// population.UnitSeed(Seed, i) — so the streamed records and the digest
+// tables are bit-identical regardless of worker count or pool. Unit 0 of any
+// population runs at exactly Options.Seed, which pins the Units == 1
+// zero-model sweep to RunMatrix bit for bit.
 func RunPopulation(w *workload.Workload, spec soc.Spec, opts PopulationOptions) (*PopulationResult, error) {
 	opts.Options = opts.Options.withDefaults()
 	if opts.Units < 1 {
@@ -195,39 +203,78 @@ func RunPopulation(w *workload.Workload, spec soc.Spec, opts PopulationOptions) 
 	opts.progress("[%s] population sweep: %d units x (%d configs + %d candidates) x %d reps = %d runs",
 		w.Name, opts.Units, len(configs), nCand, opts.Reps, total)
 
-	for i := 0; i < opts.Units; i++ {
-		if err := opts.Context.Err(); err != nil {
-			return nil, fmt.Errorf("experiment: population unit %d: %w", i, err)
-		}
-		unit := population.Generate(opts.Model, spec, opts.BaseThermal, opts.Seed, i)
-
-		// The unit's workload copy carries its thermal environment and
-		// battery caps; RunMatrix installs the unit spec itself.
-		wu := *w
-		wu.Profile.Thermal = unit.Thermal
-		wu.Profile.FreqCaps = unit.FreqCaps
-
-		unitOpts := opts.Options
-		unitOpts.Seed = population.UnitSeed(opts.Seed, i)
-		base := i * perUnit
-		if opts.OnRun != nil {
-			inner := opts.OnRun
-			unitOpts.OnRun = func(u RunUpdate) {
-				// Re-anchor the per-unit sweep position in the population's
-				// global order before streaming it out.
+	if opts.Pool == nil {
+		opts.Pool = NewPool(opts.Workers)
+	}
+	// unitOpts are unit i's sweep options: its seed, and OnRun re-anchored
+	// from the unit's sweep position to the population's global order.
+	unitOpts := func(i int) Options {
+		uo := opts.Options
+		uo.Seed = population.UnitSeed(opts.Seed, i)
+		if inner := opts.OnRun; inner != nil {
+			base := i * perUnit
+			uo.OnRun = func(u RunUpdate) {
 				u.Index += base
 				u.Total = total
 				inner(u)
 			}
 		}
+		return uo
+	}
+	// prepareUnit runs unit i's Part A into u, on whichever goroutine calls
+	// it; its progress messages are kept for the caller's goroutine.
+	prepareUnit := func(u *popUnit, i int) {
+		unit := population.Generate(opts.Model, spec, opts.BaseThermal, opts.Seed, i)
+		u.name = unit.Spec.Name
 
-		mres, err := RunMatrix(&wu, unit.Spec, unitOpts)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: population unit %d (%s): %w", i, unit.Spec.Name, err)
+		// The unit's workload copy carries its thermal environment and
+		// battery caps; prepareMatrix installs the unit spec itself.
+		wu := *w
+		wu.Profile.Thermal = unit.Thermal
+		wu.Profile.FreqCaps = unit.FreqCaps
+		uo := unitOpts(i)
+		if uo.Progress != nil {
+			uo.Progress = func(msg string) { u.msgs = append(u.msgs, msg) }
+		}
+		u.res, u.s, u.err = prepareMatrix(&wu, unit.Spec, uo)
+	}
+
+	var next *popUnit
+	for i := 0; i < opts.Units; i++ {
+		if err := opts.Context.Err(); err != nil {
+			return nil, fmt.Errorf("experiment: population unit %d: %w", i, err)
+		}
+		cur := next
+		if cur == nil {
+			cur = &popUnit{}
+			prepareUnit(cur, i)
+		}
+		for _, msg := range cur.msgs {
+			opts.Progress(msg)
+		}
+		if cur.err != nil {
+			return nil, fmt.Errorf("experiment: population unit %d (%s): %w", i, cur.name, cur.err)
+		}
+
+		// Unit i+1's Part A rides along unit i's replay batch.
+		next = nil
+		var side *sideJob
+		if i+1 < opts.Units {
+			next = &popUnit{}
+			nu, ni := next, i+1
+			side = &sideJob{run: func() { prepareUnit(nu, ni) }}
+		}
+		mres := cur.res
+		if err := mres.replay(cur.s, unitOpts(i), side); err != nil {
+			return nil, fmt.Errorf("experiment: population unit %d (%s): %w", i, cur.name, err)
+		}
+		if side != nil && side.panicked != nil {
+			next.err = side.panicked
 		}
 
 		// Fold the unit into the sinks on the orchestrator goroutine, in
 		// deterministic (config, rep) order.
+		base := i * perUnit
 		ji := 0
 		for _, cfg := range configs {
 			for rep, r := range mres.Runs[cfg.Name] {
@@ -269,8 +316,8 @@ func RunPopulation(w *workload.Workload, spec soc.Spec, opts PopulationOptions) 
 		// key on the unit's spec name) so pool memory is flat in Units. A
 		// zero model reuses the base name for every unit — those sessions
 		// stay warm, exactly like repeated RunMatrix calls.
-		if opts.Model.Enabled() && opts.Pool != nil {
-			marker := "|" + unit.Spec.Name
+		if opts.Model.Enabled() {
+			marker := "|" + cur.name
 			opts.Pool.ReleaseSessions(func(key string) bool {
 				return strings.Contains(key, marker)
 			})
@@ -279,4 +326,15 @@ func RunPopulation(w *workload.Workload, spec soc.Spec, opts PopulationOptions) 
 	opts.progress("[%s] population done: %d runs, p95 oracle energy %.2f J",
 		w.Name, res.Runs, res.OracleEnergy.Quantile(0.95))
 	return res, nil
+}
+
+// popUnit is one population unit between its Part A and its replays: the
+// unit spec's name, the front half of its matrix sweep, and the progress
+// messages Part A produced, held for delivery on the caller's goroutine.
+type popUnit struct {
+	name string
+	res  *MatrixResult
+	s    *sweep
+	msgs []string
+	err  error
 }

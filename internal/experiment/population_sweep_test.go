@@ -2,10 +2,14 @@ package experiment_test
 
 import (
 	"encoding/json"
+	"errors"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/faultinject"
 	"repro/internal/population"
 	"repro/internal/report"
 	"repro/internal/soc"
@@ -56,16 +60,25 @@ func TestPopulationSizeOneBitIdentical(t *testing.T) {
 	}
 }
 
-// popFingerprint marshals the streamed records plus the digest percentile
-// tables — everything a population sweep externalises.
+// popFingerprint marshals the streamed records, the OnRun positions in
+// index order, and the digest percentile tables — everything a population
+// sweep externalises.
 func popFingerprint(t *testing.T, workers int, units int, m population.Model, bt thermal.Config, pool *experiment.Pool) string {
 	t.Helper()
 	var recs []experiment.PopRun
+	var mu sync.Mutex
+	var updates []experiment.RunUpdate
 	res, err := experiment.RunPopulation(workload.Quickstart(), soc.Dragonboard(),
 		experiment.PopulationOptions{
 			Options: experiment.Options{
 				Reps: 1, Seed: 5, Workers: workers, Pool: pool,
 				Configs: []string{"2.15 GHz", "ondemand"},
+				OnRun: func(u experiment.RunUpdate) {
+					u.Run = nil // the pop records carry its outcome
+					mu.Lock()
+					updates = append(updates, u)
+					mu.Unlock()
+				},
 			},
 			Units:       units,
 			Model:       m,
@@ -75,6 +88,7 @@ func popFingerprint(t *testing.T, workers int, units int, m population.Model, bt
 	if err != nil {
 		t.Fatal(err)
 	}
+	sort.Slice(updates, func(i, j int) bool { return updates[i].Index < updates[j].Index })
 	type row struct {
 		Config        string
 		P50, P95, P99 float64
@@ -88,17 +102,20 @@ func popFingerprint(t *testing.T, workers int, units int, m population.Model, bt
 		rows = append(rows, r)
 	}
 	raw, err := json.Marshal(struct {
-		Recs []experiment.PopRun
-		Rows []row
-	}{recs, rows})
+		Recs    []experiment.PopRun
+		Updates []experiment.RunUpdate
+		Rows    []row
+	}{recs, updates, rows})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return string(raw)
 }
 
-// TestPopulationDeterministicAcrossWorkers: streamed records and digest
-// tables are invariant to pool width, with the full model and thermal on.
+// TestPopulationDeterministicAcrossWorkers: streamed records, run positions
+// and digest tables are invariant to pool width and to whether the sweep
+// runs on a transient pool or the caller's, with the full model and thermal
+// on.
 func TestPopulationDeterministicAcrossWorkers(t *testing.T) {
 	m := population.DefaultModel()
 	bt := thermal.PhoneConfig(1, 0, 0) // record-only zones
@@ -106,6 +123,53 @@ func TestPopulationDeterministicAcrossWorkers(t *testing.T) {
 	wide := popFingerprint(t, 8, 3, m, bt, nil)
 	if narrow != wide {
 		t.Errorf("population sweep depends on pool width:\n1 worker:  %s\n8 workers: %s", narrow, wide)
+	}
+	if pooled := popFingerprint(t, 0, 3, m, bt, experiment.NewPool(3)); pooled != narrow {
+		t.Errorf("population sweep depends on the caller's pool:\ntransient: %s\ncaller's:  %s", narrow, pooled)
+	}
+}
+
+// TestPopulationPreparePanicNamesUnit: a panic while preparing unit 1, which
+// runs on a worker alongside unit 0's replays, is contained. It fails the
+// sweep with a *PanicError naming unit 1 only after unit 0 has streamed all
+// its records, and the same pool then reproduces an undisturbed population.
+func TestPopulationPreparePanicNamesUnit(t *testing.T) {
+	m := population.DefaultModel()
+	pool := experiment.NewPool(2)
+	plan := faultinject.NewPlan()
+	plan.Arm("workload.record", 2) // unit 1's recording
+	w := workload.Quickstart()
+	script := w.Script
+	w.Script = func() []workload.Step {
+		if plan.Fire("workload.record") {
+			faultinject.PanicNow(plan, "workload.record")
+		}
+		return script()
+	}
+	var recs []experiment.PopRun
+	_, err := experiment.RunPopulation(w, soc.Dragonboard(), experiment.PopulationOptions{
+		Options: experiment.Options{Reps: 1, Seed: 5, Pool: pool, Configs: []string{"2.15 GHz", "ondemand"}},
+		Units:   3,
+		Model:   m,
+		OnPop:   func(pr experiment.PopRun) { recs = append(recs, pr) },
+	})
+	var pe *experiment.PanicError
+	if !errors.As(err, &pe) || !faultinject.IsInjected(pe.Value) {
+		t.Fatalf("sweep returned %v, want the injected panic as a *PanicError", err)
+	}
+	if !strings.Contains(err.Error(), "unit 1 ") {
+		t.Errorf("error %q does not name unit 1", err)
+	}
+	if len(recs) != 2 || recs[0].Unit != 0 || recs[1].Unit != 0 {
+		t.Errorf("streamed %+v before the failure, want unit 0's two records", recs)
+	}
+	if pool.RecoveredPanics() != 1 {
+		t.Errorf("pool recovered %d panics, want 1", pool.RecoveredPanics())
+	}
+
+	want := popFingerprint(t, 2, 3, m, thermal.Config{}, nil)
+	if got := popFingerprint(t, 0, 3, m, thermal.Config{}, pool); got != want {
+		t.Errorf("pool diverged after a contained prepare panic:\nwant %s\ngot  %s", want, got)
 	}
 }
 

@@ -177,7 +177,7 @@ func RunSustained(w *workload.Workload, configs []Config, opts SustainedOptions)
 	opts.progress("[%s] replaying %d configs x 2 arms x %d reps = %d sustained runs",
 		w.Name, len(configs), opts.Reps, len(jobs))
 	res.Runs = make([]*SustainedRun, len(jobs))
-	err = opts.fanOut(w.Name, len(jobs), func(ji int) string {
+	err = opts.fanOut(w.Name, len(jobs), nil, func(ji int) string {
 		return fmt.Sprintf("%s (%s) rep %d", jobs[ji].cfg.Name, armNames[jobs[ji].arm], jobs[ji].rep)
 	}, func(ji int, seed uint64, scratch *replayScratch) (RunUpdate, error) {
 		j := jobs[ji]
