@@ -8,10 +8,7 @@
 // of the capture card.
 package screen
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Logical (touch) coordinate space, matching a Nexus-5-class portrait panel.
 const (
@@ -53,6 +50,16 @@ type Framebuffer struct {
 	// framebuffer (and hence to one device's goroutine); it never changes
 	// what is drawn, only how fast.
 	patterns map[patternKey][]uint8
+	// status memoises the status-bar band of one minute (DrawStatusBar).
+	status statusMemo
+}
+
+// statusMemo is the rendered status-bar band of one clock minute. The band
+// depends on nothing else, so a redraw within the same minute is one copy.
+type statusMemo struct {
+	band   [statusBarRows * FBW]uint8
+	minute int64
+	ok     bool
 }
 
 // patternKey identifies one memoised DrawPattern rendering.
@@ -66,13 +73,15 @@ type patternKey struct {
 // of distinct seeds) from hoarding memory; beyond it patterns render direct.
 const maxPatternCache = 4096
 
-// Fill sets every pixel to shade. Doubling copy turns the per-byte store
-// loop into a handful of memmoves — this runs once per rendered frame, which
+// Fill sets every pixel to shade. This runs once per rendered frame, which
 // makes it one of the hottest loops of a capturing replay.
-func (fb *Framebuffer) Fill(shade uint8) {
-	fb.Pix[0] = shade
-	for i := 1; i < len(fb.Pix); i *= 2 {
-		copy(fb.Pix[i:], fb.Pix[:i])
+func (fb *Framebuffer) Fill(shade uint8) { fillRows(fb.Pix[:], shade) }
+
+// fillRows sets a whole number of full rows to shade: one prepared row, then
+// a doubling copy — a handful of memmoves instead of a per-byte loop.
+func fillRows(region []uint8, shade uint8) {
+	for i := copy(region, shadeRows[shade][:]); i < len(region); i *= 2 {
+		copy(region[i:], region[:i])
 	}
 }
 
@@ -93,8 +102,7 @@ func (fb *Framebuffer) SetFB(x, y int, shade uint8) {
 }
 
 // FillRectFB fills a rectangle given directly in framebuffer coordinates.
-// Bounds are clamped once up front so the row loops carry no per-pixel
-// branches.
+// Bounds are clamped once up front; every row is then a single copy.
 func (fb *Framebuffer) FillRectFB(x, y, w, h int, shade uint8) {
 	x1, y1 := x+w, y+h
 	if x < 0 {
@@ -114,28 +122,28 @@ func (fb *Framebuffer) FillRectFB(x, y, w, h int, shade uint8) {
 	}
 	if x == 0 && x1 == FBW {
 		// Full-width fill: the rows form one contiguous byte range, so a
-		// doubling copy (a handful of memmoves) beats the per-row loop.
-		// Full-width clears — content area, keyboard band, bars — are the
-		// most common fills on the render path.
-		region := fb.Pix[y*FBW : y1*FBW]
-		region[0] = shade
-		for i := 1; i < len(region); i *= 2 {
-			copy(region[i:], region[:i])
-		}
+		// doubling copy beats the per-row loop. Full-width clears — content
+		// area, keyboard band, bars — are the most common fills on the
+		// render path.
+		fillRows(fb.Pix[y*FBW:y1*FBW], shade)
 		return
 	}
-	pat := uint64(shade) * 0x0101010101010101
+	src := shadeRows[shade][:x1-x]
 	for yy := y; yy < y1; yy++ {
-		row := fb.Pix[yy*FBW+x : yy*FBW+x1]
-		i := 0
-		for ; i+8 <= len(row); i += 8 {
-			binary.LittleEndian.PutUint64(row[i:], pat)
-		}
-		for ; i < len(row); i++ {
-			row[i] = shade
-		}
+		copy(fb.Pix[yy*FBW+x:], src)
 	}
 }
+
+// shadeRows holds one framebuffer row of every shade, so a narrow fill
+// copies a prepared row into each row of its rect.
+var shadeRows = func() (rows [256][FBW]uint8) {
+	for s := range rows {
+		for x := range rows[s] {
+			rows[s][x] = uint8(s)
+		}
+	}
+	return rows
+}()
 
 // FillRect fills a logical-coordinate rectangle.
 func (fb *Framebuffer) FillRect(r Rect, shade uint8) {

@@ -52,6 +52,59 @@ func TestFillRect(t *testing.T) {
 	if fb.At(-1, -1) != 0 {
 		t.Error("At out of bounds should be 0")
 	}
+
+	// Every fill must paint exactly what a per-pixel reference paints:
+	// random rects, one-pixel-wide and one-pixel-tall ones, full-width bands
+	// and rects clipped by each screen edge, over random content.
+	rng := uint64(0x2545f4914f6cdd1d)
+	next := func(n int) int {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return int(rng % uint64(n))
+	}
+	type rect struct{ x, y, w, h int }
+	rects := []rect{
+		{0, 0, FBW, FBH}, {0, 5, FBW, 1}, {0, FBH - 3, FBW, 10}, {-4, 10, FBW + 8, 3},
+		{FBW - 1, 0, 1, FBH}, {0, 0, 1, 1}, {-3, -3, 5, 5}, {FBW - 2, FBH - 2, 9, 9},
+		{10, -7, 1, 20}, {50, 90, 20, 20}, {FBW, 0, 3, 3}, {0, FBH, 3, 3}, {5, 5, 0, 4}, {5, 5, 4, -1},
+	}
+	for i := 0; i < 300; i++ {
+		w, h := 1+next(FBW), 1+next(FBH)
+		switch i % 3 {
+		case 1:
+			w = 1
+		case 2:
+			h = 1
+		}
+		rects = append(rects, rect{next(FBW+20) - 10, next(FBH+20) - 10, w, h})
+	}
+	var got, want Framebuffer
+	for i := range got.Pix {
+		got.Pix[i] = uint8(next(256))
+	}
+	want.Pix = got.Pix
+	for i, r := range rects {
+		shade := uint8(next(256))
+		got.FillRectFB(r.x, r.y, r.w, r.h, shade)
+		for yy := r.y; yy < r.y+r.h; yy++ {
+			for xx := r.x; xx < r.x+r.w; xx++ {
+				want.SetFB(xx, yy, shade)
+			}
+		}
+		if got.Pix != want.Pix {
+			t.Fatalf("rect %d %+v shade %d: fill differs from the per-pixel reference", i, r, shade)
+		}
+	}
+	for _, shade := range []uint8{0, 1, 0x80, 255} {
+		got.Fill(shade)
+		for i := range want.Pix {
+			want.Pix[i] = shade
+		}
+		if got.Pix != want.Pix {
+			t.Fatalf("Fill(%d) differs from the per-pixel reference", shade)
+		}
+	}
 }
 
 func TestFBSpanAtLeastOnePixel(t *testing.T) {
@@ -88,6 +141,50 @@ func TestClockChangesEachMinute(t *testing.T) {
 	}
 	if a.Pix == c.Pix {
 		t.Error("status bar identical across a minute boundary (clock not live)")
+	}
+
+	// One long-lived framebuffer keeps its minute's band between draws; it
+	// must match a fresh framebuffer's draw for every minute of the day,
+	// with the band overwritten between draws (a redraw within a minute
+	// copies the memo back) and with time moving backwards, as when a fork
+	// restore rewinds the clock.
+	var memo Framebuffer
+	check := func(now sim.Time) {
+		t.Helper()
+		fresh := Framebuffer{Pix: memo.Pix}
+		DrawStatusBar(&fresh, now)
+		DrawStatusBar(&memo, now)
+		if memo.Pix != fresh.Pix {
+			t.Fatalf("status bar at %v differs from a fresh framebuffer's", now)
+		}
+		memo.Fill(ShadeText)
+		fresh = Framebuffer{Pix: memo.Pix}
+		DrawStatusBar(&memo, now-now%sim.Time(sim.Minute)+sim.Time(59*sim.Second))
+		DrawStatusBar(&fresh, now)
+		if memo.Pix != fresh.Pix {
+			t.Fatalf("redrawn status bar at %v differs from a fresh framebuffer's", now)
+		}
+	}
+	for m := 0; m < 24*60; m++ {
+		check(sim.Time(m) * sim.Time(sim.Minute))
+	}
+	for m := 24*60 - 1; m >= 0; m -= 7 {
+		check(sim.Time(m)*sim.Time(sim.Minute) + sim.Time(30*sim.Second))
+	}
+}
+
+// TestStatusBarMemoHitAllocFree gates the status bar's hot path: a redraw
+// within the minute already drawn is one copy and allocates nothing.
+func TestStatusBarMemoHitAllocFree(t *testing.T) {
+	var fb Framebuffer
+	now := sim.Time(10 * sim.Minute)
+	DrawStatusBar(&fb, now)
+	if avg := testing.AllocsPerRun(100, func() {
+		now += sim.Time(sim.Millisecond)
+		DrawStatusBar(&fb, now)
+		DrawNavBar(&fb)
+	}); avg != 0 {
+		t.Fatalf("memo-hit status-bar draw allocates %.2f, want 0", avg)
 	}
 }
 

@@ -17,7 +17,10 @@ const (
 // StatusBarRect is the logical region of the status bar; its right end holds
 // the clock the paper masks out in Fig. 8. Seven framebuffer rows tall so
 // the 3x5 clock glyphs fit with padding.
-var StatusBarRect = Rect{X: 0, Y: 0, W: LogicalW, H: 140}
+var StatusBarRect = Rect{X: 0, Y: 0, W: LogicalW, H: statusBarRows * Scale}
+
+// statusBarRows is the status bar's height in framebuffer rows.
+const statusBarRows = 7
 
 // ClockRect is the logical region of the status-bar clock. Annotation
 // entries apply a mask over exactly this region, reproducing the paper's
@@ -37,10 +40,25 @@ var BackButtonRect = Rect{X: 90, Y: LogicalH - 120, W: 180, H: 120}
 // ContentRect is the app content region between status bar and nav bar.
 var ContentRect = Rect{X: 0, Y: 140, W: LogicalW, H: LogicalH - 260}
 
-// DrawStatusBar renders the status bar including the live HH:MM clock.
+// DrawStatusBar renders the status bar including the live HH:MM clock. The
+// band overwrites every pixel of its rows and changes only with the minute,
+// so the framebuffer keeps the last minute's band and a redraw within that
+// minute copies it.
 func DrawStatusBar(fb *Framebuffer, now sim.Time) {
-	fb.FillRect(StatusBarRect, ShadeStatusBar)
 	totalMin := int64(now) / int64(sim.Minute)
+	band := fb.Pix[:len(fb.status.band)]
+	if fb.status.ok && fb.status.minute == totalMin {
+		copy(band, fb.status.band[:])
+		return
+	}
+	drawStatusBand(fb, totalMin)
+	copy(fb.status.band[:], band)
+	fb.status.minute, fb.status.ok = totalMin, true
+}
+
+// drawStatusBand rasterises the status bar showing minute totalMin.
+func drawStatusBand(fb *Framebuffer, totalMin int64) {
+	fb.FillRect(StatusBarRect, ShadeStatusBar)
 	hh := (totalMin / 60) % 24
 	mm := totalMin % 60
 	clock := []byte{byte('0' + hh/10), byte('0' + hh%10), ':', byte('0' + mm/10), byte('0' + mm%10)}
@@ -51,12 +69,22 @@ func DrawStatusBar(fb *Framebuffer, now sim.Time) {
 	fb.FillRectFB(cx-8, cy+2, 2, 3, ShadeWidget)
 }
 
-// DrawNavBar renders the navigation bar with back/home affordances.
+// DrawNavBar renders the navigation bar with back/home affordances: a copy
+// of the band rendered once, since it overwrites every pixel of its rows and
+// never changes.
 func DrawNavBar(fb *Framebuffer) {
+	copy(fb.Pix[len(fb.Pix)-len(navBand):], navBand)
+}
+
+// navBand is the rendered navigation bar, the bottom rows of the screen.
+var navBand = func() []uint8 {
+	var fb Framebuffer
 	fb.FillRect(NavBarRect, ShadeStatusBar)
 	fb.FillRect(Rect{X: HomeButtonRect.X + 60, Y: HomeButtonRect.Y + 40, W: 60, H: 40}, ShadeWidget)
 	fb.FillRect(Rect{X: BackButtonRect.X + 60, Y: BackButtonRect.Y + 40, W: 60, H: 40}, ShadeWidget)
-}
+	_, y, _, _ := FBRect(NavBarRect)
+	return fb.Pix[y*FBW:]
+}()
 
 // DrawSpinner renders a loading spinner with the given animation phase; each
 // distinct phase produces a distinct frame, so the video shows continuous
