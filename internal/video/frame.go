@@ -59,66 +59,36 @@ func Equal(a, b *Frame) bool {
 // masks the status-bar clock and advertisement regions (Fig. 8).
 type Mask struct {
 	skip []bool
-	// words is the word-run representation used by the tol==0 fast path:
-	// one entry per 8-byte word containing at least one unmasked pixel,
-	// carrying a byte-granular keep mask. Built lazily from skip.
-	words []maskWord
+	// spans are the maximal runs of unmasked pixels in address order,
+	// compiled when the mask is built. Every tol==0 comparison walks them as
+	// contiguous byte ranges, so a rect mask (status-bar clock, ad banner)
+	// costs a handful of memory compares, and no comparison writes to a mask
+	// that concurrent matchers share.
+	spans []span
 }
 
-// maskWord is one 8-byte word of the frame with its per-byte keep mask
-// (0xff for every byte the comparison must inspect).
-type maskWord struct {
-	off  int32
-	keep uint64
-}
+// span is the byte range [lo, hi) of a frame.
+type span struct{ lo, hi int }
 
-// wordRuns returns the masked word runs, building them on first use. Fully
-// masked words are dropped entirely, so comparisons under a typical rect
-// mask (status bar, ad banner) touch only the words that matter.
-func (m *Mask) wordRuns() []maskWord {
-	if m.words == nil {
-		m.words = buildMaskWords(m.skip)
-	}
-	return m.words
-}
-
-// buildMaskWords compiles a skip bitmap into word runs covering the 8-byte
-// aligned prefix; the (at most 7) tail bytes stay on the scalar path. The
-// runs are emitted content-area first — starting a third of the way in and
-// wrapping around — because the frames the matcher rejects usually share
-// identical chrome rows (status bar at the top, nav bar at the bottom) and
-// differ in the content area, so an early-exit comparison that starts there
-// bails after a handful of words instead of wading through equal chrome.
-// Pure counts are order-independent, so DiffCount is unaffected.
-func buildMaskWords(skip []bool) []maskWord {
-	n := len(skip) &^ 7
-	words := make([]maskWord, 0, n/8)
-	start := (n / 3) &^ 7
-	emit := func(lo, hi int) {
-		for off := lo; off < hi; off += 8 {
-			var keep uint64
-			for b := 0; b < 8; b++ {
-				if !skip[off+b] {
-					keep |= 0xff << (8 * b)
-				}
-			}
-			if keep != 0 {
-				words = append(words, maskWord{off: int32(off), keep: keep})
-			}
+// newMask compiles a skip bitmap into a mask.
+func newMask(skip []bool) *Mask {
+	m := &Mask{skip: skip}
+	for i := 0; i < len(skip); i++ {
+		if skip[i] {
+			continue
 		}
+		lo := i
+		for i < len(skip) && !skip[i] {
+			i++
+		}
+		m.spans = append(m.spans, span{lo, i})
 	}
-	emit(start, n)
-	emit(0, start)
-	if len(words) == 0 {
-		// Keep a non-nil sentinel so fully-masked masks don't rebuild.
-		words = make([]maskWord, 0)
-	}
-	return words
+	return m
 }
 
 // NewMask builds a mask covering the given logical-coordinate rects.
 func NewMask(rects ...screen.Rect) *Mask {
-	m := &Mask{skip: make([]bool, screen.FBW*screen.FBH)}
+	skip := make([]bool, screen.FBW*screen.FBH)
 	for _, r := range rects {
 		x, y, w, h := screen.FBRect(r)
 		for yy := y; yy < y+h && yy < screen.FBH; yy++ {
@@ -127,12 +97,12 @@ func NewMask(rects ...screen.Rect) *Mask {
 			}
 			for xx := x; xx < x+w && xx < screen.FBW; xx++ {
 				if xx >= 0 {
-					m.skip[yy*screen.FBW+xx] = true
+					skip[yy*screen.FBW+xx] = true
 				}
 			}
 		}
 	}
-	return m
+	return newMask(skip)
 }
 
 // Union returns a mask that skips pixels covered by either input. A nil
@@ -144,11 +114,11 @@ func (m *Mask) Union(o *Mask) *Mask {
 	if o == nil {
 		return m
 	}
-	out := &Mask{skip: make([]bool, len(m.skip))}
+	skip := make([]bool, len(m.skip))
 	for i := range m.skip {
-		out.skip[i] = m.skip[i] || o.skip[i]
+		skip[i] = m.skip[i] || o.skip[i]
 	}
-	return out
+	return newMask(skip)
 }
 
 // Skips reports whether pixel i is masked out. Nil masks skip nothing.
@@ -170,241 +140,70 @@ func (m *Mask) MaskedCount() int {
 
 // DiffCount counts pixels that differ by more than tol, ignoring masked
 // pixels. This is the primitive behind both the suggester's change detector
-// and the matcher's image comparison. The mask nil-check is hoisted out of
-// the pixel loop, and the unmasked tol==0 case — the matcher's default
-// configuration — compares eight pixels per step: the matcher calls this
-// once per distinct frame per lag, which adds up to millions of pixels per
-// analysed run.
+// and the matcher's image comparison. At tol==0 — the matcher's default
+// configuration — it compares eight pixels per step over the whole frame or
+// over each of the mask's spans.
 func DiffCount(a, b *Frame, mask *Mask, tol uint8) int {
 	if a == b {
 		return 0
 	}
-	n := 0
-	t := int(tol)
+	all := len(a.pix)
+	if tol > 0 {
+		return countTol(a.pix, b.pix, mask, tol, all)
+	}
 	if mask == nil {
-		if tol == 0 {
-			return diffCountExact(a.pix, b.pix)
-		}
-		for i := range a.pix {
-			d := int(a.pix[i]) - int(b.pix[i])
-			if d < 0 {
-				d = -d
-			}
-			if d > t {
-				n++
-			}
-		}
-		return n
+		return countDiff(a.pix, b.pix, 0, all)
 	}
-	if tol == 0 {
-		return diffCountMaskedExact(a.pix, b.pix, mask)
-	}
-	skip := mask.skip
-	for i := range a.pix {
-		if skip[i] {
-			continue
-		}
-		d := int(a.pix[i]) - int(b.pix[i])
-		if d < 0 {
-			d = -d
-		}
-		if d > t {
-			n++
-		}
+	n := 0
+	for _, s := range mask.spans {
+		n = countDiff(a.pix[s.lo:s.hi], b.pix[s.lo:s.hi], n, all)
 	}
 	return n
 }
 
-// diffCountMaskedExact is the masked tol==0 fast path: it walks the mask's
-// precompiled word runs, XORs one word of each frame, applies the byte-keep
-// mask and popcounts the non-zero-byte SWAR mask — identical arithmetic to
-// diffCountExact, but skipping fully masked words. The scalar tail covers
-// lengths that are not a multiple of eight.
-func diffCountMaskedExact(a, b []uint8, m *Mask) int {
+// countDiff adds to n the number of positions where a and b differ, eight
+// bytes at a time: XOR a word of each input and popcount the per-byte
+// non-zero mask (the SWAR zero-byte trick — (x&0x7f…)+0x7f… overflows bit 7
+// of every byte with a non-zero low part, OR-ing x itself catches 0x80).
+// Equal words cost one compare. It returns as soon as the count exceeds
+// limit, so a verdict needs only n > limit.
+func countDiff(a, b []uint8, n, limit int) int {
 	const (
 		low7 = 0x7f7f7f7f7f7f7f7f
 		high = 0x8080808080808080
 	)
-	n := 0
-	for _, w := range m.wordRuns() {
-		x := (binary.LittleEndian.Uint64(a[w.off:]) ^ binary.LittleEndian.Uint64(b[w.off:])) & w.keep
-		if x != 0 {
-			n += bits.OnesCount64(((x & low7) + low7 | x) & high)
-		}
-	}
-	for i := len(a) &^ 7; i < len(a); i++ {
-		if !m.skip[i] && a[i] != b[i] {
-			n++
-		}
-	}
-	return n
-}
-
-// diffCountExact counts differing bytes eight at a time: XOR a word of each
-// input and popcount the per-byte non-zero mask (the SWAR zero-byte trick —
-// (x&0x7f…)+0x7f… overflows bit 7 of every byte with a non-zero low part,
-// OR-ing x itself catches 0x80). Equal words — the overwhelmingly common
-// case when the matcher compares near-identical frames — cost one compare.
-// The scalar tail handles lengths that are not a multiple of eight.
-func diffCountExact(a, b []uint8) int {
-	const (
-		low7 = 0x7f7f7f7f7f7f7f7f
-		high = 0x8080808080808080
-	)
-	n := 0
 	for len(a) >= 8 && len(b) >= 8 {
 		x := binary.LittleEndian.Uint64(a) ^ binary.LittleEndian.Uint64(b)
 		if x != 0 {
 			n += bits.OnesCount64(((x & low7) + low7 | x) & high)
+			if n > limit {
+				return n
+			}
 		}
 		a, b = a[8:], b[8:]
 	}
 	for i := range a {
 		if a[i] != b[i] {
 			n++
+			if n > limit {
+				return n
+			}
 		}
 	}
 	return n
 }
 
-// Similar reports whether two frames match under a mask, per-pixel
-// tolerance, and a maximum count of deviating pixels. The paper's suggester
-// "can be set to allow a certain amount of pixel difference between frames".
-// Unlike DiffCount it only needs a verdict, so every path bails out as soon
-// as the running count exceeds the allowance — on the matcher's reject path
-// (a candidate frame that is nothing like the ending) that is typically the
-// first differing word.
-func Similar(a, b *Frame, mask *Mask, tol uint8, maxDiffPixels int) bool {
-	if a == b {
-		return true
-	}
-	if mask == nil && maxDiffPixels == 0 && tol == 0 {
-		return Equal(a, b)
-	}
-	return !diffExceeds(a.pix, b.pix, mask, tol, maxDiffPixels)
-}
-
-// Comparer carries scan-locality state for repeated Similar tests of a
-// stream of frames against one reference (the matcher's scan for a lag
-// ending). Consecutive rejected frames usually differ from the reference in
-// the same region — the row being typed into, the animating widget — so the
-// comparer remembers which word decided the last rejection and tries it
-// first, turning the typical reject into a single word compare. The hint
-// only reorders the scan; verdicts are identical to Similar's. The zero
-// value is ready to use; a Comparer must not be shared between goroutines.
-type Comparer struct {
-	hint int // byte offset (mask == nil) or wordRuns index (masked)
-}
-
-// Similar is Comparer-accelerated video.Similar: same verdict, with the
-// reject fast path starting at the remembered hot word.
-func (c *Comparer) Similar(a, b *Frame, mask *Mask, tol uint8, maxDiffPixels int) bool {
-	if a == b {
-		return true
-	}
-	if tol == 0 {
-		if mask == nil && maxDiffPixels == 0 {
-			return Equal(a, b)
-		}
-		if mask != nil {
-			return !c.maskedExceeds(a.pix, b.pix, mask, maxDiffPixels)
-		}
-	}
-	return !diffExceeds(a.pix, b.pix, mask, tol, maxDiffPixels)
-}
-
-// maskedExceeds is the hinted masked tol==0 scan: words are visited starting
-// at the hinted index and wrapping around, so the count is exact while the
-// early exit usually fires on the first word visited.
-func (c *Comparer) maskedExceeds(a, b []uint8, mask *Mask, limit int) bool {
-	const (
-		low7 = 0x7f7f7f7f7f7f7f7f
-		high = 0x8080808080808080
-	)
-	words := mask.wordRuns()
-	h := c.hint
-	if h >= len(words) {
-		h = 0
+// countTol counts unmasked pixels that differ by more than tol, returning as
+// soon as the count exceeds limit.
+func countTol(a, b []uint8, mask *Mask, tol uint8, limit int) int {
+	var skip []bool
+	if mask != nil {
+		skip = mask.skip
 	}
 	n := 0
-	for k := range words {
-		i := k + h
-		if i >= len(words) {
-			i -= len(words)
-		}
-		w := words[i]
-		x := (binary.LittleEndian.Uint64(a[w.off:]) ^ binary.LittleEndian.Uint64(b[w.off:])) & w.keep
-		if x != 0 {
-			n += bits.OnesCount64(((x & low7) + low7 | x) & high)
-			if n > limit {
-				c.hint = i
-				return true
-			}
-		}
-	}
-	for i := len(a) &^ 7; i < len(a); i++ {
-		if !mask.skip[i] && a[i] != b[i] {
-			n++
-			if n > limit {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// diffExceeds reports whether the masked diff count exceeds limit,
-// returning as soon as the verdict is decided.
-func diffExceeds(a, b []uint8, mask *Mask, tol uint8, limit int) bool {
-	const (
-		low7 = 0x7f7f7f7f7f7f7f7f
-		high = 0x8080808080808080
-	)
-	n := 0
-	if tol == 0 {
-		if mask == nil {
-			for len(a) >= 8 && len(b) >= 8 {
-				x := binary.LittleEndian.Uint64(a) ^ binary.LittleEndian.Uint64(b)
-				if x != 0 {
-					n += bits.OnesCount64(((x & low7) + low7 | x) & high)
-					if n > limit {
-						return true
-					}
-				}
-				a, b = a[8:], b[8:]
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					n++
-					if n > limit {
-						return true
-					}
-				}
-			}
-			return false
-		}
-		for _, w := range mask.wordRuns() {
-			x := (binary.LittleEndian.Uint64(a[w.off:]) ^ binary.LittleEndian.Uint64(b[w.off:])) & w.keep
-			if x != 0 {
-				n += bits.OnesCount64(((x & low7) + low7 | x) & high)
-				if n > limit {
-					return true
-				}
-			}
-		}
-		for i := len(a) &^ 7; i < len(a); i++ {
-			if !mask.skip[i] && a[i] != b[i] {
-				n++
-				if n > limit {
-					return true
-				}
-			}
-		}
-		return false
-	}
 	t := int(tol)
 	for i := range a {
-		if mask != nil && mask.skip[i] {
+		if skip != nil && skip[i] {
 			continue
 		}
 		d := int(a[i]) - int(b[i])
@@ -414,9 +213,80 @@ func diffExceeds(a, b []uint8, mask *Mask, tol uint8, limit int) bool {
 		if d > t {
 			n++
 			if n > limit {
-				return true
+				return n
 			}
 		}
+	}
+	return n
+}
+
+// Similar reports whether two frames match under a mask, per-pixel
+// tolerance, and a maximum count of deviating pixels. The paper's suggester
+// "can be set to allow a certain amount of pixel difference between frames".
+// Unlike DiffCount it only needs a verdict, so every path bails out as soon
+// as the running count exceeds the allowance.
+func Similar(a, b *Frame, mask *Mask, tol uint8, maxDiffPixels int) bool {
+	var c Comparer
+	return c.Similar(a, b, mask, tol, maxDiffPixels)
+}
+
+// Comparer carries scan-locality state for repeated Similar tests of a
+// stream of frames against one reference (the matcher's scan for a lag
+// ending). Consecutive rejected frames usually differ from the reference in
+// the same region — the row being typed into, the animating widget — so the
+// comparer remembers which mask span decided the last rejection and compares
+// it first. The hint only reorders the scan; verdicts are identical to
+// Similar's. The zero value is ready to use; a Comparer must not be shared
+// between goroutines.
+type Comparer struct {
+	hint int // index into the mask's spans
+}
+
+// Similar is Comparer-accelerated video.Similar: same verdict, with a masked
+// scan starting at the remembered span.
+func (c *Comparer) Similar(a, b *Frame, mask *Mask, tol uint8, maxDiffPixels int) bool {
+	if a == b {
+		return true
+	}
+	limit := max(maxDiffPixels, 0)
+	switch {
+	case tol > 0:
+		return countTol(a.pix, b.pix, mask, tol, limit) <= limit
+	case mask != nil:
+		return !c.spansExceed(a.pix, b.pix, mask.spans, limit)
+	case limit == 0:
+		return bytes.Equal(a.pix, b.pix)
+	}
+	return countDiff(a.pix, b.pix, 0, limit) <= limit
+}
+
+// spansExceed reports whether more than limit unmasked pixels differ. Spans
+// are visited from the hinted one, wrapping around, so the count is exact
+// while a typical rejection is decided by the first span compared. At limit
+// 0 — every entry annotate.Build makes — each span is one bytes.Equal, so a
+// confirmed match costs a few memory compares rather than a word-by-word
+// count.
+func (c *Comparer) spansExceed(a, b []uint8, spans []span, limit int) bool {
+	h := c.hint
+	if h >= len(spans) {
+		h = 0
+	}
+	n := 0
+	for k := range spans {
+		i := k + h
+		if i >= len(spans) {
+			i -= len(spans)
+		}
+		s := spans[i]
+		if limit == 0 {
+			if bytes.Equal(a[s.lo:s.hi], b[s.lo:s.hi]) {
+				continue
+			}
+		} else if n = countDiff(a[s.lo:s.hi], b[s.lo:s.hi], n, limit); n <= limit {
+			continue
+		}
+		c.hint = i
+		return true
 	}
 	return false
 }
@@ -447,12 +317,19 @@ func (v *Video) FPSRate() int { return v.fps }
 
 // Append adds the next captured frame. Identical consecutive frames extend
 // the current run and share storage.
-func (v *Video) Append(f *Frame) {
-	if n := len(v.runs); n > 0 && Equal(v.runs[n-1].Frame, f) {
-		v.runs[n-1].Count++
+func (v *Video) Append(f *Frame) { v.AppendN(f, 1) }
+
+// AppendN adds n consecutive captures of f (none if n <= 0) as one run, or
+// one extension of the current run when f equals its frame.
+func (v *Video) AppendN(f *Frame, n int) {
+	if n <= 0 {
 		return
 	}
-	v.runs = append(v.runs, Run{Frame: f, Start: v.Len(), Count: 1})
+	if k := len(v.runs); k > 0 && Equal(v.runs[k-1].Frame, f) {
+		v.runs[k-1].Count += n
+		return
+	}
+	v.runs = append(v.runs, Run{Frame: f, Start: v.Len(), Count: n})
 }
 
 // Len returns the number of frames.
@@ -493,21 +370,24 @@ func (v *Video) TimeOf(i int) sim.Time {
 }
 
 // IndexAt returns the index of the frame visible at time t: the largest i
-// with TimeOf(i) <= t. The ±1 adjustment keeps it the exact inverse of
-// TimeOf under integer flooring.
+// with TimeOf(i) <= t, clamped to the video.
 func (v *Video) IndexAt(t sim.Time) int {
 	if t < 0 {
 		return 0
 	}
+	return min(v.lastInstant(t), v.Len()-1)
+}
+
+// lastInstant returns the largest i >= 0 with TimeOf(i) <= t, for t >= 0,
+// whether or not frame i has been captured yet. The ±1 adjustment keeps it
+// the exact inverse of TimeOf under integer flooring.
+func (v *Video) lastInstant(t sim.Time) int {
 	i := int(int64(t) * int64(v.fps) / 1_000_000)
 	for v.TimeOf(i+1) <= t {
 		i++
 	}
 	for i > 0 && v.TimeOf(i) > t {
 		i--
-	}
-	if max := v.Len() - 1; i > max {
-		i = max
 	}
 	return i
 }

@@ -79,12 +79,17 @@ func (r *Recorder) Wake() {
 		return
 	}
 	r.asleep = false
-	now := r.eng.Now()
-	for r.instant(r.frame) <= now {
-		r.video.Append(r.source())
-		r.frame++
-	}
+	r.backfill()
 	r.eng.AtFunc(r.instant(r.frame), r.tickFn)
+}
+
+// backfill appends the capture instants slept through up to and including
+// now as one run of the still-unchanged source.
+func (r *Recorder) backfill() {
+	if n := r.video.lastInstant(r.eng.Now()-r.start) + 1 - r.frame; n > 0 {
+		r.video.AppendN(r.source(), n)
+		r.frame += n
+	}
 }
 
 // Stop halts capture after the current frame. A sleeping recorder first
@@ -92,11 +97,7 @@ func (r *Recorder) Wake() {
 // source, so the video is exactly as long as a polled capture's.
 func (r *Recorder) Stop() {
 	if r.asleep {
-		now := r.eng.Now()
-		for r.instant(r.frame) <= now {
-			r.video.Append(r.source())
-			r.frame++
-		}
+		r.backfill()
 		r.asleep = false
 	}
 	r.stop = true

@@ -17,7 +17,7 @@ func solidFrame(shade uint8) *Frame {
 }
 
 // scalarDiffExact is the reference byte-by-byte implementation the word-wide
-// tol==0 fast path must agree with.
+// tol==0 count must agree with.
 func scalarDiffExact(a, b []uint8) int {
 	n := 0
 	for i := range a {
@@ -28,7 +28,7 @@ func scalarDiffExact(a, b []uint8) int {
 	return n
 }
 
-// TestDiffCountExactEquivalence drives the word-wide tol==0 fast path
+// TestDiffCountExactEquivalence drives the word-wide tol==0 count
 // against the scalar reference: dense and sparse differences, every byte
 // value class (including 0x80, the SWAR trick's edge), differences inside
 // one word and at slice tails of every alignment.
@@ -62,8 +62,8 @@ func TestDiffCountExactEquivalence(t *testing.T) {
 					b[i] = 0
 				}
 			}
-			if got, want := diffCountExact(a, b), scalarDiffExact(a, b); got != want {
-				t.Fatalf("size %d trial %d: diffCountExact = %d, scalar = %d", size, trial, got, want)
+			if got, want := countDiff(a, b, 0, size), scalarDiffExact(a, b); got != want {
+				t.Fatalf("size %d trial %d: countDiff = %d, scalar = %d", size, trial, got, want)
 			}
 		}
 	}
@@ -94,10 +94,11 @@ func scalarDiffMasked(a, b []uint8, skip []bool, tol uint8) int {
 	return n
 }
 
-// TestDiffCountMaskedEquivalence drives the masked word-run fast path
-// against the scalar reference across sizes, alignments and mask shapes:
-// empty masks, fully-masked buffers, word-internal mask edges, masks ending
-// mid-word and in the scalar tail.
+// TestDiffCountMaskedEquivalence drives the masked span paths — the
+// per-span count, and at limit 0 the per-span bytes.Equal — against the
+// scalar reference across sizes, alignments and mask shapes: empty masks,
+// fully-masked buffers, word-internal mask edges, masks ending mid-word and
+// in the scalar tail.
 func TestDiffCountMaskedEquivalence(t *testing.T) {
 	rng := uint64(0x51ed2701)
 	next := func() uint64 {
@@ -147,28 +148,36 @@ func TestDiffCountMaskedEquivalence(t *testing.T) {
 					}
 				}
 			}
-			m := &Mask{skip: skip}
+			m := newMask(skip)
+			fa, fb := &Frame{pix: a}, &Frame{pix: b}
 			want := scalarDiffMasked(a, b, skip, 0)
-			if got := diffCountMaskedExact(a, b, m); got != want {
-				t.Fatalf("size %d trial %d: diffCountMaskedExact = %d, scalar = %d", size, trial, got, want)
+			if got := DiffCount(fa, fb, m, 0); got != want {
+				t.Fatalf("size %d trial %d: masked DiffCount = %d, scalar = %d", size, trial, got, want)
 			}
 			// Similar must agree with a count-then-compare verdict at
-			// budgets around the true count, masked and unmasked, tol 0 and 3.
-			// The hinted comparer carries its hint across trials and must
+			// budgets around the true count — limit 0 takes the span
+			// compare — masked and unmasked, tol 0 and 3. The hinted
+			// comparer carries its hint across trials and masks and must
 			// still agree everywhere.
-			for _, tol := range []uint8{0, 3} {
-				wantN := scalarDiffMasked(a, b, skip, tol)
-				for _, lim := range []int{0, wantN - 1, wantN, wantN + 1, size} {
-					if lim < 0 {
-						continue
-					}
-					if got := diffExceeds(a, b, m, tol, lim); got != (wantN > lim) {
-						t.Fatalf("size %d trial %d tol %d limit %d: diffExceeds = %v, count %d",
-							size, trial, tol, lim, got, wantN)
-					}
-					if got := cmp.maskedExceeds(a, b, m, lim); tol == 0 && got != (wantN > lim) {
-						t.Fatalf("size %d trial %d limit %d: hinted maskedExceeds = %v, count %d",
-							size, trial, lim, got, wantN)
+			for _, mask := range []*Mask{m, nil} {
+				var ms []bool
+				if mask != nil {
+					ms = skip
+				}
+				for _, tol := range []uint8{0, 3} {
+					wantN := scalarDiffMasked(a, b, ms, tol)
+					for _, lim := range []int{0, wantN - 1, wantN, wantN + 1, size} {
+						if lim < 0 {
+							continue
+						}
+						if got := Similar(fa, fb, mask, tol, lim); got != (wantN <= lim) {
+							t.Fatalf("size %d trial %d masked %v tol %d limit %d: Similar = %v, count %d",
+								size, trial, mask != nil, tol, lim, got, wantN)
+						}
+						if got := cmp.Similar(fa, fb, mask, tol, lim); got != (wantN <= lim) {
+							t.Fatalf("size %d trial %d masked %v tol %d limit %d: hinted Similar = %v, count %d",
+								size, trial, mask != nil, tol, lim, got, wantN)
+						}
 					}
 				}
 			}
@@ -397,6 +406,70 @@ func TestRecorderCapturesAtRate(t *testing.T) {
 	if v.FrameAt(29).Pix()[0] != 0 || v.FrameAt(30).Pix()[0] != 99 {
 		t.Fatal("content change not captured at the right frame")
 	}
+
+	// A demand-driven recorder sleeps through still content and back-fills
+	// the slept-over instants when woken; its video must equal per-instant
+	// polling. The changes make it back-fill 29 instants, then 0 (woken
+	// between two instants right after falling asleep), 1 (woken exactly at
+	// the next instant) and 3000.
+	changes := []sim.Time{1_000_005, 1_080_000, 1_166_666, 101_233_333}
+	want, _ := captureScript(false, changes, sim.Time(102*sim.Second))
+	got, renders := captureScript(true, changes, sim.Time(102*sim.Second))
+	sameVideo(t, got, want)
+	if renders > 20 {
+		t.Fatalf("demand-driven recorder read its source %d times for %d frames; it never slept", renders, got.Len())
+	}
+}
+
+// captureScript records a solid-shade source whose content changes at the
+// given times, with a dirty probe (demand driven) or without (polling every
+// instant), and stops the recorder at stop. Each change wakes the recorder
+// before mutating the content, as device.Device's OnDirty hook does, from an
+// event scheduled after any polling tick at the same instant. It returns the
+// video and how often the source was read.
+func captureScript(probe bool, changes []sim.Time, stop sim.Time) (*Video, int) {
+	eng := sim.NewEngine()
+	frame, dirty, reads := solidFrame(0), true, 0
+	rec := NewRecorder(eng, FPS, func() *Frame {
+		reads++
+		dirty = false
+		return frame
+	})
+	if probe {
+		rec.BindDirty(func() bool { return dirty })
+	}
+	rec.Start()
+	for i, at := range changes {
+		shade := uint8(i + 1)
+		eng.At(at-1, func(e *sim.Engine) {
+			e.At(at, func(*sim.Engine) {
+				if !dirty {
+					rec.Wake()
+				}
+				frame, dirty = solidFrame(shade), true
+			})
+		})
+	}
+	eng.RunUntil(stop)
+	rec.Stop()
+	eng.RunUntil(stop + sim.Time(sim.Second))
+	return rec.Video(), reads
+}
+
+// sameVideo fails unless two videos have identical runs and pixels.
+func sameVideo(t *testing.T, got, want *Video) {
+	t.Helper()
+	if got.Len() != want.Len() || got.DistinctFrames() != want.DistinctFrames() {
+		t.Fatalf("video has %d frames in %d runs, want %d in %d",
+			got.Len(), got.DistinctFrames(), want.Len(), want.DistinctFrames())
+	}
+	for k, r := range got.Runs() {
+		w := want.Runs()[k]
+		if r.Start != w.Start || r.Count != w.Count || !Equal(r.Frame, w.Frame) {
+			t.Fatalf("run %d: [%d,+%d) shade %d, want [%d,+%d) shade %d",
+				k, r.Start, r.Count, r.Frame.Pix()[0], w.Start, w.Count, w.Frame.Pix()[0])
+		}
+	}
 }
 
 func TestRecorderStop(t *testing.T) {
@@ -409,6 +482,63 @@ func TestRecorderStop(t *testing.T) {
 	eng.RunUntil(sim.Time(2 * sim.Second))
 	if rec.Video().Len() != n {
 		t.Fatal("recorder kept capturing after Stop")
+	}
+
+	// Stopping a sleeping recorder back-fills up to the stop instant, so the
+	// video is as long as a polled one: after the change at 1 s it falls
+	// asleep past instant 32 (1,066,666 µs); stops then back-fill 0, 1 and
+	// thousands of instants.
+	changes := []sim.Time{1_000_005}
+	for _, stop := range []sim.Time{1_066_676, 1_100_000, 1_133_332, 1_133_333, 150_000_000} {
+		want, _ := captureScript(false, changes, stop)
+		got, _ := captureScript(true, changes, stop)
+		sameVideo(t, got, want)
+	}
+}
+
+// TestRecorderWakeAllocFree gates the back-fill: waking a recorder that
+// slept through hundreds of instants of unchanged content extends the
+// current run once and schedules one tick, allocating nothing.
+func TestRecorderWakeAllocFree(t *testing.T) {
+	eng := sim.NewEngine()
+	frame, dirty := solidFrame(5), false
+	rec := NewRecorder(eng, FPS, func() *Frame {
+		dirty = false
+		return frame
+	})
+	rec.BindDirty(func() bool { return dirty })
+	rec.Start()
+	eng.RunUntil(sim.Time(sim.Second))
+	now := eng.Now()
+	if avg := testing.AllocsPerRun(50, func() {
+		now += sim.Time(10 * sim.Second)
+		eng.RunUntil(now)
+		rec.Wake()
+		dirty = true
+		eng.RunUntil(now + sim.Time(100*sim.Millisecond))
+	}); avg != 0 {
+		t.Fatalf("back-filling wake allocates %.2f, want 0", avg)
+	}
+	v := rec.Video()
+	if v.DistinctFrames() != 1 || v.Len() < 51*300 {
+		t.Fatalf("video has %d frames in %d runs, want one run of >= %d", v.Len(), v.DistinctFrames(), 51*300)
+	}
+}
+
+// TestSpanCompareAllocFree gates the matcher's comparison at tolerance 0
+// and max_diff_pixels 0: a masked accept and a masked reject read the
+// mask's precompiled spans and allocate nothing.
+func TestSpanCompareAllocFree(t *testing.T) {
+	a, b, c := solidFrame(3), solidFrame(3), solidFrame(3)
+	c.pix[len(c.pix)/2] = 4
+	mask := NewMask(screen.ClockRect)
+	var cmp Comparer
+	if avg := testing.AllocsPerRun(100, func() {
+		if !cmp.Similar(a, b, mask, 0, 0) || cmp.Similar(a, c, mask, 0, 0) {
+			t.Fatal("span compare verdict wrong")
+		}
+	}); avg != 0 {
+		t.Fatalf("span compare allocates %.2f, want 0", avg)
 	}
 }
 
