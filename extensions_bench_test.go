@@ -93,47 +93,60 @@ func BenchmarkJankCharacterization(b *testing.B) {
 // BenchmarkNetProxyDeterminism measures replaying a network-heavy workload
 // with the deterministic network proxy (future work §VI) and reports the
 // residual lag spread between differently-seeded replays, with and without
-// the proxy.
+// the proxy: Σ|Δlag| over the interactions of seeds 2 and 3. Summing each
+// lag's own deviation keeps opposite-signed deviations from cancelling, as
+// they would in a difference of total lag.
 func BenchmarkNetProxyDeterminism(b *testing.B) {
 	w := workload.Dataset05() // Pulse News: network-heavy
 	rec, _, err := w.Record(1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(seed uint64, proxy *netproxy.Proxy) sim.Duration {
+	// lags returns each interaction's lag, 0 for spurious or incomplete ones.
+	lags := func(seed uint64, proxy *netproxy.Proxy) []sim.Duration {
 		prof := w.Profile
 		prof.NetProxy = proxy
 		wp := *w
 		wp.Profile = prof
 		art := workload.Replay(&wp, rec, governor.NewInteractive(), "interactive", seed, false)
-		var total sim.Duration
-		for _, gt := range art.Truths {
+		out := make([]sim.Duration, len(art.Truths))
+		for i, gt := range art.Truths {
 			if !gt.Spurious && gt.Complete {
-				total += gt.CompleteTime.Sub(gt.InputTime)
+				out[i] = gt.CompleteTime.Sub(gt.InputTime)
 			}
 		}
-		return total
+		return out
+	}
+	spread := func(a, c []sim.Duration) sim.Duration {
+		if len(a) != len(c) {
+			b.Fatalf("replays saw %d and %d interactions", len(a), len(c))
+		}
+		var sum sim.Duration
+		for i := range a {
+			d := a[i] - c[i]
+			if d < 0 {
+				d = -d
+			}
+			sum += d
+		}
+		return sum
 	}
 	recProxy := netproxy.New(netproxy.Record)
-	run(1, recProxy)
+	lags(1, recProxy)
 
+	// misses counts the accesses of both proxied replays that found no
+	// recorded timing and fell back to the live, seed-dependent one.
 	var withSpread, withoutSpread sim.Duration
+	misses := 0
 	for i := 0; i < b.N; i++ {
-		a := run(2, recProxy.ReplayCopy())
-		c := run(3, recProxy.ReplayCopy())
-		withSpread = a - c
-		if withSpread < 0 {
-			withSpread = -withSpread
-		}
-		pa := run(2, nil)
-		pc := run(3, nil)
-		withoutSpread = pa - pc
-		if withoutSpread < 0 {
-			withoutSpread = -withoutSpread
-		}
+		pa, pc := recProxy.ReplayCopy(), recProxy.ReplayCopy()
+		withSpread = spread(lags(2, pa), lags(3, pc))
+		misses = pa.Misses() + pc.Misses()
+		withoutSpread = spread(lags(2, nil), lags(3, nil))
 	}
 	b.ReportMetric(withSpread.Seconds()*1000, "spread-ms-proxy")
 	b.ReportMetric(withoutSpread.Seconds()*1000, "spread-ms-plain")
+	b.ReportMetric(float64(misses), "proxy-misses")
 	if withSpread >= withoutSpread {
 		b.Fatalf("proxy spread %v not below plain %v", withSpread, withoutSpread)
 	}

@@ -242,6 +242,9 @@ func Load(r io.Reader) (*DB, error) {
 			if err != nil {
 				return nil, fmt.Errorf("annotate: entry %d image: %w", e.Index, err)
 			}
+			if want := screen.FBW * screen.FBH; len(pix) != want {
+				return nil, fmt.Errorf("annotate: entry %d image: %d bytes, want %d", e.Index, len(pix), want)
+			}
 			e.Image = video.NewFrame(pix)
 		}
 		db.Entries = append(db.Entries, e)

@@ -2,6 +2,9 @@ package annotate
 
 import (
 	"bytes"
+	"encoding/base64"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -159,6 +162,31 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewBufferString(`{"entries":[{"index":0,"image":"@@@"}]}`)); err == nil {
 		t.Fatal("bad base64 accepted")
+	}
+}
+
+// TestLoadRejectsWrongImageSize pins that an image which is not one
+// framebuffer is an error naming its entry, not a panic in video.NewFrame.
+func TestLoadRejectsWrongImageSize(t *testing.T) {
+	good := base64.StdEncoding.EncodeToString(make([]byte, screen.FBW*screen.FBH))
+	for _, tc := range []struct {
+		name string
+		size int
+	}{
+		{"short", 3},
+		{"long", screen.FBW*screen.FBH + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := base64.StdEncoding.EncodeToString(make([]byte, tc.size))
+			in := fmt.Sprintf(`{"entries":[{"index":0,"image":%q},{"index":1,"image":%q}]}`, good, bad)
+			_, err := Load(bytes.NewBufferString(in))
+			if err == nil {
+				t.Fatalf("%d-byte image accepted", tc.size)
+			}
+			if want := fmt.Sprintf("entry 1 image: %d bytes", tc.size); !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not contain %q", err, want)
+			}
+		})
 	}
 }
 

@@ -47,6 +47,37 @@ func TestThermalTickAllocFree(t *testing.T) {
 	}
 }
 
+// BenchmarkDeviceThermalTick measures one device-level thermal tick on a
+// warm, idle big.LITTLE device: the per-cluster busy delta over every OPP,
+// power integration, zone step, coupling and trace append. Between bursts —
+// most ticks of a replay — every OPP's busy delta is zero, which is the
+// case this bench holds fixed.
+func BenchmarkDeviceThermalTick(b *testing.B) {
+	prof := Profile{
+		SoC:     soc.BigLittle44(),
+		Thermal: thermal.PhoneConfig(2, 0, 0),
+	}
+	model, err := prof.SoC.Calibrate(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof.ThermalPower = model
+	eng := sim.NewEngine()
+	dev := NewMulti(eng, 1, []governor.Governor{nil, nil}, prof)
+	dev.ReserveTraces(20 * sim.Second)
+	eng.RunUntil(sim.Time(2 * sim.Second))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%128 == 0 {
+			for _, ct := range dev.ClusterTraces {
+				ct.Temp.Reset()
+			}
+		}
+		dev.thermalTick(dev.thermalPeriod)
+	}
+}
+
 // TestFrameCaptureNoAllocWhenUnchanged pins the zero-copy capture property:
 // a dirty flag whose re-render produces identical pixels returns the cached
 // frame without cloning, and the video extends its run on pointer identity.

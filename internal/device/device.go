@@ -511,11 +511,15 @@ func (d *Device) thermalTick(period sim.Duration) {
 		// Mean dynamic power over the tick window, integrated from the
 		// per-OPP busy delta since the previous tick — the same integral
 		// energy accounting uses, without re-walking history or allocating.
+		// All but one or two OPPs sit idle over a tick; skipping their zero
+		// deltas leaves the sum bit-identical (each would add +0).
 		cur := cl.CopyBusyByOPP(d.busyScratch[i])
 		var heatJ float64
 		dyn := d.Power.Cluster(i).DynW
 		for k, b := range cur {
-			heatJ += dyn[k] * (b - d.prevBusy[i][k]).Seconds()
+			if delta := b - d.prevBusy[i][k]; delta != 0 {
+				heatJ += dyn[k] * delta.Seconds()
+			}
 		}
 		d.prevBusy[i], d.busyScratch[i] = cur, d.prevBusy[i]
 		powerW := heatJ / period.Seconds()
