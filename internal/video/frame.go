@@ -70,9 +70,16 @@ type Mask struct {
 // span is the byte range [lo, hi) of a frame.
 type span struct{ lo, hi int }
 
-// newMask compiles a skip bitmap into a mask.
+// newMask compiles a skip bitmap into a mask, counting the spans first so
+// the mask costs one allocation for them.
 func newMask(skip []bool) *Mask {
-	m := &Mask{skip: skip}
+	n := 0
+	for i, s := range skip {
+		if !s && (i == 0 || skip[i-1]) {
+			n++
+		}
+	}
+	m := &Mask{skip: skip, spans: make([]span, 0, n)}
 	for i := 0; i < len(skip); i++ {
 		if skip[i] {
 			continue
