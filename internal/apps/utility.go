@@ -295,7 +295,7 @@ func (p *PlayStore) HandleTap(x, y int) bool {
 				p.installFrac = 0.6
 				p.H.Invalidate()
 				ix.Chunks("playstore.unpack", 3, CostHeavyUI/2, func(i int) {
-					p.installFrac = 0.6 + float64(i)*0.13
+					p.installFrac = 0.6 + float64(float64(i)*0.13) // no fused multiply-add
 				}, func() {
 					p.installing = false
 					p.installed++

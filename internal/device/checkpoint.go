@@ -12,8 +12,8 @@ import (
 
 // Checkpoint is a deep snapshot of a device's complete simulation state:
 // engine clock and event queue, SoC (clusters, run queues, task pool, idle
-// ladders), RNG stream position, app and service state machines, ground
-// truth, governor state, traces and thermal state.
+// ladders), RNG stream position, app and service state machines, network
+// proxy cursors, ground truth, governor state, traces and thermal state.
 //
 // A checkpoint is bound to the device it was taken from: the restored engine
 // queue holds the original closures, which capture that device's apps,
@@ -53,8 +53,8 @@ type Checkpoint struct {
 	dispatchIdx int
 	foreground  string
 
-	// state serialises app, launcher, stateful-service and (when sealed)
-	// governor state, in a fixed order.
+	// state serialises app, launcher, stateful-service, network-proxy and
+	// (when sealed) governor state, in a fixed order.
 	state snap.Buf
 
 	vsyncOn  bool
@@ -110,6 +110,9 @@ func (d *Device) Checkpoint(cp *Checkpoint) *Checkpoint {
 		if ss, ok := s.(apps.StatefulService); ok {
 			ss.SaveState(&cp.state)
 		}
+	}
+	if d.prof.NetProxy != nil {
+		d.prof.NetProxy.SaveState(&cp.state)
 	}
 
 	cp.vsyncOn = d.vsyncOn
@@ -196,6 +199,9 @@ func (d *Device) Restore(cp *Checkpoint) {
 		if ss, ok := s.(apps.StatefulService); ok {
 			ss.LoadState(&cp.state)
 		}
+	}
+	if d.prof.NetProxy != nil {
+		d.prof.NetProxy.LoadState(&cp.state)
 	}
 
 	d.vsyncOn = cp.vsyncOn

@@ -164,10 +164,12 @@ type Device struct {
 	thermalFn     func()
 	thermalPeriod sim.Duration
 
-	// busyCurveScratch, when set via SetBusyScratch, is recycled storage for
-	// the next Seal's SoC-aggregate busy curve (consumed by that Seal, like
+	// busyCurveScratch and gridScratch, when set via SetBusyScratch and
+	// SetGridScratch, are recycled storage for the next Seal's SoC-aggregate
+	// busy curve and per-cluster busy grids (consumed by that Seal, like
 	// TraceScratch).
 	busyCurveScratch *trace.BusyCurve
+	gridScratch      [][]sim.Duration
 
 	// input assembly
 	curGesture  *evdev.Gesture
@@ -325,6 +327,8 @@ func (d *Device) Seal(seed uint64, govs []governor.Governor) {
 	}
 	ts := d.prof.TraceScratch
 	d.prof.TraceScratch = nil
+	gs := d.gridScratch
+	d.gridScratch = nil
 	if ts != nil {
 		// Recycled traces: the caller surrendered last run's artefacts, so
 		// their slice header is reusable storage too (alloc-free fork loop).
@@ -347,7 +351,11 @@ func (d *Device) Seal(seed uint64, govs []governor.Governor) {
 		ct.Freq.Append(0, cl.OPPIndex())
 		// The cluster fills the busy grid itself as it settles; the samples
 		// come back into ct.Busy via FinishTraces after the run window.
-		cl.StartBusyGrid(busyStep, ct.Busy.Cum[:0])
+		grid := ct.Busy.Cum
+		if i < len(gs) {
+			grid = gs[i]
+		}
+		cl.StartBusyGrid(busyStep, grid[:0])
 		ct.Busy.Cum = nil
 		d.ClusterTraces = append(d.ClusterTraces, ct)
 	}
@@ -518,7 +526,7 @@ func (d *Device) thermalTick(period sim.Duration) {
 		dyn := d.Power.Cluster(i).DynW
 		for k, b := range cur {
 			if delta := b - d.prevBusy[i][k]; delta != 0 {
-				heatJ += dyn[k] * delta.Seconds()
+				heatJ += float64(dyn[k] * delta.Seconds()) // no fused multiply-add
 			}
 		}
 		d.prevBusy[i], d.busyScratch[i] = cur, d.prevBusy[i]
@@ -645,6 +653,10 @@ func (d *Device) SnapshotIdle() {
 // booted device can serve sweeps that pool frames and callers that keep them.
 func (d *Device) SetFramePool(p *video.FramePool) { d.prof.FramePool = p }
 
+// FramePool returns the pool frames are captured from (nil when frames are
+// freshly allocated).
+func (d *Device) FramePool() *video.FramePool { return d.prof.FramePool }
+
 // SetTraceScratch hands recycled per-cluster trace storage to the next Seal,
 // which consumes it (see Profile.TraceScratch). Without it every Seal
 // allocates fresh traces, which is what lets callers retain run artefacts.
@@ -654,6 +666,12 @@ func (d *Device) SetTraceScratch(ts []*trace.ClusterTraces) { d.prof.TraceScratc
 // which consumes it. Only callers that do not retain the run's BusyCurve
 // (e.g. the checkpoint allocation gate) should use this.
 func (d *Device) SetBusyScratch(c *trace.BusyCurve) { d.busyCurveScratch = c }
+
+// SetGridScratch hands recycled per-cluster busy-grid storage to the next
+// Seal, which consumes it: cluster i samples into grids[i] instead of its
+// trace's own storage. Only callers that do not retain the run's
+// per-cluster busy curves (sweeps that keep busy summaries) should use this.
+func (d *Device) SetGridScratch(grids [][]sim.Duration) { d.gridScratch = grids }
 
 // App returns a registered app by name (nil if unknown).
 func (d *Device) App(name string) apps.App { return d.appsByName[name] }

@@ -29,7 +29,9 @@ import (
 	"repro/internal/evdev"
 	"repro/internal/governor"
 	"repro/internal/match"
+	"repro/internal/oracle"
 	"repro/internal/power"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -142,7 +144,9 @@ var GovernorNames = []string{"conservative", "interactive", "ondemand"}
 
 // Run is the analysed outcome of one replay. Runs are built by worker
 // goroutines but immutable once a sweep returns, so reading them from any
-// goroutine afterwards is safe.
+// goroutine afterwards is safe. Sweeps keep busy summaries, not busy
+// curves: they fill Busy and ClusterBusy, leave BusyCurve nil and every
+// Clusters[i].Busy empty, and fill everything else.
 type Run struct {
 	// Config names the configuration replayed; Rep is the repetition index.
 	Config string
@@ -155,13 +159,19 @@ type Run struct {
 	// residency priced by the C-state ladder, plus wake stalls at the
 	// shallowest-state floor. 0 on specs without idle ladders.
 	LeakEnergyJ float64
+	// Busy is what oracle pricing reads of the SoC-aggregate busy curve,
+	// and ClusterBusy is each cluster's total busy time, in cluster order.
+	Busy        *oracle.BusySummary
+	ClusterBusy []sim.Duration
 	// BusyCurve and FreqTrace are the SoC-aggregate busy curve and the
-	// first cluster's frequency transition trace.
+	// first cluster's frequency transition trace. Sweeps leave BusyCurve
+	// nil.
 	BusyCurve *trace.BusyCurve
 	FreqTrace *trace.FreqTrace
 	// Clusters and Migrations carry the per-cluster traces and scheduler
 	// migration count for multi-cluster SoC specs (one entry, zero
-	// migrations on the paper's Dragonboard).
+	// migrations on the paper's Dragonboard). Sweep runs keep every series
+	// but the busy curve, which stays empty.
 	Clusters   []*trace.ClusterTraces
 	Migrations int
 }
@@ -407,14 +417,17 @@ func (o Options) fanOut(name string, n int, side *sideJob, label func(ji int) st
 
 // executeRun forks one config replay of the sweep's recording off the
 // worker's warm session for w (whose profile selects the spec and thermal
-// arm), matches its lags and prices its energy.
+// arm), matches its lags, prices its energy and summarises its busy curves,
+// whose storage goes back to the worker for its next replay.
 func (s *sweep) executeRun(w *workload.Workload, cfg Config, rep int, seed uint64, scratch *replayScratch) (*Run, error) {
 	w = scratch.pooledWorkload(w)
 	govs, err := cfg.Governors(w.Profile)
 	if err != nil {
 		return nil, err
 	}
-	art := scratch.session(w).ReplayRecording(s.rec, govs, cfg.Name, seed, true)
+	sess := scratch.session(w)
+	scratch.lend(sess.Dev, false)
+	art := sess.ReplayRecording(s.rec, govs, cfg.Name, seed, true)
 	profile, err := match.Match(art.Video, s.db, s.gestures, cfg.Name, match.Options{Strict: true})
 	if err != nil {
 		return nil, err
@@ -433,17 +446,24 @@ func (s *sweep) executeRun(w *workload.Workload, cfg Config, rep int, seed uint6
 			return nil, err
 		}
 	}
-	return &Run{
+	clusterBusy := make([]sim.Duration, len(art.Clusters))
+	for i, ct := range art.Clusters {
+		clusterBusy[i] = ct.Busy.Total()
+	}
+	r := &Run{
 		Config:      cfg.Name,
 		Rep:         rep,
 		Profile:     profile,
 		EnergyJ:     energy,
 		LeakEnergyJ: leak,
-		BusyCurve:   art.BusyCurve,
+		Busy:        oracle.SummarizeBusy(art.BusyCurve, profile),
+		ClusterBusy: clusterBusy,
 		FreqTrace:   art.FreqTrace,
 		Clusters:    art.Clusters,
 		Migrations:  art.Migrations,
-	}, nil
+	}
+	scratch.reclaim(art, false)
+	return r, nil
 }
 
 // idleLeakEnergy sums the model's idle leakage pricing over every

@@ -64,6 +64,47 @@ func TestQuickstartMatrix(t *testing.T) {
 	if taps+swipes != 7 || actual != 6 || spurious != 1 {
 		t.Errorf("classification: taps=%d swipes=%d actual=%d spurious=%d", taps, swipes, actual, spurious)
 	}
+
+	// Sweep runs keep busy summaries, not busy curves.
+	for _, cfg := range res.Configs {
+		for _, r := range res.Runs[cfg.Name] {
+			if r.Busy == nil || len(r.ClusterBusy) != 1 || r.BusyCurve != nil || len(r.Clusters[0].Busy.Cum) != 0 {
+				t.Fatalf("%s rep %d: busy summary %v, %d cluster totals, curve %v, %d grid samples kept",
+					cfg.Name, r.Rep, r.Busy != nil, len(r.ClusterBusy), r.BusyCurve != nil, len(r.Clusters[0].Busy.Cum))
+			}
+		}
+	}
+
+	// A warm worker's next run samples into the busy storage the previous
+	// run handed back: the aggregate curve and every grid keep their
+	// backing arrays.
+	_, s, err := prepareMatrix(workload.Quickstart(), soc.Dragonboard(), Options{Reps: 1, Seed: 3}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := newReplayScratch()
+	if _, err := s.executeRun(res.Workload, res.Configs[0], 0, 1, scratch); err != nil {
+		t.Fatal(err)
+	}
+	curve, curveArr := scratch.busy, &scratch.busy.Cum[0]
+	var gridArrs []*sim.Duration
+	for _, g := range scratch.grids {
+		gridArrs = append(gridArrs, &g[0])
+	}
+	if _, err := s.executeRun(res.Workload, res.Configs[len(res.Configs)-1], 0, 2, scratch); err != nil {
+		t.Fatal(err)
+	}
+	if scratch.busy != curve || &scratch.busy.Cum[0] != curveArr {
+		t.Error("second run allocated a new aggregate busy curve")
+	}
+	if len(scratch.grids) != len(gridArrs) {
+		t.Fatalf("%d grids recycled after the second run, want %d", len(scratch.grids), len(gridArrs))
+	}
+	for i, g := range scratch.grids {
+		if &g[0] != gridArrs[i] {
+			t.Errorf("second run allocated a new busy grid for cluster %d", i)
+		}
+	}
 }
 
 func TestGovernorOrderingOnQuickstart(t *testing.T) {

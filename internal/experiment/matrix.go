@@ -323,7 +323,7 @@ func (res *MatrixResult) replay(s *sweep, opts Options, side *sideJob) error {
 		} else if !multi && j.cfg.OPPIndex >= 0 {
 			r := runs[ji]
 			res.Candidates[j.rep] = append(res.Candidates[j.rep], oracle.ClusterFixedRun{
-				OPPIndex: j.cfg.OPPIndex, Profile: r.Profile, BusyCurve: r.BusyCurve,
+				OPPIndex: j.cfg.OPPIndex, Profile: r.Profile, Busy: r.Busy,
 			})
 		}
 	}
@@ -363,10 +363,10 @@ func (s *sweep) executeCandidateRun(w *workload.Workload, spec soc.Spec, cluster
 	wc.Profile.FramePool = scratch.frames
 	name := cs.Name + "@" + cs.Table[opp].Label()
 	sess := scratch.session(&wc)
-	// Candidate runs retain only the profile and the aggregate busy curve,
-	// so the per-cluster trace series recycle from one candidate replay into
-	// the worker's next one (the next Seal consumes the scratch).
-	sess.Dev.SetTraceScratch(scratch.takeTraces())
+	// Candidate runs retain only the profile and a busy summary, so the
+	// aggregate curve and the whole per-cluster traces recycle from one
+	// candidate replay into the worker's next one.
+	scratch.lend(sess.Dev, true)
 	govs := []governor.Governor{governor.NewFixed(cs.Table, opp)}
 	art := sess.ReplayRecording(s.rec, govs, name, seed, true)
 	profile, err := match.Match(art.Video, s.db, s.gestures, name, match.Options{Strict: true})
@@ -375,14 +375,13 @@ func (s *sweep) executeCandidateRun(w *workload.Workload, spec soc.Spec, cluster
 	}
 	scratch.release(art.Video)
 	art.Video = nil
-	scratch.releaseTraces(art.Clusters)
-	art.Clusters = nil
-	art.FreqTrace = nil // aliases the released cluster traces
+	busy := oracle.SummarizeBusy(art.BusyCurve, profile)
+	scratch.reclaim(art, true)
 	return oracle.ClusterFixedRun{
-		Cluster:   cluster,
-		OPPIndex:  opp,
-		Profile:   profile,
-		BusyCurve: art.BusyCurve,
+		Cluster:  cluster,
+		OPPIndex: opp,
+		Profile:  profile,
+		Busy:     busy,
 	}, nil
 }
 
@@ -537,8 +536,8 @@ func (res *MatrixResult) ClusterBusyShare(config string) []float64 {
 	for _, r := range rs {
 		var total float64
 		perCluster := make([]float64, len(shares))
-		for ci, ct := range r.Clusters {
-			b := ct.Busy.Total().Seconds()
+		for ci, busy := range r.clusterBusy() {
+			b := busy.Seconds()
 			perCluster[ci] = b
 			total += b
 		}
@@ -553,6 +552,19 @@ func (res *MatrixResult) ClusterBusyShare(config string) []float64 {
 		shares[ci] /= float64(len(rs))
 	}
 	return shares
+}
+
+// clusterBusy returns the run's per-cluster busy totals: the ones a sweep
+// kept, or, for a run built with whole curves, their last samples.
+func (r *Run) clusterBusy() []sim.Duration {
+	if r.ClusterBusy != nil {
+		return r.ClusterBusy
+	}
+	out := make([]sim.Duration, len(r.Clusters))
+	for ci, ct := range r.Clusters {
+		out[ci] = ct.Busy.Total()
+	}
+	return out
 }
 
 // OracleClusterShares returns the mean fraction of lags the per-rep oracles

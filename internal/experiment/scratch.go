@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"repro/internal/device"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/video"
 	"repro/internal/workload"
@@ -10,14 +12,18 @@ import (
 // goroutine owns exactly one at a time, so nothing in it needs locking: the
 // frame pool recycles captured frame storage from one repetition into the
 // next, which is the bulk of a replay's allocations once the engine and
-// callback paths stopped allocating; the trace slot recycles per-cluster
-// trace series across the runs that retain only a profile and a busy curve
-// (the oracle-candidate replays); and the session registry owns the warmed
-// replay sessions, so the boot prefix is paid once per (worker, workload,
-// spec) for the scratch's whole lifetime — which, on a long-lived Pool,
-// spans every sweep the pool ever executes, not just one.
+// callback paths stopped allocating; the busy slots recycle the aggregate
+// busy curve and the per-cluster busy grids of every run, since runs keep
+// busy summaries rather than curves, and the trace slot the whole
+// per-cluster traces of the runs that keep none (the oracle-candidate
+// replays); and the session registry owns the warmed replay sessions, so
+// the boot prefix is paid once per (worker, workload, spec) for the
+// scratch's whole lifetime — which, on a long-lived Pool, spans every sweep
+// the pool ever executes, not just one.
 type replayScratch struct {
 	frames   *video.FramePool
+	busy     *trace.BusyCurve
+	grids    [][]sim.Duration
 	traces   []*trace.ClusterTraces
 	sessions *workload.SessionRegistry
 	// activeKey is the session key of the warm session the current job is
@@ -58,18 +64,40 @@ func (s *replayScratch) quarantineActive() {
 	}
 }
 
-// takeTraces hands out the recycled per-cluster traces for the next replay
-// (nil on the worker's first candidate run; the device then allocates fresh
-// series which come back through releaseTraces).
-func (s *replayScratch) takeTraces() []*trace.ClusterTraces {
-	t := s.traces
-	s.traces = nil
-	return t
+// lend hands the worker's recycled storage to the device's next Seal: the
+// aggregate busy curve, plus the whole per-cluster traces when the run keeps
+// none of them (wholeTraces) or else just their busy grids. Storage the
+// worker has not recycled yet is allocated fresh by Seal and comes back
+// through reclaim.
+func (s *replayScratch) lend(d *device.Device, wholeTraces bool) {
+	d.SetBusyScratch(s.busy)
+	s.busy = nil
+	if wholeTraces {
+		d.SetTraceScratch(s.traces)
+		s.traces = nil
+		return
+	}
+	d.SetGridScratch(s.grids)
+	s.grids = s.grids[:0]
 }
 
-// releaseTraces takes back per-cluster traces no longer referenced by any
-// retained artefact. The traces must not be read afterwards.
-func (s *replayScratch) releaseTraces(cts []*trace.ClusterTraces) { s.traces = cts }
+// reclaim takes back the storage lend covers from a replay whose busy
+// curves have been summarised, clearing it from the artefacts: the
+// aggregate curve, and the per-cluster traces (wholeTraces) or else their
+// busy grids, leaving each trace's Busy empty. None of it may be read
+// through the artefacts afterwards.
+func (s *replayScratch) reclaim(art *workload.RunArtifacts, wholeTraces bool) {
+	s.busy, art.BusyCurve = art.BusyCurve, nil
+	if wholeTraces {
+		// FreqTrace aliases the first cluster's trace.
+		s.traces, art.Clusters, art.FreqTrace = art.Clusters, nil, nil
+		return
+	}
+	for _, ct := range art.Clusters {
+		s.grids = append(s.grids, ct.Busy.Cum)
+		ct.Busy.Cum = nil
+	}
+}
 
 // pooledWorkload returns the workload with the worker's frame pool installed
 // in its device profile (a value copy; the shared workload is untouched).

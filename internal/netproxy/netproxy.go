@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"repro/internal/sim"
+	"repro/internal/snap"
 )
 
 // Mode selects proxy behaviour.
@@ -92,6 +93,30 @@ func (p *Proxy) ReplayCopy() *Proxy {
 		cp.entries[k] = append([]sim.Duration(nil), v...)
 	}
 	return cp
+}
+
+// SaveState appends the proxy's replay state to b: the miss count and every
+// resource's cursor. A device checkpoint saves it with the stateful
+// services, so every fork off the checkpoint replays the proxy from the same
+// position. Record mode needs nothing more: what it returns does not depend
+// on what it has stored.
+func (p *Proxy) SaveState(b *snap.Buf) {
+	b.PutInt(int64(p.misses))
+	b.PutInt(int64(len(p.cursor)))
+	for k, c := range p.cursor {
+		b.PutStr(k)
+		b.PutInt(int64(c))
+	}
+}
+
+// LoadState rewinds the proxy to the replay state SaveState wrote.
+func (p *Proxy) LoadState(b *snap.Buf) {
+	p.misses = int(b.Int())
+	clear(p.cursor)
+	for n := b.Int(); n > 0; n-- {
+		k := b.Str()
+		p.cursor[k] = int(b.Int())
+	}
 }
 
 type jsonProxy struct {

@@ -36,9 +36,36 @@ type ClusterFixedRun struct {
 	OPPIndex int
 	// Profile is the matched lag profile of the run.
 	Profile *core.Profile
-	// BusyCurve is the run's cumulative busy-time curve, used to charge
-	// energy inside and outside lag windows.
+	// Busy is what pricing reads of the run's busy curve, used to charge
+	// energy inside and outside lag windows. Sweeps fill it and leave
+	// BusyCurve nil.
+	Busy *BusySummary
+	// BusyCurve is the run's whole cumulative busy-time curve. A run that
+	// carries only the curve is summarised on entry to BuildCluster.
 	BusyCurve *trace.BusyCurve
+}
+
+// BusySummary is all the oracle reads of one run's busy curve: its total,
+// the window it covers and the busy time inside each of the run's own lags.
+// A sweep run keeps it in place of the curve's 30 Hz sample grid.
+type BusySummary struct {
+	// Total is the run's busy time and Window the wall-clock span of its
+	// curve.
+	Total, Window sim.Duration
+	// InLag[i] is the busy time between the Begin and End of the run
+	// profile's Lags[i].
+	InLag []sim.Duration
+}
+
+// SummarizeBusy reads the summary of a busy curve for the lags of p, with
+// the curve's own Total, Window and Between arithmetic, so pricing from the
+// summary is bit-identical to pricing from the curve.
+func SummarizeBusy(c *trace.BusyCurve, p *core.Profile) *BusySummary {
+	s := &BusySummary{Total: c.Total(), Window: c.Window(), InLag: make([]sim.Duration, len(p.Lags))}
+	for i, lag := range p.Lags {
+		s.InLag[i] = c.Between(lag.Begin, lag.End)
+	}
+	return s
 }
 
 // ClusterChoice is one point of the big.LITTLE oracle's search space: which
@@ -76,7 +103,8 @@ type ClusterOracle struct {
 // (cluster, OPP) candidate. model supplies per-cluster dynamic power;
 // factor is the threshold slack over the fastest candidate (the paper uses
 // 1.10). Passing explicit thresholds overrides the relative rule — the
-// HCI-class ablation does.
+// HCI-class ablation does. Runs carrying a whole busy curve instead of a
+// summary are summarised first; the runs themselves are not modified.
 func BuildCluster(runs []ClusterFixedRun, model *power.SoCModel, factor float64, override *core.Thresholds) (*ClusterOracle, error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("oracle: no cluster fixed runs")
@@ -85,8 +113,15 @@ func BuildCluster(runs []ClusterFixedRun, model *power.SoCModel, factor float64,
 	var fastest ClusterFixedRun
 	fastestKHz := -1
 	for _, r := range runs {
-		if r.Profile == nil || r.BusyCurve == nil {
+		if r.Profile == nil || (r.Busy == nil && r.BusyCurve == nil) {
 			return nil, fmt.Errorf("oracle: cluster %d OPP %d run incomplete", r.Cluster, r.OPPIndex)
+		}
+		if r.Busy == nil {
+			r.Busy = SummarizeBusy(r.BusyCurve, r.Profile)
+		}
+		if len(r.Busy.InLag) != len(r.Profile.Lags) {
+			return nil, fmt.Errorf("oracle: cluster %d OPP %d busy summary covers %d of %d lags",
+				r.Cluster, r.OPPIndex, len(r.Busy.InLag), len(r.Profile.Lags))
 		}
 		if r.Cluster < 0 || r.Cluster >= len(model.Models) {
 			return nil, fmt.Errorf("oracle: run cluster %d outside %d-cluster model", r.Cluster, len(model.Models))
@@ -125,8 +160,8 @@ func BuildCluster(runs []ClusterFixedRun, model *power.SoCModel, factor float64,
 	// windowEnergy prices one wall-clock window of a candidate run: dynamic
 	// power for the busy core-time plus — when the model carries C-state
 	// ladders — the cluster's deepest-state (parked) leakage for the
-	// remainder of the window. Candidate artefacts keep only the busy curve,
-	// so a constant idle rate is the resolution pricing has here; the park
+	// remainder of the window. Candidates keep only busy-time totals, so a
+	// constant idle rate is the resolution pricing has here; the park
 	// rate is the faithful one because the oracle's idle windows are the
 	// workload's long think-time gaps, which measured runs sink to the
 	// bottom of the ladder almost exclusively. This is what makes
@@ -134,9 +169,11 @@ func BuildCluster(runs []ClusterFixedRun, model *power.SoCModel, factor float64,
 	// leaks for the rest of the window, where the pre-idle oracle priced
 	// that remainder at zero.
 	windowEnergy := func(ch ClusterChoice, busy, wall sim.Duration) float64 {
-		e := dynW(ch) * busy.Seconds()
+		// float64(...) rounds each product so no architecture fuses it into
+		// the add (see tools/fmacheck).
+		e := float64(dynW(ch) * busy.Seconds())
 		if wall > busy {
-			e += model.IdleParkW(ch.Cluster) * (wall - busy).Seconds()
+			e += float64(model.IdleParkW(ch.Cluster) * (wall - busy).Seconds())
 		}
 		return e
 	}
@@ -146,7 +183,7 @@ func BuildCluster(runs []ClusterFixedRun, model *power.SoCModel, factor float64,
 	var base ClusterChoice
 	bestE := -1.0
 	for ch, r := range byChoice {
-		e := windowEnergy(ch, r.BusyCurve.Total(), r.BusyCurve.Window())
+		e := windowEnergy(ch, r.Busy.Total, r.Busy.Window)
 		if bestE < 0 || e < bestE || (e == bestE && less(ch, base)) {
 			base, bestE = ch, e
 		}
@@ -162,12 +199,16 @@ func BuildCluster(runs []ClusterFixedRun, model *power.SoCModel, factor float64,
 	// Per lag: the candidate charging the least dynamic energy among those
 	// meeting the threshold. Map iteration order is randomised, so ties
 	// break deterministically via less().
-	fastLags := fastest.Profile.ByIndex()
-	// Index every candidate's lags once up front: rebuilding these maps
-	// inside the per-lag scan is quadratic in (lags x candidates).
-	lagsByChoice := make(map[ClusterChoice]map[int]core.Lag, len(byChoice))
+	// Index every candidate's lags (lag index to position in its profile)
+	// once up front: rebuilding these maps inside the per-lag scan is
+	// quadratic in (lags x candidates).
+	lagsByChoice := make(map[ClusterChoice]map[int]int, len(byChoice))
 	for ch, r := range byChoice {
-		lagsByChoice[ch] = r.Profile.ByIndex()
+		pos := make(map[int]int, len(r.Profile.Lags))
+		for i, lag := range r.Profile.Lags {
+			pos[lag.Index] = i
+		}
+		lagsByChoice[ch] = pos
 	}
 	var lagEnergy float64
 	for _, lag := range fastest.Profile.Lags {
@@ -180,11 +221,15 @@ func BuildCluster(runs []ClusterFixedRun, model *power.SoCModel, factor float64,
 		var chosenLag core.Lag
 		chosenE := -1.0
 		for ch, r := range byChoice {
-			cand, ok := lagsByChoice[ch][lag.Index]
-			if !ok || cand.Duration() > limit {
+			i, ok := lagsByChoice[ch][lag.Index]
+			if !ok {
 				continue
 			}
-			e := windowEnergy(ch, r.BusyCurve.Between(cand.Begin, cand.End), cand.Duration())
+			cand := r.Profile.Lags[i]
+			if cand.Duration() > limit {
+				continue
+			}
+			e := windowEnergy(ch, r.Busy.InLag[i], cand.Duration())
 			if chosenE < 0 || e < chosenE || (e == chosenE && less(ch, chosen)) {
 				chosen, chosenLag, chosenE = ch, cand, e
 			}
@@ -193,9 +238,9 @@ func BuildCluster(runs []ClusterFixedRun, model *power.SoCModel, factor float64,
 			// The fastest candidate defines the threshold, so it always
 			// fits; guard anyway.
 			chosen = ClusterChoice{Cluster: fastest.Cluster, OPPIndex: fastest.OPPIndex}
-			chosenLag = fastLags[lag.Index]
-			chosenE = windowEnergy(chosen,
-				byChoice[chosen].BusyCurve.Between(chosenLag.Begin, chosenLag.End), chosenLag.Duration())
+			i := lagsByChoice[chosen][lag.Index]
+			chosenLag = fastest.Profile.Lags[i]
+			chosenE = windowEnergy(chosen, fastest.Busy.InLag[i], chosenLag.Duration())
 		}
 		o.PerLag[lag.Index] = chosen
 		o.Profile.Lags = append(o.Profile.Lags, core.Lag{
@@ -209,13 +254,13 @@ func BuildCluster(runs []ClusterFixedRun, model *power.SoCModel, factor float64,
 	// windows, at the base candidate's power — plus, with idle ladders,
 	// leakage over the out-of-lag wall time the busy work does not cover.
 	baseRun := byChoice[base]
-	outside := baseRun.BusyCurve.Total()
-	outsideWall := baseRun.BusyCurve.Window()
-	for _, lag := range baseRun.Profile.Lags {
+	outside := baseRun.Busy.Total
+	outsideWall := baseRun.Busy.Window
+	for i, lag := range baseRun.Profile.Lags {
 		if lag.Spurious {
 			continue
 		}
-		outside -= baseRun.BusyCurve.Between(lag.Begin, lag.End)
+		outside -= baseRun.Busy.InLag[i]
 		outsideWall -= lag.Duration()
 	}
 	if outside < 0 {

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -167,22 +168,31 @@ func TestClusterOracleEnergyBelowSatisfyingCandidates(t *testing.T) {
 	}
 }
 
+// TestClusterOracleDeterministic builds the oracle twice, once from whole
+// busy curves and once from busy summaries alone (what sweeps keep), and
+// requires identical results: deterministic, and one pricing path.
 func TestClusterOracleDeterministic(t *testing.T) {
-	m := socModel(t)
-	a, err := BuildCluster(synthClusterRuns(t, m), m, 1.10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := BuildCluster(synthClusterRuns(t, m), m, 1.10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.EnergyJ != b.EnergyJ || a.Base != b.Base {
-		t.Fatalf("oracle not deterministic: (%v, %.6f) vs (%v, %.6f)", a.Base, a.EnergyJ, b.Base, b.EnergyJ)
-	}
-	for i, ch := range a.PerLag {
-		if b.PerLag[i] != ch {
-			t.Fatalf("lag %d choice differs across builds: %+v vs %+v", i, ch, b.PerLag[i])
+	for _, idle := range []bool{false, true} {
+		m := socModel(t)
+		if idle {
+			m.SetIdleLadder(0, []string{"wfi", "off"}, []float64{0.005, 0.001})
+			m.SetIdleLadder(1, []string{"wfi", "off"}, []float64{0.013, 0.003})
+		}
+		a, err := BuildCluster(synthClusterRuns(t, m), m, 1.10, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		summarised := synthClusterRuns(t, m)
+		for i, r := range summarised {
+			summarised[i].Busy = SummarizeBusy(r.BusyCurve, r.Profile)
+			summarised[i].BusyCurve = nil
+		}
+		b, err := BuildCluster(summarised, m, 1.10, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("idle %t: oracle from summaries differs from oracle from curves:\n%+v\n%+v", idle, a, b)
 		}
 	}
 }
@@ -235,6 +245,11 @@ func TestClusterOracleErrors(t *testing.T) {
 		t.Error("incomplete run accepted")
 	}
 	runs := synthClusterRuns(t, m)
+	short := runs[0]
+	short.Busy = &BusySummary{InLag: make([]sim.Duration, len(short.Profile.Lags)-1)}
+	if _, err := BuildCluster([]ClusterFixedRun{short}, m, 1.1, nil); err == nil {
+		t.Error("busy summary missing a lag accepted")
+	}
 	if _, err := BuildCluster(append(runs, runs[0]), m, 1.1, nil); err == nil {
 		t.Error("duplicate candidate accepted")
 	}

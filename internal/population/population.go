@@ -167,7 +167,9 @@ func Generate(m Model, base soc.Spec, baseThermal thermal.Config, seed uint64, i
 
 	// Thermal environment: one ambient draw per unit (the room), one case
 	// draw per zone (the hardware). Draws are again unconditional.
-	ambient := m.AmbientMinC + rng.float64()*(m.AmbientMaxC-m.AmbientMinC)
+	// float64(...) rounds the product so no architecture fuses it into the
+	// add (see tools/fmacheck).
+	ambient := m.AmbientMinC + float64(rng.float64()*(m.AmbientMaxC-m.AmbientMinC))
 	caseFs := make([]float64, len(baseThermal.Zones))
 	for zi := range caseFs {
 		caseFs[zi] = lognormal(rng, m.CaseSigma)
@@ -257,5 +259,5 @@ func lognormal(r *unitRand, s float64) float64 {
 	if s == 0 {
 		return 1
 	}
-	return math.Exp(s*z - s*s/2)
+	return math.Exp(float64(s*z) - float64(s*s/2))
 }

@@ -35,7 +35,9 @@ func DefaultSilicon() Silicon {
 // at the given OPP. This is what the simulated power sensor reports during
 // the calibration microbenchmark.
 func (s Silicon) BusyPowerW(o OPP) float64 {
-	return s.PlatformIdleW + s.BaseActiveW + s.CnJPerV2*o.Volt*o.Volt*o.GHz()
+	// float64(...) rounds the product so no architecture fuses it into the
+	// add (see tools/fmacheck).
+	return s.PlatformIdleW + s.BaseActiveW + float64(s.CnJPerV2*o.Volt*o.Volt*o.GHz())
 }
 
 // IdlePowerW returns the true system power with the core idle.
@@ -71,7 +73,7 @@ func Calibrate(tbl Table, si Silicon, benchDur sim.Duration) (*Model, error) {
 		samples := int64(benchDur / samplePeriod)
 		var energy float64
 		for k := int64(0); k < samples; k++ {
-			energy += powerW * samplePeriod.Seconds()
+			energy += float64(powerW * samplePeriod.Seconds())
 		}
 		return energy / benchDur.Seconds()
 	}
@@ -114,7 +116,7 @@ func (m *Model) Energy(busyByOPP []sim.Duration) (float64, error) {
 	}
 	var e float64
 	for i, d := range busyByOPP {
-		e += m.DynW[i] * d.Seconds()
+		e += float64(m.DynW[i] * d.Seconds())
 	}
 	return e, nil
 }

@@ -140,7 +140,9 @@ func (m *SoCModel) IdleLeakEnergy(i int, residency []sim.Duration, stall sim.Dur
 	if err != nil {
 		return 0, err
 	}
-	return e + m.IdleFloorW(i)*stall.Seconds(), nil
+	// float64(...) rounds the product so no architecture fuses it into the
+	// add (see tools/fmacheck).
+	return e + float64(m.IdleFloorW(i)*stall.Seconds()), nil
 }
 
 // IdleEnergy computes cluster i's leakage energy in joules from its
@@ -157,7 +159,7 @@ func (m *SoCModel) IdleEnergy(i int, residency []sim.Duration) (float64, error) 
 	}
 	var e float64
 	for k, d := range residency {
-		e += l.PowerW[k] * d.Seconds()
+		e += float64(l.PowerW[k] * d.Seconds())
 	}
 	return e, nil
 }

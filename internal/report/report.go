@@ -181,7 +181,7 @@ func Figure11(w io.Writer, res *experiment.MatrixResult) {
 		return
 	}
 	b := stats.NewBox(sample)
-	grid := stats.Grid(0, b.Max*1.05+1, 25)
+	grid := stats.Grid(0, float64(b.Max*1.05)+1, 25) // no fused multiply-add
 	dens := stats.KDE(sample, grid)
 	maxD := 0.0
 	for _, d := range dens {

@@ -47,7 +47,9 @@ func (r *Rand) Int63n(n int64) int64 {
 
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / float64(1<<53)
+	// The outer conversion rounds the quotient, a product by 2^-53 once
+	// compiled, so no caller's add can fuse with it (see tools/fmacheck).
+	return float64(float64(r.Uint64()>>11) / float64(1<<53))
 }
 
 // Jitter returns a duration drawn uniformly from [-spread, +spread].
@@ -67,7 +69,10 @@ func (r *Rand) JitterFrac(d Duration, frac float64) Duration {
 	if frac > 1 {
 		frac = 1
 	}
-	scale := 1 + frac*(2*r.Float64()-1)
+	// The float64 conversions round each product, so no architecture fuses
+	// one into an add (see tools/fmacheck): the jitter is the same bits on
+	// every machine.
+	scale := 1 + float64(frac*(float64(2*r.Float64())-1))
 	return Duration(float64(d) * scale)
 }
 

@@ -141,7 +141,9 @@ func (d *Digest) compress() {
 	limit := d.k(cum/d.n) + 1
 	for _, c := range all[1:] {
 		if d.k((cum+acc.weight+c.weight)/d.n) <= limit {
-			acc.mean += (c.mean - acc.mean) * (c.weight / (acc.weight + c.weight))
+			// float64(...) rounds the product so no architecture fuses it
+			// into the add (see tools/fmacheck); so do the ones in Quantile.
+			acc.mean += float64((c.mean - acc.mean) * (c.weight / (acc.weight + c.weight)))
 			acc.weight += c.weight
 			continue
 		}
@@ -195,20 +197,20 @@ func (d *Digest) Quantile(q float64) float64 {
 	if q >= 1 {
 		return d.max
 	}
-	target := q * d.n
+	target := float64(q * d.n)
 	cs := d.centroids
 	// Ranks interpolate between centroid midpoints; the first half-centroid
 	// anchors to min, the last to max.
 	var cum float64
 	prevMid, prevMean := 0.0, d.min
 	for _, c := range cs {
-		mid := cum + c.weight/2
+		mid := cum + float64(c.weight/2)
 		if target < mid {
 			if mid == prevMid {
 				return c.mean
 			}
 			frac := (target - prevMid) / (mid - prevMid)
-			return prevMean + frac*(c.mean-prevMean)
+			return prevMean + float64(frac*(c.mean-prevMean))
 		}
 		prevMid, prevMean = mid, c.mean
 		cum += c.weight
@@ -217,7 +219,7 @@ func (d *Digest) Quantile(q float64) float64 {
 		return d.max
 	}
 	frac := (target - prevMid) / (d.n - prevMid)
-	return prevMean + frac*(d.max-prevMean)
+	return prevMean + float64(frac*(d.max-prevMean))
 }
 
 // QuantileErrorBound returns ε(q), the documented worst-case rank error of

@@ -49,10 +49,12 @@ func Quantile(sorted []float64, q float64) float64 {
 	if q >= 1 {
 		return sorted[n-1]
 	}
-	pos := q * float64(n-1)
+	// float64(...) rounds each product so no architecture fuses it into an
+	// add (see tools/fmacheck); so do the ones in NewBox, StdDev and Grid.
+	pos := float64(q * float64(n-1))
 	i := int(pos)
 	frac := pos - float64(i)
-	return sorted[i] + frac*(sorted[i+1]-sorted[i])
+	return sorted[i] + float64(frac*(sorted[i+1]-sorted[i]))
 }
 
 // NewBox computes box statistics for a sample. The input need not be
@@ -69,8 +71,8 @@ func NewBox(sample []float64) Box {
 	b.Median = Quantile(data, 0.5)
 	b.Q3 = Quantile(data, 0.75)
 	iqr := b.Q3 - b.Q1
-	lo := b.Q1 - 1.5*iqr
-	hi := b.Q3 + 1.5*iqr
+	lo := b.Q1 - float64(1.5*iqr)
+	hi := b.Q3 + float64(1.5*iqr)
 	b.WhiskerLo, b.WhiskerHi = b.Max, b.Min
 	for _, v := range data {
 		b.Mean += v
@@ -110,7 +112,7 @@ func StdDev(sample []float64) float64 {
 	var ss float64
 	for _, v := range sample {
 		d := v - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(n-1))
 }
@@ -184,7 +186,7 @@ func Grid(lo, hi float64, n int) []float64 {
 	out := make([]float64, n)
 	step := (hi - lo) / float64(n-1)
 	for i := range out {
-		out[i] = lo + float64(i)*step
+		out[i] = lo + float64(float64(i)*step)
 	}
 	return out
 }

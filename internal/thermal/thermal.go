@@ -113,11 +113,13 @@ func (z *Zone) Step(dt sim.Duration, powerW, couplingC float64) float64 {
 	if dt <= 0 {
 		return z.tempC
 	}
-	steady := z.p.AmbientC + (powerW+z.p.IdleW)*z.p.RThermCPerW + couplingC
+	// float64(...) rounds each product so no architecture fuses it into
+	// the add (see tools/fmacheck).
+	steady := z.p.AmbientC + float64((powerW+z.p.IdleW)*z.p.RThermCPerW) + couplingC
 	if dt != z.alphaDt {
 		z.alphaDt, z.alpha = dt, 1-math.Exp(-dt.Seconds()/z.p.TauS)
 	}
-	z.tempC += (steady - z.tempC) * z.alpha
+	z.tempC += float64((steady - z.tempC) * z.alpha)
 	return z.tempC
 }
 

@@ -80,4 +80,21 @@ func TestFramePoolCaptureAllocFree(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("primed pool capture allocates %.2f, want 0", avg)
 	}
+
+	// Release then record: the next recorder's video reuses the released
+	// video and its run storage, so a whole capture cycle allocates nothing.
+	if avg := testing.AllocsPerRun(50, func() {
+		v := p.video(FPS)
+		for i := 0; i < 4; i++ {
+			shade++
+			pix[0] = shade
+			v.Append(p.Capture(pix))
+		}
+		if v.Len() != 4 || v.DistinctFrames() != 4 {
+			t.Fatalf("recycled video holds %d frames in %d runs, want 4 in 4", v.Len(), v.DistinctFrames())
+		}
+		p.Release(v)
+	}); avg != 0 {
+		t.Fatalf("release-then-record cycle allocates %.2f, want 0", avg)
+	}
 }

@@ -28,7 +28,12 @@ type Recorder struct {
 
 // NewRecorder creates a recorder capturing from source into a fresh Video.
 func NewRecorder(eng *sim.Engine, fps int, source func() *Frame) *Recorder {
-	r := &Recorder{eng: eng, video: New(fps), source: source}
+	return newRecorder(eng, New(fps), source)
+}
+
+// newRecorder creates a recorder capturing from source into the empty v.
+func newRecorder(eng *sim.Engine, v *Video, source func() *Frame) *Recorder {
+	r := &Recorder{eng: eng, video: v, source: source}
 	r.tickFn = r.tick
 	return r
 }

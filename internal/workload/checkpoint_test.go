@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/governor"
+	"repro/internal/netproxy"
 	"repro/internal/record"
 	"repro/internal/sim"
 	"repro/internal/soc"
@@ -164,6 +165,14 @@ func TestForkEqualsColdRun(t *testing.T) {
 			w.Profile.ThermalPower = model
 			return w
 		}, 2, func() governor.Governor { return governor.NewInteractive() }},
+		// A network proxy recorded with the trace and replayed: its cursors
+		// and miss count live outside the device, so the checkpoint must
+		// carry them, or each fork resumes where the last one left off.
+		{"netproxy", func(*testing.T) *Workload {
+			w := Quickstart()
+			w.Profile.NetProxy = netproxy.New(netproxy.Record)
+			return w
+		}, 1, func() governor.Governor { return governor.NewInteractive() }},
 	}
 	for _, row := range rows {
 		row := row
@@ -174,6 +183,19 @@ func TestForkEqualsColdRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec = rec.Repeat(row.repeat)
+			// A proxy recorded along with the trace serves each device, the
+			// cold one and the session's, as its own replay copy.
+			replayed := func() *Workload { return w }
+			if recorded := w.Profile.NetProxy; recorded != nil {
+				if recorded.AccessCount() == 0 {
+					t.Fatal("proxy recorded no accesses; it would not exercise proxy state")
+				}
+				replayed = func() *Workload {
+					wc := *w
+					wc.Profile.NetProxy = recorded.ReplayCopy()
+					return &wc
+				}
+			}
 			mkGovs := func() []governor.Governor {
 				govs := make([]governor.Governor, len(w.Profile.SoCSpec().Clusters))
 				for i := range govs {
@@ -183,7 +205,7 @@ func TestForkEqualsColdRun(t *testing.T) {
 			}
 
 			name := row.gov().Name()
-			cold := coldReplay(w, rec, mkGovs(), name, 42, true)
+			cold := coldReplay(replayed(), rec, mkGovs(), name, 42, true)
 			if w.Profile.Thermal.Enabled() {
 				caps := 0
 				for _, ct := range cold.Clusters {
@@ -194,7 +216,7 @@ func TestForkEqualsColdRun(t *testing.T) {
 				}
 			}
 
-			sess := NewReplaySession(w, rec)
+			sess := NewReplaySession(replayed(), rec)
 			// Burn-in fork with a different seed: the equivalence fork below
 			// then runs on a session whose device has already lived a full,
 			// divergent run.

@@ -3,9 +3,11 @@ package workload
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/governor"
+	"repro/internal/sim"
 	"repro/internal/soc"
 )
 
@@ -164,6 +166,37 @@ func TestTraceScratchRecycling(t *testing.T) {
 	}
 	if h := replayHash(gotS); h != wantS {
 		t.Errorf("recycled single-cluster hash = %s, fresh = %s", h, wantS)
+	}
+
+	// Busy storage alone, the way sweeps recycle it for runs that keep their
+	// traces: the aggregate curve and the per-cluster grids of one replay
+	// back the next one's, whose traces are otherwise fresh.
+	sess := NewReplaySession(w, rec)
+	prev := sess.Replay([]governor.Governor{governor.NewInteractive(), governor.NewInteractive()}, "interactive", 7, false)
+	curve, curveArr := prev.BusyCurve, &prev.BusyCurve.Cum[0]
+	var grids [][]sim.Duration
+	for _, ct := range prev.Clusters {
+		grids = append(grids, ct.Busy.Cum)
+	}
+	sess.Dev.SetBusyScratch(curve)
+	sess.Dev.SetGridScratch(grids)
+	busyOnly := sess.Replay(mk(), "ondemand", 42, false)
+	if got := replayHash(busyOnly); got != want {
+		t.Errorf("busy-recycled replay hash = %s, fresh = %s", got, want)
+	}
+	if !slices.Equal(busyOnly.BusyCurve.Cum, fresh.BusyCurve.Cum) {
+		t.Error("busy-recycled aggregate curve differs from the fresh one")
+	}
+	if busyOnly.BusyCurve != curve || &busyOnly.BusyCurve.Cum[0] != curveArr {
+		t.Error("aggregate busy curve was reallocated instead of recycled")
+	}
+	for i, ct := range busyOnly.Clusters {
+		if ct == prev.Clusters[i] {
+			t.Errorf("cluster %d traces were recycled with only busy storage handed back", i)
+		}
+		if &ct.Busy.Cum[0] != &grids[i][0] {
+			t.Errorf("cluster %d busy grid was reallocated instead of recycled", i)
+		}
 	}
 }
 
