@@ -26,10 +26,6 @@ type job struct {
 	seq  int // submission order, drives the newest-first listing
 	spec JobSpec
 
-	// retired marks the job as counted into the server's retention ring;
-	// it is guarded by the Server mutex, not j.mu.
-	retired bool
-
 	// progress is the unix-nano timestamp of the job's last sign of life
 	// (start, heartbeat, record append). The stall watchdog compares it
 	// against the stall timeout; atomic so workers never contend with the
@@ -153,10 +149,12 @@ func (j *job) takeCancel() context.CancelFunc {
 }
 
 // finish moves the job to a terminal state, appends the terminal record (if
-// any), spools the terminal state to the journal, and releases everything
-// waiting on the job. finish is idempotent: only the first call wins, so a
-// cancel racing a natural completion cannot double-close done.
-func (j *job) finish(state, errMsg string, rec *ResultRecord, now time.Time) bool {
+// any), spools the terminal state to the journal, runs settle (if non-nil)
+// and only then releases everything waiting on the job. settle runs under
+// j.mu, so whatever it does happens before any reader can observe the
+// terminal state or record. finish is idempotent: only the first call wins,
+// so a cancel racing a natural completion cannot double-close done.
+func (j *job) finish(state, errMsg string, rec *ResultRecord, now time.Time, settle func()) bool {
 	var raw json.RawMessage
 	if rec != nil {
 		raw, _ = json.Marshal(*rec)
@@ -179,29 +177,25 @@ func (j *job) finish(state, errMsg string, rec *ResultRecord, now time.Time) boo
 		j.jf.Append(st)
 		j.jf.Close()
 	}
+	if settle != nil {
+		settle()
+	}
 	j.wake()
 	close(j.done)
 	return true
 }
 
-// requestCancel asks the job to stop: a queued job finishes immediately as
-// cancelled; a running job gets its context cancelled and finishes when its
-// executor observes the cancellation. The return value reports whether the
-// job reached a terminal state right here (the queued path) — running jobs
-// finish later on their executor, and already-terminal jobs not at all.
-func (j *job) requestCancel(now time.Time) (finishedNow bool) {
+// requestCancel asks the job to stop. A running job gets its context
+// cancelled and finishes when its executor observes the cancellation. It
+// reports whether the job is still queued, in which case the caller
+// finishes it; an executor never starts a terminal job.
+func (j *job) requestCancel() (queued bool) {
 	j.mu.Lock()
-	if Terminal(j.state) {
-		j.mu.Unlock()
-		return false
-	}
-	if j.state == StateQueued {
-		j.mu.Unlock()
-		return j.finish(StateCancelled, "job cancelled",
-			&ResultRecord{Type: "error", Error: "job cancelled"}, now)
-	}
-	cancel := j.cancel
+	state, cancel := j.state, j.cancel
 	j.mu.Unlock()
+	if state == StateQueued {
+		return true
+	}
 	if cancel != nil {
 		cancel()
 	}

@@ -17,7 +17,7 @@ func TestFollowSpliceDeterministic(t *testing.T) {
 	for i := 0; i < n; i++ {
 		j.append(ResultRecord{Type: "candidate", Candidate: fmt.Sprintf("c%d", i), Rep: i})
 	}
-	j.finish(StateDone, "", &ResultRecord{Type: "summary"}, time.Now())
+	j.finish(StateDone, "", &ResultRecord{Type: "summary"}, time.Now(), nil)
 
 	whole, terminal, _ := j.follow(0)
 	if !terminal {
@@ -65,10 +65,10 @@ func TestFollowSpliceDeterministic(t *testing.T) {
 func TestFinishIdempotent(t *testing.T) {
 	j := newJob("job-1", 1, JobSpec{}, time.Now())
 	j.start(func() {}, 0, time.Now())
-	if !j.finish(StateDone, "", &ResultRecord{Type: "summary"}, time.Now()) {
+	if !j.finish(StateDone, "", &ResultRecord{Type: "summary"}, time.Now(), nil) {
 		t.Fatal("first finish refused")
 	}
-	if j.finish(StateCancelled, "late cancel", &ResultRecord{Type: "error", Error: "late"}, time.Now()) {
+	if j.finish(StateCancelled, "late cancel", &ResultRecord{Type: "error", Error: "late"}, time.Now(), nil) {
 		t.Fatal("second finish won")
 	}
 	if st := j.status(); st.State != StateDone || st.Error != "" {
@@ -79,21 +79,22 @@ func TestFinishIdempotent(t *testing.T) {
 	}
 }
 
-// TestRequestCancelSemantics pins the tri-state return: finishes a queued job
-// here, defers a running one to its executor, and ignores terminal ones.
+// TestRequestCancelSemantics pins the tri-state contract: a queued job is
+// reported back for the caller to finish, a running one has its context
+// cancelled and is left to its executor, and a terminal one is ignored.
 func TestRequestCancelSemantics(t *testing.T) {
 	queued := newJob("job-1", 1, JobSpec{}, time.Now())
-	if !queued.requestCancel(time.Now()) {
-		t.Error("queued cancel should finish the job immediately")
+	if !queued.requestCancel() {
+		t.Error("queued cancel should hand the finish to the caller")
 	}
-	if st := queued.status(); st.State != StateCancelled {
-		t.Errorf("queued job state %q after cancel", st.State)
+	if st := queued.status(); st.State != StateQueued {
+		t.Errorf("queued job state %q after cancel; the caller owns the terminal transition", st.State)
 	}
 
 	running := newJob("job-2", 2, JobSpec{}, time.Now())
 	fired := false
 	running.start(func() { fired = true }, 0, time.Now())
-	if running.requestCancel(time.Now()) {
+	if running.requestCancel() {
 		t.Error("running cancel should defer the finish to the executor")
 	}
 	if !fired {
@@ -103,7 +104,35 @@ func TestRequestCancelSemantics(t *testing.T) {
 		t.Errorf("running job state %q; the executor owns the terminal transition", st.State)
 	}
 
-	if running.finish(StateCancelled, "job cancelled", nil, time.Now()); running.requestCancel(time.Now()) {
+	fired = false
+	if running.finish(StateCancelled, "job cancelled", nil, time.Now(), nil); running.requestCancel() || fired {
 		t.Error("terminal cancel should be a no-op")
+	}
+}
+
+// TestFinishSettlesBeforeRelease pins the order inside a terminal
+// transition: settle runs while the terminal state is not yet observable —
+// done is still open and a reader blocks on the job's lock — so whatever it
+// counts is counted before any client sees the terminal record.
+func TestFinishSettlesBeforeRelease(t *testing.T) {
+	j := newJob("job-1", 1, JobSpec{}, time.Now())
+	settled := false
+	j.finish(StateDone, "", &ResultRecord{Type: "summary"}, time.Now(), func() {
+		settled = true
+		select {
+		case <-j.done:
+			t.Error("done closed before settle ran")
+		default:
+		}
+		if j.mu.TryLock() {
+			j.mu.Unlock()
+			t.Error("settle ran without the job lock held")
+		}
+	})
+	if !settled {
+		t.Fatal("settle did not run")
+	}
+	if j.finish(StateFailed, "late", nil, time.Now(), func() { t.Error("settle ran on a losing finish") }) {
+		t.Error("second finish won")
 	}
 }

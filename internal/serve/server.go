@@ -219,11 +219,7 @@ func (s *Server) Close() {
 		for {
 			select {
 			case j := <-s.queue:
-				if j.finish(StateCancelled, "server shutting down",
-					&ResultRecord{Type: "error", Error: "server shutting down"}, time.Now()) {
-					s.jobsCancelled.Add(1)
-					s.retire(j)
-				}
+				s.finish(j, StateCancelled, "server shutting down", nil, time.Now())
 			default:
 				return
 			}
@@ -365,34 +361,50 @@ func (s *Server) execute(j *job, e *executor) {
 	}
 	switch {
 	case err == nil:
-		if j.finish(StateDone, "", term, time.Now()) {
-			s.jobsDone.Add(1)
-			s.retire(j)
-		}
+		s.finish(j, StateDone, "", term, time.Now())
 	case errors.Is(err, context.DeadlineExceeded):
 		msg := fmt.Sprintf("deadline exceeded (timeout_ms=%d)", j.spec.TimeoutMS)
-		if j.finish(StateFailed, msg, &ResultRecord{Type: "error", Error: msg}, time.Now()) {
-			s.jobsFailed.Add(1)
-			s.retire(j)
-		}
+		s.finish(j, StateFailed, msg, nil, time.Now())
 	case errors.Is(err, context.Canceled):
-		if j.finish(StateCancelled, "job cancelled",
-			&ResultRecord{Type: "error", Error: "job cancelled"}, time.Now()) {
-			s.jobsCancelled.Add(1)
-			s.retire(j)
-		}
+		s.finish(j, StateCancelled, "job cancelled", nil, time.Now())
 	default:
 		// Ordinary failures and contained panics land here alike: the
 		// sweep's error unwraps to *experiment.PanicError for the latter,
 		// and the per-run "fault" record with the stack is already in the
 		// log. The job fails with whatever partial results streamed; the
 		// executor, its pool and the process carry on.
-		if j.finish(StateFailed, err.Error(),
-			&ResultRecord{Type: "error", Error: err.Error()}, time.Now()) {
-			s.jobsFailed.Add(1)
-			s.retire(j)
-		}
+		s.finish(j, StateFailed, err.Error(), nil, time.Now())
 	}
+}
+
+// finish is the one way a server job becomes terminal. The terminal record
+// is term, or an error record carrying msg when term is nil. Inside
+// job.finish, before the terminal state, record or done channel can be
+// observed, it counts the job under its final state (and under each of
+// also) and retires it, so a client that has read the terminal record never
+// sees stale /statsz counters or a registry above RetainJobs. It reports
+// whether this call made the transition.
+//
+// Lock order: j.mu, then s.mu (taken by retire). No path takes j.mu while
+// holding s.mu; handleList snapshots statuses after releasing it.
+func (s *Server) finish(j *job, state, msg string, term *ResultRecord, now time.Time, also ...*atomic.Int64) bool {
+	if term == nil {
+		term = &ResultRecord{Type: "error", Error: msg}
+	}
+	return j.finish(state, msg, term, now, func() {
+		switch state {
+		case StateDone:
+			s.jobsDone.Add(1)
+		case StateFailed:
+			s.jobsFailed.Add(1)
+		case StateCancelled:
+			s.jobsCancelled.Add(1)
+		}
+		for _, c := range also {
+			c.Add(1)
+		}
+		s.retire(j)
+	})
 }
 
 // runJob executes the job's sweep on the given pool, streaming per-run
@@ -526,7 +538,7 @@ func (s *Server) watchdog() {
 }
 
 // sweepStalled delivers the stall verdict to every wedged job. It runs
-// lock-free over the executor lanes; finish/retire take their own locks.
+// lock-free over the executor lanes; finish takes its own locks.
 func (s *Server) sweepStalled(now time.Time) {
 	for _, e := range s.execs {
 		j := e.current.Load()
@@ -540,11 +552,8 @@ func (s *Server) sweepStalled(now time.Time) {
 		cancel := j.takeCancel()
 		msg := fmt.Sprintf("run stalled: no worker progress for %s (stall timeout %s)",
 			now.Sub(last).Round(time.Millisecond), s.opts.StallTimeout)
-		if j.finish(StateFailed, msg, &ResultRecord{Type: "error", Error: msg}, now) {
-			s.jobsStalled.Add(1)
-			s.jobsFailed.Add(1)
+		if s.finish(j, StateFailed, msg, nil, now, &s.jobsStalled) {
 			e.healthy.Store(false)
-			s.retire(j)
 			if cancel != nil {
 				cancel()
 			}
@@ -571,16 +580,12 @@ func (s *Server) lookup(id string) *job {
 }
 
 // retire counts a freshly-terminal job into the retention ring and evicts
-// the oldest-finished jobs beyond the cap. Callers invoke it exactly where a
-// finish() returned true; the per-job retired flag makes a duplicate call
-// (e.g. a cancel racing a natural completion) harmless.
+// the oldest-finished jobs beyond the cap. It runs once per job: from
+// inside the job's one winning terminal transition (finish), or from New
+// for a job the journal recovered as terminal.
 func (s *Server) retire(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j.retired {
-		return
-	}
-	j.retired = true
 	s.retired = append(s.retired, j)
 	for len(s.retired) > s.opts.RetainJobs {
 		old := s.retired[0]
@@ -668,10 +673,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A queued job finishes right here; a running one finishes on its
-	// executor, which does its own counting and retiring.
-	if j.requestCancel(time.Now()) {
-		s.jobsCancelled.Add(1)
-		s.retire(j)
+	// executor.
+	if j.requestCancel() {
+		s.finish(j, StateCancelled, "job cancelled", nil, time.Now())
 	}
 	writeJSON(w, http.StatusOK, j.status())
 }

@@ -412,6 +412,26 @@ func TestJobRegistryEvictionUnderChurn(t *testing.T) {
 	checkLeaks()
 }
 
+// TestTerminalRecordAfterSettle pins the order of a job's terminal
+// transition as a client sees it: once RunJob has read the terminal record,
+// /statsz already counts the job and the registry is already trimmed to
+// RetainJobs. Before the count and retire moved inside the transition, this
+// failed on a few of the 60 jobs under -race with other CPU load.
+func TestTerminalRecordAfterSettle(t *testing.T) {
+	srv, client, _ := newTestServer(t, Options{Executors: 1, Workers: 1, RetainJobs: 2})
+	ctx := context.Background()
+	for i := 0; i < 60; i++ {
+		spec := JobSpec{Workload: "quickstart", Configs: []string{"0.96 GHz"}, Reps: 1, Seed: uint64(i + 1)}
+		if _, _, err := client.RunJob(ctx, spec); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		if st := srv.Stats(); st.JobsDone != i+1 || st.JobsTracked > 2 {
+			t.Fatalf("after job %d returned: jobs_done %d, jobs_tracked %d; want %d and <= 2",
+				i, st.JobsDone, st.JobsTracked, i+1)
+		}
+	}
+}
+
 // TestListJobs pins the listing endpoint: newest-first order, state
 // filtering, limit truncation with a Total that exposes it, and 400 on an
 // unknown state.

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Callback is a function invoked when a scheduled event fires. It receives
 // the engine so it can schedule further events.
@@ -15,59 +18,49 @@ type EventID int64
 
 // event is one pooled event slot. Slots live in Engine.slots and are
 // recycled through a free list; fn/fn0 are cleared on release so the pool
-// never pins dead closures for the GC.
+// never pins dead closures for the GC. A slot is scheduled exactly while
+// one queue entry names it.
 type event struct {
-	fn  Callback // engine-argument callback (nil when fn0 is set)
-	fn0 func()   // plain callback, scheduled via AtFunc/AfterFunc
-	gen uint32   // generation, bumped on every release
-	// state is slotFree (on the free list), slotLive (scheduled) or
-	// slotDead (cancelled, awaiting its heap entry).
-	state uint8
-	next  int32 // free-list link, valid while state == slotFree
+	fn   Callback // engine-argument callback (nil when fn0 is set)
+	fn0  func()   // plain callback, scheduled via AtFunc/AfterFunc
+	gen  uint32   // generation, bumped on every release
+	next int32    // free-list link, valid while the slot is free
 }
 
-const (
-	slotFree = iota
-	slotLive
-	slotDead
-)
-
-// heapEnt is one entry of the 4-ary scheduling heap. The timestamp and
-// FIFO sequence number are stored inline so sift comparisons never chase the
-// slot pool; the slot index resolves the callback only when the entry pops.
-type heapEnt struct {
+// queueEnt is one entry of the event queue. The timestamp and FIFO sequence
+// number are stored inline so ordering never chases the slot pool; the slot
+// index resolves the callback only when the entry is dispatched.
+type queueEnt struct {
 	at   Time
 	seq  uint64 // tie-breaker: FIFO among events with equal timestamps
 	slot int32
 }
 
-// entLess orders heap entries by timestamp, then FIFO.
-func entLess(a, b heapEnt) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
+// tailScan is how many entries push compares from the tail before it
+// bisects the rest of the queue. In a replay a new event lands within one or
+// two entries of the tail nearly every time, so the bisect serves only deep
+// queues.
+const tailScan = 8
 
 // Engine is the discrete-event simulation core. It is not safe for
 // concurrent use; the whole simulated device runs single-threaded, which is
 // both faster and deterministic.
 //
-// The implementation is allocation-free on the hot path: events live in a
-// value slice recycled through a free list, the priority queue is an
-// index-addressed 4-ary heap over a value slice (no container/heap interface
-// boxing), and cancellation is lazy — a cancelled event's heap entry is
-// dropped when it surfaces, or in bulk by compaction once dead entries
-// exceed half the queue. In steady state At, AtFunc, Cancel and event
-// dispatch perform zero heap allocations.
+// The queue is one value slice of entries sorted by descending (timestamp,
+// sequence), so the next event is the last element and dispatch shrinks the
+// slice. A replay keeps fewer than ten events queued, and a new event is
+// usually among the next few due, so push compares up to tailScan entries
+// from the tail, bisects past that, and moves the entries due before the new
+// one up a place with one copy. Cancel removes its entry at once, scanning
+// from the tail, where a re-armed cluster event sits. Events live in a slot pool recycled
+// through a free list. In steady state At, AtFunc, Cancel and event dispatch
+// perform zero heap allocations.
 type Engine struct {
 	now      Time
-	heap     []heapEnt
+	queue    []queueEnt
 	slots    []event
 	freeHead int32 // head of the slot free list, -1 when empty
 	nextSeq  uint64
-	live     int // scheduled, not-cancelled events
-	dead     int // cancelled events whose heap entries remain
 	stopped  bool
 }
 
@@ -99,7 +92,6 @@ func (e *Engine) freeSlot(i int32) {
 	if s.gen == 0 { // skip generation 0 on wrap: IDs must never be zero
 		s.gen = 1
 	}
-	s.state = slotFree
 	s.next = e.freeHead
 	e.freeHead = i
 }
@@ -112,11 +104,26 @@ func (e *Engine) schedule(at Time, fn Callback, fn0 func()) EventID {
 	idx := e.allocSlot()
 	s := &e.slots[idx]
 	s.fn, s.fn0 = fn, fn0
-	s.state = slotLive
-	e.heapPush(heapEnt{at: at, seq: e.nextSeq, slot: idx})
+	e.push(queueEnt{at: at, seq: e.nextSeq, slot: idx})
 	e.nextSeq++
-	e.live++
 	return EventID(int64(s.gen)<<32 | int64(idx))
+}
+
+// push inserts ent into the queue. ent carries the largest sequence number
+// assigned so far, so it goes in front of every entry whose timestamp is at or
+// before its own: the first index i with queue[i].at <= ent.at.
+func (e *Engine) push(ent queueEnt) {
+	q := e.queue
+	i := len(q)
+	for stop := max(i-tailScan, 0); i > stop && q[i-1].at <= ent.at; i-- {
+	}
+	if i > 0 && q[i-1].at <= ent.at {
+		i = sort.Search(i-1, func(k int) bool { return q[k].at <= ent.at })
+	}
+	q = append(q, queueEnt{})
+	copy(q[i+1:], q[i:])
+	q[i] = ent
+	e.queue = q
 }
 
 // At schedules fn to run at the absolute time at. Scheduling in the past (or
@@ -150,33 +157,27 @@ func (e *Engine) AfterFunc(d Duration, fn func()) EventID {
 	return e.schedule(e.now.Add(d), nil, fn)
 }
 
-// Cancel removes a scheduled event. Cancelling an event that already fired
-// or was already cancelled is a no-op and returns false. The event's heap
-// entry is dropped lazily; when more than half the queue is dead entries the
-// whole queue is compacted, so a workload that cancels most of what it
-// schedules cannot leak queue space until the timestamps expire.
+// Cancel removes a scheduled event and its queue entry and releases its
+// slot. Cancelling an event that already fired or was already cancelled is
+// a no-op and returns false.
 func (e *Engine) Cancel(id EventID) bool {
 	idx := int32(id & 0xffffffff)
 	gen := uint32(uint64(id) >> 32)
-	if idx < 0 || int(idx) >= len(e.slots) {
+	if idx < 0 || int(idx) >= len(e.slots) || e.slots[idx].gen != gen {
 		return false
 	}
-	s := &e.slots[idx]
-	if s.state != slotLive || s.gen != gen {
-		return false
+	for k := len(e.queue) - 1; k >= 0; k-- {
+		if e.queue[k].slot == idx {
+			e.queue = append(e.queue[:k], e.queue[k+1:]...)
+			e.freeSlot(idx)
+			return true
+		}
 	}
-	s.state = slotDead
-	s.fn, s.fn0 = nil, nil
-	e.live--
-	e.dead++
-	if e.dead > len(e.heap)/2 {
-		e.compact()
-	}
-	return true
+	return false
 }
 
 // Pending reports the number of events still scheduled.
-func (e *Engine) Pending() int { return e.live }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // Stop makes the current Run or RunUntil call return after the in-flight
 // callback completes.
@@ -187,28 +188,24 @@ func (e *Engine) Stop() { e.stopped = true }
 // released before its callback runs, so the callback may immediately reuse
 // it for follow-up scheduling.
 func (e *Engine) step() bool {
-	for len(e.heap) > 0 {
-		ent := e.heapPop()
-		s := &e.slots[ent.slot]
-		if s.state == slotDead {
-			e.dead--
-			e.freeSlot(ent.slot)
-			continue
-		}
-		fn, fn0 := s.fn, s.fn0
-		e.freeSlot(ent.slot)
-		e.live--
-		if ent.at > e.now {
-			e.now = ent.at
-		}
-		if fn0 != nil {
-			fn0()
-		} else {
-			fn(e)
-		}
-		return true
+	n := len(e.queue) - 1
+	if n < 0 {
+		return false
 	}
-	return false
+	ent := e.queue[n]
+	e.queue = e.queue[:n]
+	s := &e.slots[ent.slot]
+	fn, fn0 := s.fn, s.fn0
+	e.freeSlot(ent.slot)
+	if ent.at > e.now {
+		e.now = ent.at
+	}
+	if fn0 != nil {
+		fn0()
+	} else {
+		fn(e)
+	}
+	return true
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -224,8 +221,8 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	for !e.stopped {
-		at, ok := e.peek()
-		if !ok || at > deadline {
+		n := len(e.queue)
+		if n == 0 || e.queue[n-1].at > deadline {
 			break
 		}
 		e.step()
@@ -235,109 +232,7 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 }
 
-// peek returns the timestamp of the earliest live event, discarding dead
-// entries that have surfaced at the top of the heap.
-func (e *Engine) peek() (Time, bool) {
-	for len(e.heap) > 0 {
-		ent := e.heap[0]
-		if e.slots[ent.slot].state != slotDead {
-			return ent.at, true
-		}
-		e.heapPop()
-		e.dead--
-		e.freeSlot(ent.slot)
-	}
-	return 0, false
-}
-
-// compact rebuilds the heap without its dead entries and releases their
-// slots. Runs in O(n): one filtering pass plus a bottom-up heapify.
-func (e *Engine) compact() {
-	out := e.heap[:0]
-	for _, ent := range e.heap {
-		if e.slots[ent.slot].state == slotDead {
-			e.freeSlot(ent.slot)
-			continue
-		}
-		out = append(out, ent)
-	}
-	e.heap = out
-	e.dead = 0
-	if n := len(e.heap); n > 1 {
-		for i := (n - 2) / 4; i >= 0; i-- {
-			e.siftDown(i)
-		}
-	}
-}
-
-// heapPush appends an entry and restores the heap property.
-func (e *Engine) heapPush(ent heapEnt) {
-	e.heap = append(e.heap, ent)
-	e.siftUp(len(e.heap) - 1)
-}
-
-// heapPop removes and returns the minimum entry.
-func (e *Engine) heapPop() heapEnt {
-	top := e.heap[0]
-	n := len(e.heap) - 1
-	last := e.heap[n]
-	e.heap = e.heap[:n]
-	if n > 0 {
-		e.heap[0] = last
-		e.siftDown(0)
-	}
-	return top
-}
-
-// siftUp moves heap[i] toward the root. A 4-ary heap halves the tree depth
-// of the binary one, trading slightly pricier siftDown levels for far fewer
-// of them — a net win when entries are 24-byte values compared inline.
-func (e *Engine) siftUp(i int) {
-	ent := e.heap[i]
-	for i > 0 {
-		p := (i - 1) / 4
-		if !entLess(ent, e.heap[p]) {
-			break
-		}
-		e.heap[i] = e.heap[p]
-		i = p
-	}
-	e.heap[i] = ent
-}
-
-// siftDown moves heap[i] toward the leaves.
-func (e *Engine) siftDown(i int) {
-	n := len(e.heap)
-	ent := e.heap[i]
-	for {
-		c := i*4 + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for k := c + 1; k < end; k++ {
-			if entLess(e.heap[k], e.heap[m]) {
-				m = k
-			}
-		}
-		if !entLess(e.heap[m], ent) {
-			break
-		}
-		e.heap[i] = e.heap[m]
-		i = m
-	}
-	e.heap[i] = ent
-}
-
-// queueLen reports the heap size including dead entries (test hook for the
-// compaction regression tests).
-func (e *Engine) queueLen() int { return len(e.heap) }
-
 // String summarises engine state for debugging.
 func (e *Engine) String() string {
-	return fmt.Sprintf("sim.Engine{now: %s, pending: %d}", e.now, e.live)
+	return fmt.Sprintf("sim.Engine{now: %s, pending: %d}", e.now, len(e.queue))
 }

@@ -3,10 +3,11 @@ package sim
 import "testing"
 
 // TestEngineDeadEventCompaction pins the fix for the dead-event leak: before
-// the pooled engine, a cancelled event sat in the heap until its timestamp,
+// the pooled engine, a cancelled event sat in the queue until its timestamp,
 // so a workload that cancels most of what it schedules (the cluster
-// reschedule path does exactly that) grew the queue without bound. Now the
-// queue compacts as soon as dead entries exceed half of it.
+// reschedule path does exactly that) grew the queue without bound. Cancel
+// now removes the entry and frees its slot at once, so after every cancel the
+// queue holds exactly the pending events and the slot pool stays at two.
 func TestEngineDeadEventCompaction(t *testing.T) {
 	e := NewEngine()
 	fn := func(*Engine) {}
@@ -18,17 +19,12 @@ func TestEngineDeadEventCompaction(t *testing.T) {
 		if !e.Cancel(id) {
 			t.Fatalf("Cancel %d failed", i)
 		}
-		// Dead entries may never exceed half the queue plus the one entry
-		// Cancel itself just killed.
-		if q, d := e.queueLen(), e.dead; d > q/2+1 {
-			t.Fatalf("after %d cancels: %d dead of %d queued — compaction did not run", i+1, d, q)
+		if q, p := len(e.queue), e.Pending(); q != p || p != 1 {
+			t.Fatalf("after %d cancels: %d queued, Pending %d, want 1 and 1", i+1, q, p)
 		}
 	}
-	if q := e.queueLen(); q > 3 {
-		t.Fatalf("queue holds %d entries after churn, want the 1 survivor (plus at most a couple dead)", q)
-	}
-	if p := e.Pending(); p != 1 {
-		t.Fatalf("Pending = %d, want 1", p)
+	if n := len(e.slots); n != 2 {
+		t.Fatalf("slot pool grew to %d slots under churn, want 2", n)
 	}
 }
 
@@ -163,5 +159,37 @@ func BenchmarkEngineChurn(b *testing.B) {
 			e.step()
 			have = false
 		}
+	}
+}
+
+// BenchmarkEngineReplayMix dispatches events shaped like a replay's: eight
+// periodic chains, two each at 20, 33, 100 and 225 ms (governor samples, the
+// vsync and capture ticks, the thermal tick, service loops), and one
+// cluster-like completion event that every chain tick cancels and re-arms,
+// a few times per 20 ms period. The queue holds 8–9 events, about what a
+// replay holds when an event is dispatched, so this measures dispatch at a
+// replay's queue depth where BenchmarkEngineScheduleRun measures it at 1,000.
+func BenchmarkEngineReplayMix(b *testing.B) {
+	e := NewEngine()
+	var cluster EventID
+	var complete func()
+	complete = func() { cluster = e.AfterFunc(7*Millisecond, complete) }
+	for _, p := range []Duration{20, 33, 100, 225} {
+		period := p * Millisecond
+		for phase := Duration(0); phase < 2; phase++ {
+			var tick func()
+			tick = func() {
+				e.AfterFunc(period, tick)
+				e.Cancel(cluster)
+				cluster = e.AfterFunc(7*Millisecond, complete)
+			}
+			e.AtFunc(Time(phase*period/2), tick)
+		}
+	}
+	complete()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.step()
 	}
 }

@@ -1,27 +1,25 @@
 package sim
 
-// EngineSnap is a deep copy of an engine's scheduling state: clock, heap,
-// event slot pool and counters. It is a value-copy snapshot — heap entries
-// and slots are plain values, and the func values held by live slots are
-// copied by reference, which is exactly what checkpoint/restore needs: the
-// closures themselves persist across a restore, only their scheduling is
+// EngineSnap is a deep copy of an engine's scheduling state: clock, event
+// queue, slot pool and sequence counter. It is a value-copy snapshot — queue
+// entries and slots are plain values, and the func values held by live slots
+// are copied by reference, which is exactly what checkpoint/restore needs:
+// the closures themselves persist across a restore, only their scheduling is
 // rewound. A snap's buffers are reused across Snapshot calls, so a
 // steady-state checkpoint cycle performs no allocations once the buffers
 // have grown to the high-water mark.
 type EngineSnap struct {
 	now      Time
-	heap     []heapEnt
+	queue    []queueEnt
 	slots    []event
 	freeHead int32
 	nextSeq  uint64
-	live     int
-	dead     int
 }
 
 // Snapshot copies the engine's complete scheduling state into s.
 func (e *Engine) Snapshot(s *EngineSnap) {
 	s.now = e.now
-	s.heap = append(s.heap[:0], e.heap...)
+	s.queue = append(s.queue[:0], e.queue...)
 	// Clear slots the snapshot is shrinking away from so the buffer does not
 	// pin closures from a previous, larger snapshot.
 	if len(s.slots) > len(e.slots) {
@@ -32,8 +30,6 @@ func (e *Engine) Snapshot(s *EngineSnap) {
 	s.slots = append(s.slots[:0], e.slots...)
 	s.freeHead = e.freeHead
 	s.nextSeq = e.nextSeq
-	s.live = e.live
-	s.dead = e.dead
 }
 
 // Restore rewinds the engine to the state captured by Snapshot. Events
@@ -42,7 +38,7 @@ func (e *Engine) Snapshot(s *EngineSnap) {
 // restored run replays bit-for-bit.
 func (e *Engine) Restore(s *EngineSnap) {
 	e.now = s.now
-	e.heap = append(e.heap[:0], s.heap...)
+	e.queue = append(e.queue[:0], s.queue...)
 	if len(e.slots) > len(s.slots) {
 		for i := len(s.slots); i < len(e.slots); i++ {
 			e.slots[i] = event{}
@@ -51,8 +47,6 @@ func (e *Engine) Restore(s *EngineSnap) {
 	e.slots = append(e.slots[:0], s.slots...)
 	e.freeHead = s.freeHead
 	e.nextSeq = s.nextSeq
-	e.live = s.live
-	e.dead = s.dead
 	e.stopped = false
 }
 
