@@ -34,10 +34,16 @@ type Host interface {
 	// SpawnIO schedules a frequency-independent wait (flash, network); the
 	// device applies its per-repetition jitter.
 	SpawnIO(name string, d sim.Duration, onDone func())
-	// Invalidate marks the screen content changed.
+	// Invalidate marks the screen content changed. Every change to state
+	// that Render reads must invalidate in the same event: the device keeps
+	// a rendered frame that did not read the clock until the next
+	// invalidation.
 	Invalidate()
-	// SetAnimating enables/disables continuous redraw plus the small
-	// per-frame UI load of an animation (spinners, progress bars).
+	// SetAnimating enables/disables an animation (spinners, progress bars).
+	// While any runs, the device charges the small per-frame UI load every
+	// vsync, and redraws each vsync only while the frame on screen reads
+	// the clock (fb.Now); a progress bar that moves with work chunks is
+	// redrawn by their Invalidate.
 	SetAnimating(token string, on bool)
 	// Launch switches the foreground app, passing an in-flight interaction
 	// for the target's Enter to finish.
@@ -70,8 +76,11 @@ type App interface {
 	HandleSwipe(x0, y0, x1, y1 int) bool
 	// HandleBack processes the nav-bar back button; false means ignored.
 	HandleBack() bool
-	// Render draws the app content for the current state.
-	Render(fb *screen.Framebuffer, now sim.Time)
+	// Render draws the app content for the current state, painting all of
+	// screen.ContentRect first. It reads the render instant only through
+	// fb.Now, which marks the frame as changing with the clock; any other
+	// state it reads must invalidate the screen whenever it changes.
+	Render(fb *screen.Framebuffer)
 	// VolatileRects lists screen regions that change independently of
 	// interaction state (blinking cursors, media progress). The annotation
 	// stage masks them, as the paper's workload-creator GUI does.

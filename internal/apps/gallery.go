@@ -234,7 +234,7 @@ func (g *Gallery) HandleBack() bool {
 }
 
 // Render implements App.
-func (g *Gallery) Render(fb *screen.Framebuffer, now sim.Time) {
+func (g *Gallery) Render(fb *screen.Framebuffer) {
 	fb.FillRect(screen.ContentRect, screen.ShadeBackground)
 	switch g.screenID {
 	case "albums":
@@ -248,7 +248,7 @@ func (g *Gallery) Render(fb *screen.Framebuffer, now sim.Time) {
 			}
 		}
 		if g.loadedItems < 9 {
-			screen.DrawSpinner(fb, GalleryLoadSpinnerRect, spinPhase(now))
+			screen.DrawSpinner(fb, GalleryLoadSpinnerRect, spinPhase(fb.Now()))
 		}
 	case "album":
 		for i := 0; i < g.loadedItems && i < len(GalleryPhotoRects); i++ {
@@ -256,7 +256,7 @@ func (g *Gallery) Render(fb *screen.Framebuffer, now sim.Time) {
 			fb.DrawPattern(GalleryPhotoRects[i], seed, screen.ShadeSurface, screen.ShadeText)
 		}
 		if g.loadedItems < 6 {
-			screen.DrawSpinner(fb, screen.Rect{X: 440, Y: 1100, W: 200, H: 200}, spinPhase(now))
+			screen.DrawSpinner(fb, screen.Rect{X: 440, Y: 1100, W: 200, H: 200}, spinPhase(fb.Now()))
 		}
 	case "photo":
 		photoR := screen.Rect{X: 40, Y: 300, W: 1000, H: 1000}

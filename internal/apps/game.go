@@ -216,7 +216,7 @@ func (g *RetroRunner) HandleBack() bool {
 }
 
 // Render implements App.
-func (g *RetroRunner) Render(fb *screen.Framebuffer, now sim.Time) {
+func (g *RetroRunner) Render(fb *screen.Framebuffer) {
 	fb.FillRect(screen.ContentRect, screen.ShadeBackground)
 	switch g.screenID {
 	case "menu":

@@ -3,7 +3,6 @@ package apps
 import (
 	"repro/internal/core"
 	"repro/internal/screen"
-	"repro/internal/sim"
 )
 
 // Launcher is the home screen: a grid of app icons. Tapping an icon starts a
@@ -115,7 +114,7 @@ func (l *Launcher) HandleSwipe(x0, y0, x1, y1 int) bool { return false }
 func (l *Launcher) HandleBack() bool { return false }
 
 // Render implements App.
-func (l *Launcher) Render(fb *screen.Framebuffer, now sim.Time) {
+func (l *Launcher) Render(fb *screen.Framebuffer) {
 	fb.FillRect(screen.ContentRect, screen.ShadeBackground)
 	for _, ic := range l.icons {
 		fb.DrawPattern(ic.r, ic.seed, screen.ShadeWidget, screen.ShadeAccent)

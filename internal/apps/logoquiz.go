@@ -3,7 +3,6 @@ package apps
 import (
 	"repro/internal/core"
 	"repro/internal/screen"
-	"repro/internal/sim"
 )
 
 // LogoQuiz models dataset 02: a logo-guessing game dominated by on-screen
@@ -166,14 +165,14 @@ func (q *LogoQuiz) HandleBack() bool {
 }
 
 // Render implements App.
-func (q *LogoQuiz) Render(fb *screen.Framebuffer, now sim.Time) {
+func (q *LogoQuiz) Render(fb *screen.Framebuffer) {
 	fb.FillRect(screen.ContentRect, screen.ShadeBackground)
 	switch q.screenID {
 	case "menu":
 		fb.FillRect(QuizPlayButton, screen.ShadeAccent)
 		fb.DrawPattern(screen.Rect{X: 240, Y: 300, W: 600, H: 300}, uint64(4000+q.level+q.menuOffset*7), screen.ShadeSurface, screen.ShadeText)
 		if q.loading > 0 && q.loading < 11 {
-			screen.DrawSpinner(fb, screen.Rect{X: 440, Y: 1100, W: 200, H: 200}, spinPhase(now))
+			screen.DrawSpinner(fb, screen.Rect{X: 440, Y: 1100, W: 200, H: 200}, spinPhase(fb.Now()))
 		}
 	case "level":
 		fb.DrawPattern(QuizLogoRect, uint64(5000+q.level*7), screen.ShadeSurface, screen.ShadeAccent)

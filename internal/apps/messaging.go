@@ -216,7 +216,7 @@ func (m *Messaging) HandleBack() bool {
 }
 
 // Render implements App.
-func (m *Messaging) Render(fb *screen.Framebuffer, now sim.Time) {
+func (m *Messaging) Render(fb *screen.Framebuffer) {
 	fb.FillRect(screen.ContentRect, screen.ShadeBackground)
 	switch m.screenID {
 	case "threads":
@@ -249,7 +249,7 @@ func (m *Messaging) Render(fb *screen.Framebuffer, now sim.Time) {
 		fb.FillRect(MessagingAttachButton, screen.ShadeWidget)
 		fb.FillRect(MessagingSendButton, screen.ShadeWidget)
 		if m.sending {
-			screen.DrawProgressBar(fb, MessagingProgressRect, float64(spinPhase(now)%10)/10)
+			screen.DrawProgressBar(fb, MessagingProgressRect, float64(spinPhase(fb.Now())%10)/10)
 		}
 		m.kbd.Draw(fb, m.lastKey)
 	case "picker":

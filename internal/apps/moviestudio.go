@@ -170,7 +170,7 @@ func (ms *MovieStudio) HandleBack() bool {
 }
 
 // Render implements App.
-func (ms *MovieStudio) Render(fb *screen.Framebuffer, now sim.Time) {
+func (ms *MovieStudio) Render(fb *screen.Framebuffer) {
 	fb.FillRect(screen.ContentRect, screen.ShadeBackground)
 	switch ms.screenID {
 	case "projects":

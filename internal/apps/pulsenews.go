@@ -149,7 +149,7 @@ func (p *PulseNews) HandleBack() bool {
 }
 
 // Render implements App.
-func (p *PulseNews) Render(fb *screen.Framebuffer, now sim.Time) {
+func (p *PulseNews) Render(fb *screen.Framebuffer) {
 	fb.FillRect(screen.ContentRect, screen.ShadeBackground)
 	switch p.screenID {
 	case "feed":
@@ -159,7 +159,7 @@ func (p *PulseNews) Render(fb *screen.Framebuffer, now sim.Time) {
 			fb.DrawPattern(PulseTileRects[i], seed, screen.ShadeSurface, screen.ShadeText)
 		}
 		if p.stories < 6 && p.InFlight {
-			screen.DrawSpinner(fb, screen.Rect{X: 440, Y: 800, W: 200, H: 200}, spinPhase(now))
+			screen.DrawSpinner(fb, screen.Rect{X: 440, Y: 800, W: 200, H: 200}, spinPhase(fb.Now()))
 		}
 	case "story":
 		seed := uint64(7000 + p.gen*100 + p.story*10 + p.offset)

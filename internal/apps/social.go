@@ -144,7 +144,7 @@ func (f *Facebook) HandleBack() bool {
 }
 
 // Render implements App.
-func (f *Facebook) Render(fb *screen.Framebuffer, now sim.Time) {
+func (f *Facebook) Render(fb *screen.Framebuffer) {
 	fb.FillRect(screen.ContentRect, screen.ShadeBackground)
 	switch f.screenID {
 	case "feed":
@@ -326,7 +326,7 @@ func (g *Gmail) HandleBack() bool {
 }
 
 // Render implements App.
-func (g *Gmail) Render(fb *screen.Framebuffer, now sim.Time) {
+func (g *Gmail) Render(fb *screen.Framebuffer) {
 	fb.FillRect(screen.ContentRect, screen.ShadeBackground)
 	switch g.screenID {
 	case "inbox":

@@ -97,7 +97,7 @@ func (m *MusicPlayer) HandleSwipe(x0, y0, x1, y1 int) bool { return false }
 func (m *MusicPlayer) HandleBack() bool { return false }
 
 // Render implements App.
-func (m *MusicPlayer) Render(fb *screen.Framebuffer, now sim.Time) {
+func (m *MusicPlayer) Render(fb *screen.Framebuffer) {
 	fb.FillRect(screen.ContentRect, screen.ShadeBackground)
 	if m.loading > 0 {
 		screen.DrawProgressBar(fb, screen.Rect{X: 140, Y: 900, W: 800, H: 90}, float64(m.loading)/4)
@@ -113,7 +113,7 @@ func (m *MusicPlayer) Render(fb *screen.Framebuffer, now sim.Time) {
 	frac := 0.0
 	if m.playing {
 		// Coarse 10 s-granularity progress so still periods exist.
-		frac = float64(int64(now)/int64(10*sim.Second)%20) / 20
+		frac = float64(int64(fb.Now())/int64(10*sim.Second)%20) / 20
 	}
 	screen.DrawProgressBar(fb, MusicProgressRect, frac)
 }
@@ -194,7 +194,7 @@ func (c *Calculator) HandleSwipe(x0, y0, x1, y1 int) bool { return false }
 func (c *Calculator) HandleBack() bool { return false }
 
 // Render implements App.
-func (c *Calculator) Render(fb *screen.Framebuffer, now sim.Time) {
+func (c *Calculator) Render(fb *screen.Framebuffer) {
 	fb.FillRect(screen.ContentRect, screen.ShadeBackground)
 	if !c.loaded {
 		return // splash: blank content until the app is up
@@ -329,7 +329,7 @@ func (p *PlayStore) HandleBack() bool {
 }
 
 // Render implements App.
-func (p *PlayStore) Render(fb *screen.Framebuffer, now sim.Time) {
+func (p *PlayStore) Render(fb *screen.Framebuffer) {
 	fb.FillRect(screen.ContentRect, screen.ShadeBackground)
 	switch p.screenID {
 	case "front":
@@ -444,7 +444,7 @@ func (b *Browser) HandleBack() bool {
 }
 
 // Render implements App.
-func (b *Browser) Render(fb *screen.Framebuffer, now sim.Time) {
+func (b *Browser) Render(fb *screen.Framebuffer) {
 	fb.FillRect(screen.ContentRect, screen.ShadeBackground)
 	fb.FillRect(BrowserURLBar, screen.ShadeSurface)
 	for i := 0; i < b.loaded && i < 6; i++ {
@@ -452,7 +452,7 @@ func (b *Browser) Render(fb *screen.Framebuffer, now sim.Time) {
 		fb.DrawPattern(screen.Rect{X: 40, Y: 340 + i*230, W: 1000, H: 200}, seed, screen.ShadeBackground, screen.ShadeText)
 	}
 	if b.loaded < 6 && b.InFlight {
-		screen.DrawSpinner(fb, screen.Rect{X: 440, Y: 900, W: 200, H: 200}, spinPhase(now))
+		screen.DrawSpinner(fb, screen.Rect{X: 440, Y: 900, W: 200, H: 200}, spinPhase(fb.Now()))
 	}
 }
 

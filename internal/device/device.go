@@ -146,6 +146,8 @@ type Device struct {
 	music      *apps.MusicService
 	svcs       []apps.Service
 
+	// fb is the framebuffer Frame renders into, cached the frame it last
+	// captured, and dirty whether the content may differ from cached.
 	fb     screen.Framebuffer
 	dirty  bool
 	cached *video.Frame
@@ -414,7 +416,11 @@ func (d *Device) FinishTraces(window sim.Duration) {
 // reads its cadence counter from the device, so a checkpoint restore rewinds
 // the tick phase along with everything else, and re-binding is never needed.
 func (d *Device) bindTicks() {
-	// vsync: charges animation work and keeps animated content invalidated.
+	// vsync: charges animation work every frame while an animation runs,
+	// and invalidates only a frame that reads the clock (or when no frame
+	// has been rendered yet). Any other frame changes only when its app
+	// invalidates it — a progress bar moves when a work chunk completes —
+	// so redrawing it every 33 ms would paint identical pixels.
 	// The chain is demand driven — with no animation active the tick lets
 	// itself die instead of burning an engine event every 33 ms for the whole
 	// window (busy-curve sampling happens inside cluster accounting now);
@@ -426,7 +432,9 @@ func (d *Device) bindTicks() {
 			return
 		}
 		d.SpawnWork("ui.anim", d.prof.AnimFrameWork, nil)
-		d.markDirty()
+		if d.cached == nil || d.fb.ClockRead() {
+			d.markDirty()
+		}
 		d.Eng.AtFunc(d.Eng.Now().Add(busyStep), d.vsyncFn)
 	}
 	// Minute clock: invalidates the screen at each minute boundary so the
@@ -734,8 +742,13 @@ func (d *Device) SpawnIO(name string, dur sim.Duration, onDone func()) {
 // Invalidate implements apps.Host.
 func (d *Device) Invalidate() { d.markDirty() }
 
-// Dirty reports whether screen content changed since the last Frame render.
-func (d *Device) Dirty() bool { return d.dirty }
+// Changing reports whether the next Frame may differ from the last one:
+// the screen was invalidated since, or an animation runs. It is the video
+// recorder's probe. The recorder keeps capturing through an animation even
+// while its frames stay clean, so it wakes and ticks at the instants, and
+// in the same order against other events, as it did when every vsync
+// invalidated the screen; a clean capture tick returns the cached frame.
+func (d *Device) Changing() bool { return d.dirty || d.animating() }
 
 // markDirty flips the clean→dirty transition and notifies OnDirty. The hook
 // fires before the flag is set, so an observer (the demand-driven video
@@ -970,14 +983,17 @@ func (d *Device) goHome() bool {
 // frame and only an actual pixel change clones (from the profile's frame
 // pool when one is set). Returning the identical *Frame for identical
 // content also lets the video's run-length encoder extend runs on pointer
-// identity without ever comparing pixels.
+// identity without ever comparing pixels. Nothing clears the framebuffer
+// first: Render paints all of screen.ContentRect, and the status and nav
+// bars paint every row above and below it.
 func (d *Device) Frame() *video.Frame {
 	if !d.dirty && d.cached != nil {
 		return d.cached
 	}
-	d.fb.Fill(screen.ShadeBackground)
-	d.foreground.Render(&d.fb, d.Eng.Now())
-	screen.DrawStatusBar(&d.fb, d.Eng.Now())
+	now := d.Eng.Now()
+	d.fb.SetNow(now)
+	d.foreground.Render(&d.fb)
+	screen.DrawStatusBar(&d.fb, now)
 	screen.DrawNavBar(&d.fb)
 	d.dirty = false
 	if d.cached != nil && d.cached.EqualPix(d.fb.Pix[:]) {

@@ -8,7 +8,11 @@
 // of the capture card.
 package screen
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // Logical (touch) coordinate space, matching a Nexus-5-class portrait panel.
 const (
@@ -52,7 +56,30 @@ type Framebuffer struct {
 	patterns map[patternKey][]uint8
 	// status memoises the status-bar band of one minute (DrawStatusBar).
 	status statusMemo
+	// now is the instant of the frame being rendered (SetNow), and
+	// clockRead records whether the frame read it (Now). A frame that never
+	// read the clock depends on app state alone.
+	now       sim.Time
+	clockRead bool
 }
+
+// SetNow starts a frame shown at instant now: Now returns it from here on,
+// and the previous frame's clock read is forgotten.
+func (fb *Framebuffer) SetNow(now sim.Time) { fb.now, fb.clockRead = now, false }
+
+// Now returns the instant of the frame being rendered and records that the
+// frame depends on the clock. Content that changes with time alone
+// (spinners, a time-driven progress bar) reads the time here and nowhere
+// else, so the device knows to redraw such a frame every vsync and to keep
+// any other frame until its app invalidates it.
+func (fb *Framebuffer) Now() sim.Time {
+	fb.clockRead = true
+	return fb.now
+}
+
+// ClockRead reports whether the frame rendered since the last SetNow read
+// the clock.
+func (fb *Framebuffer) ClockRead() bool { return fb.clockRead }
 
 // statusMemo is the rendered status-bar band of one clock minute. The band
 // depends on nothing else, so a redraw within the same minute is one copy.
@@ -72,10 +99,6 @@ type patternKey struct {
 // maxPatternCache bounds the memo to keep pathological workloads (millions
 // of distinct seeds) from hoarding memory; beyond it patterns render direct.
 const maxPatternCache = 4096
-
-// Fill sets every pixel to shade. This runs once per rendered frame, which
-// makes it one of the hottest loops of a capturing replay.
-func (fb *Framebuffer) Fill(shade uint8) { fillRows(fb.Pix[:], shade) }
 
 // fillRows sets a whole number of full rows to shade: one prepared row, then
 // a doubling copy — a handful of memmoves instead of a per-byte loop.

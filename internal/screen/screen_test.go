@@ -38,7 +38,7 @@ func TestFBDimensions(t *testing.T) {
 
 func TestFillRect(t *testing.T) {
 	var fb Framebuffer
-	fb.Fill(10)
+	fb.FillRectFB(0, 0, FBW, FBH, 10)
 	fb.FillRect(Rect{X: 200, Y: 400, W: 200, H: 200}, 99)
 	if fb.At(200/Scale, 400/Scale) != 99 {
 		t.Error("inside pixel not painted")
@@ -96,15 +96,6 @@ func TestFillRect(t *testing.T) {
 			t.Fatalf("rect %d %+v shade %d: fill differs from the per-pixel reference", i, r, shade)
 		}
 	}
-	for _, shade := range []uint8{0, 1, 0x80, 255} {
-		got.Fill(shade)
-		for i := range want.Pix {
-			want.Pix[i] = shade
-		}
-		if got.Pix != want.Pix {
-			t.Fatalf("Fill(%d) differs from the per-pixel reference", shade)
-		}
-	}
 }
 
 func TestFBSpanAtLeastOnePixel(t *testing.T) {
@@ -157,7 +148,7 @@ func TestClockChangesEachMinute(t *testing.T) {
 		if memo.Pix != fresh.Pix {
 			t.Fatalf("status bar at %v differs from a fresh framebuffer's", now)
 		}
-		memo.Fill(ShadeText)
+		memo.FillRectFB(0, 0, FBW, FBH, ShadeText)
 		fresh = Framebuffer{Pix: memo.Pix}
 		DrawStatusBar(&memo, now-now%sim.Time(sim.Minute)+sim.Time(59*sim.Second))
 		DrawStatusBar(&fresh, now)
@@ -267,17 +258,18 @@ func TestKeyboardHighlight(t *testing.T) {
 	}
 }
 
-func TestCursorBlinks(t *testing.T) {
-	var on, off Framebuffer
-	DrawCursor(&on, 10, 50, 0)
-	DrawCursor(&off, 10, 50, sim.Time(500*sim.Millisecond))
-	if on.Pix == off.Pix {
-		t.Error("cursor does not blink")
+func TestFramebufferClockRead(t *testing.T) {
+	var fb Framebuffer
+	fb.SetNow(sim.Time(5 * sim.Second))
+	if fb.ClockRead() {
+		t.Fatal("a new frame starts out having read the clock")
 	}
-	var on2 Framebuffer
-	DrawCursor(&on2, 10, 50, sim.Time(sim.Second))
-	if on.Pix != on2.Pix {
-		t.Error("cursor blink not periodic at 1s")
+	if got := fb.Now(); got != sim.Time(5*sim.Second) || !fb.ClockRead() {
+		t.Fatalf("Now = %v, ClockRead %t; want 5s and true", got, fb.ClockRead())
+	}
+	fb.SetNow(sim.Time(6 * sim.Second))
+	if fb.ClockRead() {
+		t.Fatal("SetNow kept the previous frame's clock read")
 	}
 }
 

@@ -43,7 +43,9 @@ var ContentRect = Rect{X: 0, Y: 140, W: LogicalW, H: LogicalH - 260}
 // DrawStatusBar renders the status bar including the live HH:MM clock. The
 // band overwrites every pixel of its rows and changes only with the minute,
 // so the framebuffer keeps the last minute's band and a redraw within that
-// minute copies it.
+// minute copies it. It takes the time as an argument rather than reading
+// fb.Now: the device's minute tick invalidates the screen at each minute
+// boundary, so the clock never needs a redraw every vsync.
 func DrawStatusBar(fb *Framebuffer, now sim.Time) {
 	totalMin := int64(now) / int64(sim.Minute)
 	band := fb.Pix[:len(fb.status.band)]
@@ -214,16 +216,4 @@ func (kb *Keyboard) drawDirect(fb *Framebuffer, pressed rune) {
 		inner := Rect{X: k.R.X + 8, Y: k.R.Y + 8, W: k.R.W - 16, H: k.R.H - 16}
 		fb.FillRect(inner, shade)
 	}
-}
-
-// DrawCursor renders a text cursor that blinks with 500 ms period — the
-// paper's example of a long string of spurious suggestions that per-lag
-// suggester tolerance settings must tame.
-func DrawCursor(fb *Framebuffer, x, y int, now sim.Time) {
-	on := (int64(now)/int64(500*sim.Millisecond))%2 == 0
-	shade := ShadeSurface
-	if on {
-		shade = ShadeText
-	}
-	fb.FillRectFB(x, y, 1, 3, shade)
 }

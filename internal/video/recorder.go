@@ -11,9 +11,14 @@ import "repro/internal/sim"
 // after capturing a frame whose source was already clean it stops scheduling
 // ticks, and the probe owner wakes it on the first clean→dirty transition.
 // The wake call must happen before the new content is rendered — the frames
-// whose capture instants were slept through are materialised from the
-// still-clean source, exactly what a polling tick would have read at those
-// instants. Without a probe the recorder polls every frame, as before.
+// whose capture instants were slept through, up to and including the
+// waking instant, are materialised from the still-clean source. That is
+// what a polling tick reads at every slept-over instant but one: when the
+// waking change lands exactly on a capture instant and its event was queued
+// before that instant's polling tick (the device's minute tick is queued a
+// minute ahead), polling shows the new content at that instant, and the
+// woken recorder shows it one frame later. Without a probe the recorder
+// polls every frame.
 type Recorder struct {
 	eng    *sim.Engine
 	video  *Video
@@ -38,9 +43,10 @@ func newRecorder(eng *sim.Engine, v *Video, source func() *Frame) *Recorder {
 	return r
 }
 
-// BindDirty attaches the probe that reports whether the source has changed
-// since it was last rendered. Call before Start; the owner must call Wake on
-// every clean→dirty transition of the probe, before mutating the content.
+// BindDirty attaches the probe that reports whether the source may show new
+// content since it was last read. Call before Start; the owner must call
+// Wake on every clean→dirty transition of the probe, before mutating the
+// content.
 func (r *Recorder) BindDirty(dirty func() bool) { r.dirty = dirty }
 
 // Video returns the recording (valid at any point; grows as capture runs).
@@ -77,8 +83,10 @@ func (r *Recorder) tick() {
 
 // Wake resumes capture after a clean→dirty transition at the current virtual
 // time. The caller invokes it before the content changes, so the slept-over
-// capture instants — including one landing exactly now, whose polling tick
-// would have fired ahead of the mutating event — append the old content.
+// capture instants, including one landing exactly now, append the old
+// content. A polling tick at now would read the old content only if it was
+// queued before the mutating event; otherwise polling shows the change one
+// frame earlier (see Recorder).
 func (r *Recorder) Wake() {
 	if r.stop || !r.asleep {
 		return

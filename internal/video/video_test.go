@@ -413,21 +413,48 @@ func TestRecorderCapturesAtRate(t *testing.T) {
 	// between two instants right after falling asleep), 1 (woken exactly at
 	// the next instant) and 3000.
 	changes := []sim.Time{1_000_005, 1_080_000, 1_166_666, 101_233_333}
-	want, _ := captureScript(false, changes, sim.Time(102*sim.Second))
-	got, renders := captureScript(true, changes, sim.Time(102*sim.Second))
+	want, _ := captureScript(false, false, changes, sim.Time(102*sim.Second))
+	got, renders := captureScript(true, false, changes, sim.Time(102*sim.Second))
 	sameVideo(t, got, want)
 	if renders > 20 {
 		t.Fatalf("demand-driven recorder read its source %d times for %d frames; it never slept", renders, got.Len())
+	}
+
+	// The one place the two differ: a change landing exactly on a capture
+	// instant from an event queued before that instant's polling tick (the
+	// device's minute tick is queued a minute ahead) fires ahead of the
+	// tick, so polling shows it at that instant. A woken recorder back-fills
+	// the instant with the content from before the change and shows the
+	// change one frame later. Every other frame is the same.
+	onInstant := []sim.Time{1_000_000} // capture instant 30
+	poll, _ := captureScript(false, true, onInstant, sim.Time(2*sim.Second))
+	woken, _ := captureScript(true, true, onInstant, sim.Time(2*sim.Second))
+	if poll.Len() != woken.Len() {
+		t.Fatalf("polled %d frames, woken recorder %d", poll.Len(), woken.Len())
+	}
+	for i := 0; i < poll.Len(); i++ {
+		p, w := poll.FrameAt(i).Pix()[0], woken.FrameAt(i).Pix()[0]
+		wantP, wantW := uint8(0), uint8(0)
+		if i >= 30 {
+			wantP = 1
+		}
+		if i >= 31 {
+			wantW = 1
+		}
+		if p != wantP || w != wantW {
+			t.Fatalf("frame %d: polled shade %d, woken %d; want %d and %d", i, p, w, wantP, wantW)
+		}
 	}
 }
 
 // captureScript records a solid-shade source whose content changes at the
 // given times, with a dirty probe (demand driven) or without (polling every
 // instant), and stops the recorder at stop. Each change wakes the recorder
-// before mutating the content, as device.Device's OnDirty hook does, from an
-// event scheduled after any polling tick at the same instant. It returns the
-// video and how often the source was read.
-func captureScript(probe bool, changes []sim.Time, stop sim.Time) (*Video, int) {
+// before mutating the content, as device.Device's OnDirty hook does. Its
+// event is queued 1 µs ahead, after any polling tick at the same instant,
+// or, with early, when the script starts, before every polling tick. It
+// returns the video and how often the source was read.
+func captureScript(probe, early bool, changes []sim.Time, stop sim.Time) (*Video, int) {
 	eng := sim.NewEngine()
 	frame, dirty, reads := solidFrame(0), true, 0
 	rec := NewRecorder(eng, FPS, func() *Frame {
@@ -441,14 +468,17 @@ func captureScript(probe bool, changes []sim.Time, stop sim.Time) (*Video, int) 
 	rec.Start()
 	for i, at := range changes {
 		shade := uint8(i + 1)
-		eng.At(at-1, func(e *sim.Engine) {
-			e.At(at, func(*sim.Engine) {
-				if !dirty {
-					rec.Wake()
-				}
-				frame, dirty = solidFrame(shade), true
-			})
-		})
+		change := func(*sim.Engine) {
+			if !dirty {
+				rec.Wake()
+			}
+			frame, dirty = solidFrame(shade), true
+		}
+		if early {
+			eng.At(at, change)
+			continue
+		}
+		eng.At(at-1, func(e *sim.Engine) { e.At(at, change) })
 	}
 	eng.RunUntil(stop)
 	rec.Stop()
@@ -490,8 +520,8 @@ func TestRecorderStop(t *testing.T) {
 	// thousands of instants.
 	changes := []sim.Time{1_000_005}
 	for _, stop := range []sim.Time{1_066_676, 1_100_000, 1_133_332, 1_133_333, 150_000_000} {
-		want, _ := captureScript(false, changes, stop)
-		got, _ := captureScript(true, changes, stop)
+		want, _ := captureScript(false, false, changes, stop)
+		got, _ := captureScript(true, false, changes, stop)
 		sameVideo(t, got, want)
 	}
 }

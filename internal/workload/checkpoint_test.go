@@ -32,7 +32,7 @@ func coldReplay(w *Workload, rec *Recording, govs []governor.Governor, configNam
 	var vrec *video.Recorder
 	if capture {
 		vrec = video.NewRecorder(eng, video.FPS, dev.Frame)
-		vrec.BindDirty(dev.Dirty)
+		vrec.BindDirty(dev.Changing)
 		dev.OnDirty = vrec.Wake
 		vrec.Start()
 	}

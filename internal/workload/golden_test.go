@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/governor"
 	"repro/internal/soc"
+	"repro/internal/thermal"
 )
 
 // TestDragonboardGoldenTraces pins the multi-cluster refactor's central
@@ -133,6 +134,104 @@ func TestBigLittleGoldenTraces(t *testing.T) {
 		fmt.Fprintf(h, "m%d", art.Migrations)
 		if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != golden[cfg.name] {
 			t.Errorf("%s big.LITTLE trace hash = %s, want %s", cfg.name, got, golden[cfg.name])
+		}
+	}
+}
+
+// TestCapturedVideoGolden pins the captured pixels themselves. The trace
+// goldens above replay with capture off, and the fork≡cold tests compare
+// two runs of one build, so without this test a change to rendering or to
+// the recorder could move every captured frame, and with it every lag the
+// matcher reads, unnoticed. Each row records once and replays through one
+// ReplaySession under ondemand, interactive and the lowest and highest
+// fixed OPP, at two seeds; its hash covers every replay's video runs
+// (start, count, pixels) and ground truth. The rows span the five Table I
+// datasets and quickstart on the Dragonboard, quickstart and dataset04 on
+// big.LITTLE with C-state ladders, and the sustained thermal export
+// marathon whose throttler binds.
+//
+// The constants were captured before frame rendering became demand driven
+// (a vsync redraws only frames that read the clock). A mismatch after a
+// change meant only to make capture faster is a bug in that change: some
+// Render reads state that changes without Invalidate, or the recorder
+// sleeps over a different set of instants. Do not regenerate the constants
+// for it.
+func TestCapturedVideoGolden(t *testing.T) {
+	onSpec := func(mk func() *Workload, spec soc.Spec) func() *Workload {
+		return func() *Workload {
+			w := mk()
+			w.Profile.SoC = spec
+			return w
+		}
+	}
+	bigIdle := soc.WithDefaultIdle(soc.BigLittle44())
+	rows := []struct {
+		name   string
+		w      func() *Workload
+		repeat int
+		golden string
+	}{
+		{"dataset01", Dataset01, 1, "d9a221b4126e2113"},
+		{"dataset02", Dataset02, 1, "b40684ce532b6094"},
+		{"dataset03", Dataset03, 1, "1464d4cf47c9171f"},
+		{"dataset04", Dataset04, 1, "f943a2e28277a331"},
+		{"dataset05", Dataset05, 1, "7acf98496c94bfef"},
+		{"quickstart", Quickstart, 1, "6900a39984f3ecf4"},
+		{"biglittle-idle/quickstart", onSpec(Quickstart, bigIdle), 1, "0e38252e5e6907fc"},
+		{"biglittle-idle/dataset04", onSpec(Dataset04, bigIdle), 1, "33c2374a1115b64a"},
+		{"thermal/exportmarathon", func() *Workload {
+			w := ExportMarathon()
+			w.Profile.SoC = soc.BigLittle44()
+			w.Profile.Thermal = thermal.PhoneConfig(2, 30, 5)
+			model, err := w.Profile.SoC.Calibrate(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Profile.ThermalPower = model
+			return w
+		}, 2, "7268565304e9e44d"},
+	}
+	for _, row := range rows {
+		w := row.w()
+		rec, _, err := w.Record(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec = rec.Repeat(row.repeat)
+		clusters := w.Profile.SoCSpec().Clusters
+		configs := []struct {
+			name string
+			mk   func(i int) governor.Governor
+		}{
+			{"ondemand", func(int) governor.Governor { return governor.NewOndemand() }},
+			{"interactive", func(int) governor.Governor { return governor.NewInteractive() }},
+			{"lowest-opp", func(i int) governor.Governor { return governor.NewFixed(clusters[i].Table, 0) }},
+			{"highest-opp", func(i int) governor.Governor {
+				return governor.NewFixed(clusters[i].Table, len(clusters[i].Table)-1)
+			}},
+		}
+		sess := NewReplaySession(w, rec)
+		h := sha256.New()
+		for _, cfg := range configs {
+			for _, seed := range []uint64{1, 2} {
+				govs := make([]governor.Governor, len(clusters))
+				for i := range govs {
+					govs[i] = cfg.mk(i)
+				}
+				art := sess.Replay(govs, cfg.name, seed, true)
+				fmt.Fprintf(h, "%s/%d:", cfg.name, seed)
+				for _, r := range art.Video.Runs() {
+					fmt.Fprintf(h, "%d+%d;", r.Start, r.Count)
+					h.Write(r.Frame.Pix())
+				}
+				for _, gt := range art.Truths {
+					fmt.Fprintf(h, "%d|%s|%d|%d|%d|%d|%t|%t|%d|%v;", gt.Index, gt.Label, gt.Class, gt.Kind,
+						gt.InputTime, gt.DispatchTime, gt.Spurious, gt.Complete, gt.CompleteTime, gt.MaskRects)
+				}
+			}
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != row.golden {
+			t.Errorf("%s: captured video hash = %s, want %s", row.name, got, row.golden)
 		}
 	}
 }

@@ -89,11 +89,12 @@ func (s *ReplaySession) ReplayRecording(rec *Recording, govs []governor.Governor
 	var vrec *video.Recorder
 	if capture {
 		// Demand-driven capture: the recorder sleeps while the screen is
-		// clean and the device wakes it on the first invalidation, so an
-		// idle stretch costs zero capture events instead of 30 per second.
+		// clean and nothing animates, and the device wakes it on the first
+		// invalidation, so an idle stretch costs zero capture events instead
+		// of 30 per second.
 		// With a frame pool the video reuses the last released one's runs.
 		vrec = s.Dev.FramePool().NewRecorder(s.Eng, video.FPS, s.Dev.Frame)
-		vrec.BindDirty(s.Dev.Dirty)
+		vrec.BindDirty(s.Dev.Changing)
 		s.Dev.OnDirty = vrec.Wake
 		vrec.Start()
 	}
