@@ -40,8 +40,8 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/match"
 	"repro/internal/report"
+	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/soc"
 	"repro/internal/thermal"
 	"repro/internal/workload"
 )
@@ -67,17 +67,9 @@ func main() {
 	if w == nil {
 		fatal(fmt.Errorf("unknown workload %q", *name))
 	}
-	var spec soc.Spec
-	switch *socName {
-	case "dragonboard":
-		spec = soc.Dragonboard()
-	case "biglittle":
-		spec = soc.BigLittle44()
-	default:
-		fatal(fmt.Errorf("unknown SoC spec %q (use dragonboard or biglittle)", *socName))
-	}
-	if *idle {
-		spec = soc.WithDefaultIdle(spec)
+	spec, err := serve.SpecByName(*socName, *idle)
+	if err != nil {
+		fatal(err)
 	}
 	if *sweep {
 		if *tracePath != "" || *dbPath != "" || *repeat > 1 || *trip > 0 {

@@ -52,8 +52,8 @@ type Host interface {
 	// Interaction.Finish instead of calling these directly.
 	// InteractionFinished reports whether the interaction was newly finished:
 	// false means it had already been recorded as finished. The host owns the
-	// dedup (keyed on its ground-truth log) so that a checkpoint restore that
-	// rewinds the log also rewinds finish idempotence — an Interaction whose
+	// dedup (keyed on its ground-truth log) so that a fork, whose Seal
+	// empties the log, also resets finish idempotence — an Interaction whose
 	// work chain replays after a fork finishes again in the new timeline.
 	InteractionStarted(label string, class core.HCIClass) int
 	InteractionFinished(id int) bool

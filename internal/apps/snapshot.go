@@ -4,15 +4,15 @@ import "repro/internal/snap"
 
 // This file implements App.SaveState/LoadState for every application, plus
 // the StatefulService interface for background services that carry mutable
-// state. The device checkpoint layer calls these to capture and rewind app
-// state machines for forked replays.
+// state. The device checkpoint layer saves them once, at the boot instant,
+// and loads them on every restore, so each forked replay starts from the
+// same app state machines.
 //
 // Restore safety: app state is plain values (screen ids, counters, drafts),
 // so save/load round-trips exactly. What is NOT captured here is control
 // flow suspended inside an in-flight interaction — those live as engine
-// events whose closures capture locals. Checkpoints are therefore taken at
-// instants quiescent with respect to interactions (the device boot instant,
-// or between interactions); see docs/performance.md.
+// events whose closures capture locals. None exists at the boot instant,
+// the only instant a device is checkpointed; see docs/performance.md.
 
 // StatefulService is implemented by services whose runtime state can change
 // after Start (e.g. the music decoder's play/pause flag). Stateless services

@@ -1,208 +1,66 @@
 package device_test
 
 import (
-	"crypto/sha256"
-	"fmt"
 	"testing"
 
-	"repro/internal/apps"
 	"repro/internal/device"
-	"repro/internal/evdev"
 	"repro/internal/governor"
 	"repro/internal/power"
 	"repro/internal/sim"
-	"repro/internal/soc"
-	"repro/internal/thermal"
 	"repro/internal/trace"
 )
 
-// stateDigest hashes everything a mid-run checkpoint must reproduce after a
-// restore-and-rerun: per-cluster frequency/busy/temperature/throttle traces,
-// per-OPP busy histograms, idle counters, migrations and ground truth. Values
-// are digested immediately — the underlying buffers are rewound in place by
-// the next Restore.
-func stateDigest(d *device.Device, window sim.Duration) string {
-	d.FinishTraces(window)
-	d.SnapshotIdle()
-	h := sha256.New()
-	for ci, ct := range d.ClusterTraces {
-		fmt.Fprintf(h, "c%d;", ci)
-		for _, p := range ct.Freq.Points {
-			fmt.Fprintf(h, "%d:%d;", p.At, p.OPPIndex)
-		}
-		for _, c := range ct.Busy.Cum {
-			fmt.Fprintf(h, "%d.", c)
-		}
-		if ct.Temp != nil {
-			for _, p := range ct.Temp.Points {
-				fmt.Fprintf(h, "t%d=%.6f;", p.At, p.TempC)
-			}
-		}
-		if ct.Throttle != nil {
-			for _, e := range ct.Throttle.Events {
-				fmt.Fprintf(h, "th%d:%d:%v;", e.At, e.CapIndex, e.Throttled)
-			}
-		}
-		if ct.Idle != nil {
-			for k, st := range ct.Idle.States {
-				fmt.Fprintf(h, "i%s=%d;", st, ct.Idle.Residency[k])
-			}
-			fmt.Fprintf(h, "w%d,m%d,s%d,a%d;", ct.Idle.Wakes, ct.Idle.Mispredicts,
-				int64(ct.Idle.StallTime), int64(ct.Idle.ActiveTime))
-		}
-	}
-	for ci, hist := range d.SoC.BusyByCluster() {
-		fmt.Fprintf(h, "b%d:%v;", ci, hist)
-	}
-	fmt.Fprintf(h, "mig%d;", d.SoC.Migrations())
-	for _, gt := range d.GroundTruths() {
-		fmt.Fprintf(h, "g%+v;", gt)
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:12])
-}
-
-// TestMidRunRestoreAfterRestore pins the reusability of one mid-run
-// checkpoint: restore → run to the end → restore the SAME checkpoint again →
-// run again, twice over, each continuation bit-for-bit identical to the
-// original. A checkpoint must be a pure value the device can rewind to any
-// number of times, not a one-shot ticket.
-func TestMidRunRestoreAfterRestore(t *testing.T) {
-	eng := sim.NewEngine()
-	d := device.New(eng, 42, governor.NewOndemand(), device.DefaultProfile())
-	d.ReserveTraces(20 * sim.Second)
-	// A tap scheduled before the checkpoint but landing after it: the event
-	// lives in the snapshotted engine queue and must replay on every rerun.
-	r, ok := d.Launcher().IconRect(apps.GalleryName)
-	if !ok {
-		t.Fatal("gallery icon missing")
-	}
-	cx, cy := r.Center()
-	tapAt(t, d, sim.Time(6*sim.Second), cx, cy)
-
-	eng.RunUntil(sim.Time(5 * sim.Second)) // quiescent: tap not yet injected
-	cp := d.Checkpoint(nil)
-
-	eng.RunUntil(sim.Time(20 * sim.Second))
-	want := stateDigest(d, 20*sim.Second)
-
-	for leg := 1; leg <= 2; leg++ {
-		d.Restore(cp)
-		if eng.Now() != sim.Time(5*sim.Second) {
-			t.Fatalf("leg %d: restored clock = %v, want 5s", leg, eng.Now())
-		}
-		eng.RunUntil(sim.Time(20 * sim.Second))
-		if got := stateDigest(d, 20*sim.Second); got != want {
-			t.Fatalf("leg %d: continuation digest %s, want %s", leg, got, want)
-		}
-	}
-}
-
-// TestCheckpointMidTaskOffGrid checkpoints at an instant that is neither a
-// busy-grid boundary nor a task boundary: a CPU burst is mid-execution, so
-// the snapshot must capture fractional busy accrual (lastSettle inside a grid
-// step), the running task's remaining cycles and its slice deadline.
-func TestCheckpointMidTaskOffGrid(t *testing.T) {
-	eng := sim.NewEngine()
-	prof := device.DefaultProfile()
-	d := device.New(eng, 42, governor.NewFixed(power.Snapdragon8074(), 5), prof)
-	d.ReserveTraces(15 * sim.Second)
-
-	// A long pinned burst straddling the checkpoint instant.
-	d.Eng.AtFunc(sim.Time(4900*sim.Millisecond), func() {
-		d.SoC.SubmitPinned(0, "burst", soc.Cycles(400_000_000), nil)
-	})
-	eng.RunUntil(sim.Time(5*sim.Second + 7*sim.Millisecond)) // off the 33.333 ms grid
-	cp := d.Checkpoint(nil)
-
-	eng.RunUntil(sim.Time(15 * sim.Second))
-	want := stateDigest(d, 15*sim.Second)
-
-	d.Restore(cp)
-	eng.RunUntil(sim.Time(15 * sim.Second))
-	if got := stateDigest(d, 15*sim.Second); got != want {
-		t.Fatalf("mid-task continuation digest %s, want %s", got, want)
-	}
-}
-
-// TestCheckpointMidIdleResidency checkpoints while clusters sit in a deep
-// idle state with partially accrued residency. The continuation must account
-// the split residency interval exactly once — the restored idleSince carries
-// the pre-checkpoint share of the interval across the rewind.
-func TestCheckpointMidIdleResidency(t *testing.T) {
-	eng := sim.NewEngine()
-	prof := device.Profile{SoC: soc.WithDefaultIdle(soc.BigLittle44())}
-	d := device.NewMulti(eng, 42, []governor.Governor{nil, nil}, prof)
-	d.ReserveTraces(15 * sim.Second)
-
-	// No input: after boot transients both clusters descend the ladder.
-	eng.RunUntil(sim.Time(5*sim.Second + 7*sim.Millisecond))
-	cp := d.Checkpoint(nil)
-
-	eng.RunUntil(sim.Time(15 * sim.Second))
-	want := stateDigest(d, 15*sim.Second)
-
-	d.Restore(cp)
-	eng.RunUntil(sim.Time(15 * sim.Second))
-	if got := stateDigest(d, 15*sim.Second); got != want {
-		t.Fatalf("mid-idle continuation digest %s, want %s", got, want)
-	}
-}
-
-// TestForkWithActiveThrottleCap checkpoints a thermally throttled device —
-// the zone is above trip and the cap arbiter holds the cluster below its
-// governor request — and requires the continuation after restore to
-// reproduce the original cap walk (further downs, the recovery ups and the
-// temperature trace) exactly.
-func TestForkWithActiveThrottleCap(t *testing.T) {
-	eng := sim.NewEngine()
-	prof := device.Profile{
-		SoC:     soc.BigLittle44(),
-		Thermal: thermal.PhoneConfig(2, 30, 3),
-	}
-	govs := []governor.Governor{
-		governor.Powersave(power.LittleCortex()),
-		governor.Performance(power.Snapdragon8074()),
-	}
-	d := device.NewMulti(eng, 1, govs, prof)
-	d.ReserveTraces(60 * sim.Second)
-	heatBig(d, 1, 200_000_000, sim.Time(20*sim.Second))
-
-	eng.RunUntil(sim.Time(15 * sim.Second))
-	if d.ClusterTraces[1].Throttle.CapDowns() == 0 {
-		t.Fatal("big cluster not throttled at checkpoint time; test premise broken")
-	}
-	cp := d.Checkpoint(nil)
-
-	eng.RunUntil(sim.Time(60 * sim.Second)) // load ends at 20s; cap recovers
-	want := stateDigest(d, 60*sim.Second)
-
-	d.Restore(cp)
-	eng.RunUntil(sim.Time(60 * sim.Second))
-	if got := stateDigest(d, 60*sim.Second); got != want {
-		t.Fatalf("throttled continuation digest %s, want %s", got, want)
+// TestCheckpointOfSealedDevicePanics pins that a checkpoint is taken only
+// at the boot instant. A sealed device carries governors, traces and perhaps
+// in-flight interactions that a Checkpoint does not hold, so checkpointing
+// one must fail loudly instead of forking runs that silently differ from a
+// cold boot. A device Restore handed back is sealed too.
+func TestCheckpointOfSealedDevicePanics(t *testing.T) {
+	govs := func() []governor.Governor { return []governor.Governor{governor.NewOndemand()} }
+	for _, tc := range []struct {
+		name string
+		dev  func() *device.Device
+	}{
+		{"cold", func() *device.Device {
+			return device.NewMulti(sim.NewEngine(), 1, govs(), device.DefaultProfile())
+		}},
+		{"restored", func() *device.Device {
+			d := device.Boot(sim.NewEngine(), device.DefaultProfile())
+			d.Restore(d.Checkpoint(), 1, govs())
+			return d
+		}},
+	} {
+		d := tc.dev()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Checkpoint of a sealed device did not panic", tc.name)
+				}
+			}()
+			d.Checkpoint()
+		}()
 	}
 }
 
 // TestForkRestoreAllocFree is the steady-state allocation gate for the sweep
 // fork loop: with recycled trace scratch, a fixed governor and no capture,
-// restoring the boot checkpoint, re-Sealing and running a window performs
-// zero heap allocations once every pooled buffer has reached its high-water
-// mark — the property that lets RunMatrix fork hundreds of runs without GC
-// pressure.
+// restoring the boot checkpoint (which re-Seals) and running a window
+// performs zero heap allocations once every pooled buffer has reached its
+// high-water mark — the property that lets RunMatrix fork hundreds of runs
+// without GC pressure.
 func TestForkRestoreAllocFree(t *testing.T) {
 	eng := sim.NewEngine()
 	prof := device.DefaultProfile()
 	d := device.Boot(eng, prof)
-	cp := d.Checkpoint(nil)
+	cp := d.Checkpoint()
 	govs := []governor.Governor{governor.NewFixed(power.Snapdragon8074(), 5)}
 
 	var ts []*trace.ClusterTraces
 	var bc *trace.BusyCurve
 	fork := func() {
-		d.Restore(cp)
 		d.SetTraceScratch(ts)
 		d.SetBusyScratch(bc)
-		d.Seal(42, govs)
+		d.Restore(cp, 42, govs)
 		d.ReserveTraces(3 * sim.Second)
 		eng.RunUntil(sim.Time(3 * sim.Second))
 		d.FinishTraces(3 * sim.Second)
@@ -213,17 +71,5 @@ func TestForkRestoreAllocFree(t *testing.T) {
 	fork()
 	if avg := testing.AllocsPerRun(10, fork); avg != 0 {
 		t.Fatalf("steady-state fork+restore allocates %.1f times per run, want 0", avg)
-	}
-}
-
-// tapAt injects a full tap gesture at the given time and position (external
-// package variant of the device-internal test helper; heatBig is shared with
-// the thermal pipeline tests in this package).
-func tapAt(t *testing.T, d *device.Device, at sim.Time, x, y int) {
-	t.Helper()
-	enc := evdev.NewEncoder()
-	for _, ev := range enc.EncodeTap(at, x, y) {
-		ev := ev
-		d.Eng.At(ev.Time, func(*sim.Engine) { d.Inject(ev) })
 	}
 }

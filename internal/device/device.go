@@ -154,9 +154,8 @@ type Device struct {
 	anims  map[string]bool
 
 	// Periodic tick machinery, pre-bound once at boot. The loop counters
-	// live on the device (not in closure locals) so a checkpoint can capture
-	// and restore a mid-run tick cadence exactly. The vsync tick is demand
-	// driven: the chain runs only while an animation is active (busy-curve
+	// live on the device (not in closure locals) so Seal can reset the tick
+	// cadence of a reused device. The vsync tick is demand driven: the chain runs only while an animation is active (busy-curve
 	// sampling moved into the clusters' own accounting), so vsyncOn tracks
 	// whether a tick event is currently in flight.
 	vsyncOn       bool
@@ -175,7 +174,6 @@ type Device struct {
 
 	// input assembly
 	curGesture  *evdev.Gesture
-	gestureBuf  evdev.Gesture // restore target, so Restore never allocates
 	gotX, gotY  bool
 	subscribers []func(evdev.Event)
 
@@ -231,8 +229,8 @@ func New(eng *sim.Engine, seed uint64, gov governor.Governor, prof Profile) *Dev
 // paper's runs reproduce bit for bit.
 //
 // NewMulti is exactly Boot followed by Seal — the checkpoint layer relies on
-// this: restoring a boot checkpoint and Sealing again is indistinguishable
-// from a cold NewMulti with the same seed and governors.
+// this: Restore of a boot checkpoint ends in the same Seal, so a forked run
+// is indistinguishable from a cold NewMulti with the same seed and governors.
 func NewMulti(eng *sim.Engine, seed uint64, govs []governor.Governor, prof Profile) *Device {
 	d := Boot(eng, prof)
 	d.Seal(seed, govs)
@@ -294,9 +292,10 @@ func Boot(eng *sim.Engine, prof Profile) *Device {
 
 // Seal finishes booting the device for one concrete run: reseed the RNG with
 // the run seed, attach one governor per cluster, create the run's traces,
-// bring up the thermal zones and schedule the periodic ticks. Seal may be
-// called again after Restore of a boot checkpoint; each call produces a
-// device indistinguishable from a cold NewMulti.
+// bring up the thermal zones and schedule the periodic ticks. Restore of a
+// boot checkpoint calls Seal again, so it also resets every piece of
+// run-scoped state the checkpoint does not hold; each call produces a device
+// indistinguishable from a cold NewMulti.
 func (d *Device) Seal(seed uint64, govs []governor.Governor) {
 	spec := d.SoC.Spec()
 	if len(govs) != len(spec.Clusters) {
@@ -413,8 +412,8 @@ func (d *Device) FinishTraces(window sim.Duration) {
 }
 
 // bindTicks creates the periodic tick closures once per boot. Each closure
-// reads its cadence counter from the device, so a checkpoint restore rewinds
-// the tick phase along with everything else, and re-binding is never needed.
+// reads its cadence counter from the device, so Seal resets the tick phase
+// along with everything else, and re-binding is never needed.
 func (d *Device) bindTicks() {
 	// vsync: charges animation work every frame while an animation runs,
 	// and invalidates only a frame that reads the clock (or when no frame
@@ -816,9 +815,9 @@ func (d *Device) InteractionStarted(label string, class core.HCIClass) int {
 }
 
 // InteractionFinished implements apps.Host: the ground-truth "input
-// serviced" instant. The ground-truth log owns finish idempotence — it is
-// checkpointed state, so a fork that rewinds the log lets replayed
-// interaction chains finish again in the new timeline.
+// serviced" instant. The ground-truth log owns finish idempotence — Seal
+// empties it, so a forked run's interaction chains finish again in the new
+// timeline.
 func (d *Device) InteractionFinished(id int) bool {
 	if id < 0 || id >= len(d.truths) {
 		return false

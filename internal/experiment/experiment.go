@@ -50,10 +50,6 @@ type Config struct {
 	// NewGovernor builds one fresh governor instance; it is invoked once
 	// per cluster per replay.
 	NewGovernor func() governor.Governor
-	// NewGovernors, when set, supplies one fresh governor per cluster for
-	// multi-cluster SoC specs (e.g. powersave on little, interactive on big).
-	// When nil, NewGovernor is invoked once per cluster.
-	NewGovernors func() []governor.Governor
 	// ArmNames, when non-empty, names one governor per cluster and replaces
 	// the factory closures: Governors resolves each name against its
 	// cluster's own ladder via GovernorByName. Mixed arms are built this way
@@ -91,9 +87,6 @@ func (c Config) Governors(prof device.Profile) ([]governor.Governor, error) {
 			govs[i] = g
 		}
 		return govs, nil
-	}
-	if c.NewGovernors != nil {
-		return c.NewGovernors(), nil
 	}
 	govs := make([]governor.Governor, len(spec.Clusters))
 	if c.OPPIndex >= 0 && len(spec.Clusters) > 1 {

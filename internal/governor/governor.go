@@ -19,7 +19,7 @@
 // a governor instance drives exactly one cluster and runs entirely on that
 // cluster's engine goroutine; nothing here is safe for concurrent use, and
 // sweeps must build one fresh governor per cluster per replay (Config.
-// NewGovernor / NewGovernors in the experiment package do exactly that).
+// Governors in the experiment package does exactly that).
 package governor
 
 import (

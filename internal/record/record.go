@@ -47,8 +47,8 @@ type Agent struct {
 	GestureJitter sim.Duration
 
 	// Replay cursor: one in-flight engine event at a time. Keeping the
-	// cursor on the agent (not in a closure) lets checkpoint tests capture
-	// and restore an in-flight replay alongside the engine state.
+	// cursor on the agent (not in a closure) lets one pre-bound step re-arm
+	// every event, and a replay session reuse the agent for every fork.
 	dev    *device.Device
 	events []evdev.Event
 	rnd    *sim.Rand

@@ -56,9 +56,3 @@ func (r *Rand) Reseed(seed uint64) {
 	r.state = seed
 	r.Uint64()
 }
-
-// State returns the generator's raw state word for checkpointing.
-func (r *Rand) State() uint64 { return r.state }
-
-// SetState restores a state word captured by State.
-func (r *Rand) SetState(s uint64) { r.state = s }

@@ -1,20 +1,15 @@
-// Package snap provides the flat, reusable state buffer the checkpoint
-// layer serialises mutable simulation state into. Every subsystem that
-// participates in device checkpoints (apps, services, governors, thermal
-// zones) appends its fields to one shared Buf in a fixed order on save and
-// consumes them in the same order on restore — no reflection, no per-field
-// allocation, and a steady-state snapshot reuses the buffer's storage.
+// Package snap provides the flat state buffer the checkpoint layer
+// serialises app and service state into. Every app, the launcher, each
+// stateful background service and the network proxy append their fields to
+// one shared Buf in a fixed order when a booted device is checkpointed, and
+// consume them in the same order on every restore — no reflection and no
+// per-field allocation.
 //
-// The buffer carries three typed streams: integers (which also encode bools,
-// unsigned words and durations), strings, and opaque pointers. Pointers are
-// stored as interface values and handed back verbatim, which is what lets a
-// restored app resume an in-flight *Interaction without re-encoding it.
+// The buffer carries two typed streams: integers (which also encode bools,
+// floats and durations) and strings.
 package snap
 
 import "math"
-
-func floatBits(v float64) uint64     { return math.Float64bits(v) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 
 // Buf is a flat snapshot buffer. The zero value is ready to use. Save with
 // the Put methods; call Rewind before reading back; read with the matching
@@ -22,31 +17,15 @@ func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 type Buf struct {
 	ints []int64
 	strs []string
-	ptrs []any
 
-	iInt, iStr, iPtr int
-}
-
-// Reset empties the buffer for a fresh save, keeping storage.
-func (b *Buf) Reset() {
-	b.ints = b.ints[:0]
-	b.strs = b.strs[:0]
-	// Pointers are cleared so a shrinking snapshot doesn't pin dead objects.
-	for i := range b.ptrs {
-		b.ptrs[i] = nil
-	}
-	b.ptrs = b.ptrs[:0]
-	b.Rewind()
+	iInt, iStr int
 }
 
 // Rewind moves the read cursors back to the start (call before restoring).
-func (b *Buf) Rewind() { b.iInt, b.iStr, b.iPtr = 0, 0, 0 }
+func (b *Buf) Rewind() { b.iInt, b.iStr = 0, 0 }
 
 // PutInt appends one integer.
 func (b *Buf) PutInt(v int64) { b.ints = append(b.ints, v) }
-
-// PutUint appends one unsigned word.
-func (b *Buf) PutUint(v uint64) { b.ints = append(b.ints, int64(v)) }
 
 // PutBool appends one bool.
 func (b *Buf) PutBool(v bool) {
@@ -58,19 +37,10 @@ func (b *Buf) PutBool(v bool) {
 }
 
 // PutFloat appends one float64 (bit-exact).
-func (b *Buf) PutFloat(v float64) { b.ints = append(b.ints, int64(floatBits(v))) }
+func (b *Buf) PutFloat(v float64) { b.ints = append(b.ints, int64(math.Float64bits(v))) }
 
 // PutStr appends one string.
 func (b *Buf) PutStr(s string) { b.strs = append(b.strs, s) }
-
-// PutPtr appends one opaque reference, handed back verbatim on read.
-func (b *Buf) PutPtr(p any) { b.ptrs = append(b.ptrs, p) }
-
-// PutInts appends a slice of integers, length-prefixed.
-func (b *Buf) PutInts(vs []int64) {
-	b.PutInt(int64(len(vs)))
-	b.ints = append(b.ints, vs...)
-}
 
 // Int reads the next integer.
 func (b *Buf) Int() int64 {
@@ -79,40 +49,17 @@ func (b *Buf) Int() int64 {
 	return v
 }
 
-// Uint reads the next unsigned word.
-func (b *Buf) Uint() uint64 { return uint64(b.Int()) }
-
 // Bool reads the next bool.
 func (b *Buf) Bool() bool { return b.Int() != 0 }
 
 // Float reads the next float64.
-func (b *Buf) Float() float64 { return floatFromBits(uint64(b.Int())) }
+func (b *Buf) Float() float64 { return math.Float64frombits(uint64(b.Int())) }
 
 // Str reads the next string.
 func (b *Buf) Str() string {
 	s := b.strs[b.iStr]
 	b.iStr++
 	return s
-}
-
-// Ptr reads the next opaque reference.
-func (b *Buf) Ptr() any {
-	p := b.ptrs[b.iPtr]
-	b.iPtr++
-	return p
-}
-
-// Ints reads a length-prefixed integer slice into dst (reused when large
-// enough), returning the filled slice.
-func (b *Buf) Ints(dst []int64) []int64 {
-	n := int(b.Int())
-	if cap(dst) < n {
-		dst = make([]int64, n)
-	}
-	dst = dst[:n]
-	copy(dst, b.ints[b.iInt:b.iInt+n])
-	b.iInt += n
-	return dst
 }
 
 // FaultTruncate empties the buffer's typed streams while leaving the read
@@ -123,8 +70,4 @@ func (b *Buf) Ints(dst []int64) []int64 {
 func (b *Buf) FaultTruncate() {
 	b.ints = b.ints[:0]
 	b.strs = b.strs[:0]
-	for i := range b.ptrs {
-		b.ptrs[i] = nil
-	}
-	b.ptrs = b.ptrs[:0]
 }

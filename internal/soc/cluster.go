@@ -59,9 +59,6 @@ type Task struct {
 	// gen is the pool generation, bumped when the pooled slot is reused, so
 	// stale Handles can never touch a recycled task.
 	gen uint32
-	// mark is the liveness epoch used to rebuild the pool free list on a
-	// checkpoint restore.
-	mark uint32
 }
 
 // Done reports whether the task has finished executing.

@@ -50,8 +50,7 @@ type scheduler struct {
 	migrations  int
 	tickPending bool
 	// tickCb is the one pre-bound rebalance callback, so arming the tick
-	// never allocates and the event queue only ever holds this stable func
-	// value (which is what lets checkpoints restore a pending tick).
+	// never allocates.
 	tickCb func()
 	// reversed caches the clusters in big-to-little order, so the per-submit
 	// placement scan never allocates.

@@ -1,23 +1,17 @@
 package soc
 
-import "repro/internal/sim"
+import (
+	"fmt"
 
-// clusterSnap is a deep copy of one cluster's mutable state. Tasks are
-// captured twice over: the pointer identity (so restored run queues hold the
-// same objects the restored engine events reference) and the full field
-// values (so a task that completed, drained to the pool and was recycled
-// after the snapshot is rewound to exactly its snapshotted life).
+	"repro/internal/sim"
+)
+
+// clusterSnap is a copy of one cluster's mutable state at an instant when no
+// task is live, so it holds no run queue: clocks, caps, busy accounting and
+// the idle ladder.
 type clusterSnap struct {
 	oppIdx, reqIdx int
 	caps           []freqCap
-
-	runq      []*Task
-	runqVals  []Task
-	running   []*Task
-	runVals   []Task
-	sliceEnds []sim.Time
-	coreOf    []int
-	coreUsed  []bool
 
 	lastSettle  sim.Time
 	pending     sim.EventID
@@ -46,47 +40,21 @@ type clusterSnap struct {
 	activeWall  sim.Duration
 }
 
-// Snap is a deep snapshot of a whole SoC: every cluster, the zero-cycle
-// completion queue, and the task scheduler. Its buffers are reused across
-// Snapshot calls, so steady-state checkpointing allocates nothing once
-// they reach the high-water mark. A Snap is only meaningful together with
-// the sim.EngineSnap taken at the same instant — cluster execution events
-// and the scheduler tick live in the engine queue.
+// Snap is a snapshot of a whole SoC taken while no task is live (the device
+// boot instant): every cluster's clocks, caps, busy accounting and idle
+// ladder, and the scheduler's migration count and tick flag. A Snap is only
+// meaningful together with the sim.EngineSnap taken at the same instant —
+// pending cluster and scheduler events live in the engine queue.
 type Snap struct {
 	clusters []clusterSnap
-	zeroQ    []*Task
-	zeroVals []Task
 
 	migrations  int
 	tickPending bool
 }
 
-func snapTasks(ptrs []*Task, dstP []*Task, dstV []Task) ([]*Task, []Task) {
-	dstP = append(dstP[:0], ptrs...)
-	if cap(dstV) < len(ptrs) {
-		dstV = make([]Task, len(ptrs))
-	}
-	dstV = dstV[:len(ptrs)]
-	for i, t := range ptrs {
-		dstV[i] = *t
-	}
-	return dstP, dstV
-}
-
-func restoreTasks(ptrs []*Task, vals []Task) {
-	for i, t := range ptrs {
-		*t = vals[i]
-	}
-}
-
 func (c *Cluster) snapshot(s *clusterSnap) {
 	s.oppIdx, s.reqIdx = c.oppIdx, c.reqIdx
 	s.caps = append(s.caps[:0], c.caps...)
-	s.runq, s.runqVals = snapTasks(c.runq, s.runq, s.runqVals)
-	s.running, s.runVals = snapTasks(c.running, s.running, s.runVals)
-	s.sliceEnds = append(s.sliceEnds[:0], c.sliceEnds...)
-	s.coreOf = append(s.coreOf[:0], c.coreOf...)
-	s.coreUsed = append(s.coreUsed[:0], c.coreUsed...)
 	s.lastSettle = c.lastSettle
 	s.pending, s.havePending = c.pending, c.havePending
 	s.cumBusy = c.cumBusy
@@ -105,13 +73,11 @@ func (c *Cluster) snapshot(s *clusterSnap) {
 func (c *Cluster) restore(s *clusterSnap) {
 	c.oppIdx, c.reqIdx = s.oppIdx, s.reqIdx
 	c.caps = append(c.caps[:0], s.caps...)
-	restoreTasks(s.runq, s.runqVals)
-	restoreTasks(s.running, s.runVals)
-	c.runq = append(c.runq[:0], s.runq...)
-	c.running = append(c.running[:0], s.running...)
-	c.sliceEnds = append(c.sliceEnds[:0], s.sliceEnds...)
-	c.coreOf = append(c.coreOf[:0], s.coreOf...)
-	c.coreUsed = append(c.coreUsed[:0], s.coreUsed...)
+	c.runq = c.runq[:0]
+	c.running = c.running[:0]
+	c.sliceEnds = c.sliceEnds[:0]
+	c.coreOf = c.coreOf[:0]
+	clear(c.coreUsed)
 	c.lastSettle = s.lastSettle
 	c.pending, c.havePending = s.pending, s.havePending
 	c.cumBusy = s.cumBusy
@@ -127,50 +93,42 @@ func (c *Cluster) restore(s *clusterSnap) {
 	c.activeOpen, c.activeSince, c.activeWall = s.activeOpen, s.activeSince, s.activeWall
 }
 
-// Snapshot deep-copies the SoC's mutable state into sn, reusing its buffers.
-// Take it at the same instant as the engine snapshot it pairs with.
+// Snapshot copies the SoC's state into sn, reusing its buffers. Take it at
+// the same instant as the engine snapshot it pairs with. It panics while a
+// task is live — queued, running or awaiting zero-cycle completion — because
+// a Snap holds no task bodies.
 func (s *SoC) Snapshot(sn *Snap) {
+	if n := len(s.zq.q); n > 0 {
+		panic(fmt.Sprintf("soc: Snapshot with %d zero-cycle tasks pending", n))
+	}
+	for _, c := range s.clusters {
+		if n := c.Runnable(); n > 0 {
+			panic(fmt.Sprintf("soc: Snapshot with %d tasks live on cluster %q", n, c.name))
+		}
+	}
 	if cap(sn.clusters) < len(s.clusters) {
-		grown := make([]clusterSnap, len(s.clusters))
-		copy(grown, sn.clusters)
-		sn.clusters = grown
+		sn.clusters = make([]clusterSnap, len(s.clusters))
 	}
 	sn.clusters = sn.clusters[:len(s.clusters)]
 	for i, c := range s.clusters {
 		c.snapshot(&sn.clusters[i])
 	}
-	sn.zeroQ, sn.zeroVals = snapTasks(s.zq.q, sn.zeroQ, sn.zeroVals)
 	if s.sched != nil {
 		sn.migrations, sn.tickPending = s.sched.migrations, s.sched.tickPending
 	}
 }
 
-// Restore rewinds the SoC to the snapshotted state. Every task that was live
-// at snapshot time has its fields rewound in place (pointer identity is
-// preserved, so restored engine events and run queues agree), and the task
-// pool's free list is rebuilt as everything else it owns — tasks created
-// after the snapshot become garbage, tasks retired after it come back to
-// life. Pair with sim.Engine.Restore of the matching engine snapshot.
+// Restore rewinds the SoC to the snapshotted state. Tasks live when Restore
+// is called are dropped: the run queues and the zero-cycle queue empty, and
+// every task the pool ever created is free again, in creation order. Pair
+// with sim.Engine.Restore of the matching engine snapshot.
 func (s *SoC) Restore(sn *Snap) {
 	for i, c := range s.clusters {
 		c.restore(&sn.clusters[i])
 	}
-	restoreTasks(sn.zeroQ, sn.zeroVals)
-	s.zq.q = append(s.zq.q[:0], sn.zeroQ...)
+	s.zq.q = s.zq.q[:0]
 	if s.sched != nil {
 		s.sched.migrations, s.sched.tickPending = sn.migrations, sn.tickPending
 	}
-	s.pool.beginMark()
-	for _, c := range s.clusters {
-		for _, t := range c.runq {
-			s.pool.markLive(t)
-		}
-		for _, t := range c.running {
-			s.pool.markLive(t)
-		}
-	}
-	for _, t := range s.zq.q {
-		s.pool.markLive(t)
-	}
-	s.pool.rebuildFree()
+	s.pool.freeAll()
 }

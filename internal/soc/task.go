@@ -47,12 +47,10 @@ func (h Handle) Affinity() int {
 
 // taskPool recycles Task objects so warm submit/complete cycles allocate
 // nothing. It tracks every task it ever created (all) so a checkpoint
-// restore can rebuild the free list exactly: free = all minus the tasks
-// live in the restored run queues.
+// restore, which rewinds to an instant with no live task, can free them all.
 type taskPool struct {
-	free  []*Task
-	all   []*Task
-	epoch uint32
+	free []*Task
+	all  []*Task
 }
 
 // get returns a reset task under a fresh generation.
@@ -82,25 +80,13 @@ func (p *taskPool) put(t *Task) {
 	p.free = append(p.free, t)
 }
 
-// beginMark opens a liveness pass for a checkpoint restore.
-func (p *taskPool) beginMark() { p.epoch++ }
-
-// markLive flags a task as live in the restored state.
-func (p *taskPool) markLive(t *Task) { t.mark = p.epoch }
-
-// rebuildFree rebuilds the free list as every pool-owned task not marked
-// live, in stable creation order. Tasks allocated after the checkpoint that
-// are neither live nor pool-owned simply become garbage.
-func (p *taskPool) rebuildFree() {
-	for i := range p.free {
-		p.free[i] = nil
-	}
+// freeAll makes every task the pool ever created free again, in creation
+// order, dropping whatever was live.
+func (p *taskPool) freeAll() {
 	p.free = p.free[:0]
 	for _, t := range p.all {
-		if t.mark != p.epoch {
-			t.onDone = nil
-			p.free = append(p.free, t)
-		}
+		t.onDone = nil
+		p.free = append(p.free, t)
 	}
 }
 

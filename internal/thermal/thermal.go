@@ -95,6 +95,10 @@ func (z *Zone) Params() ZoneParams { return z.p }
 // TempC returns the current zone temperature.
 func (z *Zone) TempC() float64 { return z.tempC }
 
+// Reset returns the zone to its boot temperature, so a re-sealed device
+// reuses its zones across forked replays.
+func (z *Zone) Reset() { z.tempC = z.p.InitC }
+
 // RiseC returns the current rise above ambient (never negative), the
 // quantity cross-cluster coupling is computed from.
 func (z *Zone) RiseC() float64 {
@@ -180,6 +184,9 @@ func (t *Throttler) Enabled() bool { return t.p.Enabled() }
 
 // CapIndex returns the current cap (maxIdx when not throttling).
 func (t *Throttler) CapIndex() int { return t.capIdx }
+
+// Reset returns the throttler to its boot state: uncapped.
+func (t *Throttler) Reset() { t.capIdx = t.maxIdx }
 
 // Throttled reports whether the cap currently limits the ladder.
 func (t *Throttler) Throttled() bool { return t.capIdx < t.maxIdx }

@@ -12,7 +12,7 @@ import (
 // engine construction, silicon bring-up, app install, background-service
 // start — across every run of one (workload, recording) pair. The session
 // boots the device once, checkpoints it at the fork point (just before
-// governors attach), and each Replay call restores that checkpoint and
+// governors attach), and each Replay call restores that checkpoint, which
 // seals the device for its concrete configuration. A forked replay is
 // bit-for-bit identical to a cold ReplayMulti with the same arguments; the
 // checkpoint equivalence tests pin that guarantee.
@@ -46,7 +46,7 @@ func NewReplaySession(w *Workload, rec *Recording) *ReplaySession {
 		agent:     record.NewAgent(),
 		agentRand: sim.NewRand(1),
 	}
-	s.cp = dev.Checkpoint(nil)
+	s.cp = dev.Checkpoint()
 	return s
 }
 
@@ -79,8 +79,7 @@ func (s *ReplaySession) Replay(govs []governor.Governor, configName string, seed
 // long-running harnesses reuse a session across jobs whose recordings differ
 // (different master seeds) without re-paying the boot prefix.
 func (s *ReplaySession) ReplayRecording(rec *Recording, govs []governor.Governor, configName string, seed uint64, capture bool) *RunArtifacts {
-	s.Dev.Restore(s.cp)
-	s.Dev.Seal(seed, govs)
+	s.Dev.Restore(s.cp, seed, govs)
 	window := rec.RunWindow()
 	s.Dev.ReserveTraces(window)
 	s.agentRand.Reseed(seed ^ 0x5eed)
