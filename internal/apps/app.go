@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/screen"
 	"repro/internal/sim"
-	"repro/internal/snap"
 )
 
 // Host is the device-side interface applications program against: work and
@@ -65,6 +64,9 @@ type App interface {
 	Name() string
 	// Init binds the host and puts the app in its known initial state (the
 	// paper resets the device to a known state before every recording).
+	// The device's Seal calls it again before every run, cold or forked, so
+	// it must reset every field a run changes. It keeps slice storage
+	// (truncate, do not drop), allocates nothing and schedules nothing.
 	Init(h Host)
 	// Enter makes the app foreground. A non-nil ix is an in-flight launch
 	// interaction the app must Finish once its UI is ready.
@@ -85,11 +87,6 @@ type App interface {
 	// interaction state (blinking cursors, media progress). The annotation
 	// stage masks them, as the paper's workload-creator GUI does.
 	VolatileRects() []screen.Rect
-	// SaveState/LoadState serialise the app's mutable state into a snapshot
-	// buffer for device checkpoints. Both must visit fields in the same
-	// order; LoadState must leave the app exactly as it was at SaveState.
-	SaveState(b *snap.Buf)
-	LoadState(b *snap.Buf)
 }
 
 // Service is a background workload generator (music decoding, account sync,

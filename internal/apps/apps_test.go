@@ -475,6 +475,17 @@ func key(c rune) func(*tour) {
 	}
 }
 
+// tapIcon taps a launcher icon.
+func tapIcon(app string) func(*tour) {
+	return func(tr *tour) {
+		r, ok := tr.a.(*Launcher).IconRect(app)
+		if !ok {
+			tr.t.Fatalf("no %s icon", app)
+		}
+		tap(r)(tr)
+	}
+}
+
 func swipe(tr *tour) {
 	if !tr.a.HandleSwipe(540, 1400, 540, 500) {
 		tr.t.Fatalf("%s: swipe ignored", tr.a.Name())
@@ -509,11 +520,14 @@ func then(acts ...func(*tour)) func(*tour) {
 	}
 }
 
-// appTours walks every app, launcher included.
-var appTours = []struct {
+// appTour is one app's walk: how to build the app and the steps to take.
+type appTour struct {
 	mk    func() App
 	steps []tourStep
-}{
+}
+
+// appTours walks every app, launcher included.
+var appTours = []appTour{
 	{func() App { return NewGallery() }, []tourStep{
 		{"cold load", enter(true), true},
 		{"albums", settle, false},
@@ -536,7 +550,8 @@ var appTours = []struct {
 		{"level", then(tap(QuizPlayButton), settle), false},
 		{"key held", key('n'), false},
 		{"typed", then(settle, key('i'), key('k'), key('e'), settle), false},
-		{"submitted", then(tap(QuizSubmitButton), settle), false},
+		{"checked", then(tap(QuizSubmitButton), work), false},
+		{"submitted", settle, false},
 	}},
 	{func() App { return NewPulseNews() }, []tourStep{
 		{"cold load", enter(true), false},
@@ -548,8 +563,9 @@ var appTours = []struct {
 	{func() App { return NewMessaging() }, []tourStep{
 		{"cold load", enter(true), false},
 		{"threads", settle, false},
-		{"thread", then(tap(MessagingThreadRects[0]), settle), false},
-		{"draft", then(key('h'), settle), false},
+		{"thread", then(tap(MessagingThreadRects[1]), settle), false},
+		{"key held", key('h'), false},
+		{"draft", settle, false},
 		{"sending", tap(MessagingSendButton), true},
 		{"sent", settle, false},
 	}},
@@ -566,27 +582,43 @@ var appTours = []struct {
 	}},
 	{func() App { return NewFacebook() }, []tourStep{
 		{"feed", enter(false), false},
-		{"liked", then(tap(FacebookLikeButton), settle), false},
+		{"liking", tap(FacebookLikeButton), false},
+		{"liked", settle, false},
+		{"comment", then(tap(FacebookCommentButton), settle), false},
+		{"key held", key('a'), false},
+		{"typed", settle, false},
 	}},
 	{func() App { return NewGmail() }, []tourStep{
 		{"inbox", enter(false), false},
-		{"mail", then(tap(GmailMailRects[0]), settle), false},
+		{"mail", then(tap(GmailMailRects[1]), settle), false},
+		{"compose", then(tap(GmailReplyButton), settle), false},
+		{"key held", key('a'), false},
+		{"typed", settle, false},
+		{"sending", tap(GmailSendButton), false},
+		{"sent", settle, false},
 	}},
 	{func() App { return NewMusicPlayer(NewMusicService(false)) }, []tourStep{
 		{"cold load", enter(true), false},
 		{"stopped", settle, false},
 		{"playing", then(tap(MusicPlayButton), settle), true},
 		{"paused", then(tap(MusicPlayButton), settle), false},
+		{"opening track", tap(MusicNextButton), false},
+		{"next track", settle, false},
 	}},
 	{func() App { return NewCalculator() }, []tourStep{
 		{"cold load", enter(true), false},
 		{"keypad", settle, false},
-		{"typed", then(tap(CalcKeyRect(7)), settle), false},
+		{"key pressed", tap(CalcKeyRect(7)), false},
+		{"typed", settle, false},
 	}},
 	{func() App { return NewPlayStore() }, []tourStep{
 		{"cold load", enter(true), false},
 		{"front", settle, false},
+		{"scrolled", then(swipe, settle), false},
 		{"detail", then(tap(StoreAppCardRect), settle), false},
+		{"installing", tap(StoreInstallButton), false},
+		{"unpacking", work, false},
+		{"installed", settle, false},
 	}},
 	{func() App { return NewBrowser() }, []tourStep{
 		{"cold load", enter(true), false},
@@ -598,32 +630,43 @@ var appTours = []struct {
 	{func() App { return NewRetroRunner() }, []tourStep{
 		{"cold load", enter(true), false},
 		{"menu", settle, false},
-		{"playing", then(tap(GamePlayButton), settle), false},
+		{"loading level", tap(GamePlayButton), false},
+		{"frame due", work, false},
+		{"playing", settle, false},
 		{"note", then(tap(GameNoteLanes[1]), settle), false},
 		{"stopped", then(tap(GameStopButton), settle), false},
 	}},
 	{func() App { return NewLauncher([]string{GalleryName, CalculatorName}) }, []tourStep{
 		{"home", enter(false), false},
+		{"launching", tapIcon(GalleryName), false},
+		{"launched", settle, false},
 	}},
 }
 
 // walkApps runs every tour, calling visit on each app state it reaches.
 func walkApps(t *testing.T, visit func(h *fakeHost, a App, label string, clock *bool)) {
 	for _, at := range appTours {
-		a := at.mk()
-		h := newFakeHost()
-		h.queueWork = true
-		a.Init(h)
-		tr := &tour{t: t, h: h, a: a}
-		for _, st := range at.steps {
-			tr.visit = func(label string, clock *bool) {
-				visit(h, a, a.Name()+"/"+st.name+": "+label, clock)
-			}
-			st.act(tr)
-			clock := st.clock
-			tr.visit("after", &clock)
-		}
+		at.walk(t, len(at.steps), visit)
 	}
+}
+
+// walk takes a fresh app through the tour's first n steps, calling visit on
+// each state it reaches, and returns the app and its host.
+func (at appTour) walk(t *testing.T, n int, visit func(h *fakeHost, a App, label string, clock *bool)) (App, *fakeHost) {
+	a := at.mk()
+	h := newFakeHost()
+	h.queueWork = true
+	a.Init(h)
+	tr := &tour{t: t, h: h, a: a}
+	for _, st := range at.steps[:n] {
+		tr.visit = func(label string, clock *bool) {
+			visit(h, a, a.Name()+"/"+st.name+": "+label, clock)
+		}
+		st.act(tr)
+		clock := st.clock
+		tr.visit("after", &clock)
+	}
+	return a, h
 }
 
 // TestRenderReadsTimeOnlyThroughFramebuffer pins the contract the device's

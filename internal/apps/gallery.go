@@ -42,6 +42,7 @@ func (g *Gallery) Init(h Host) {
 	g.loadedItems = 0
 	g.album, g.photo, g.scroll, g.filterGen = 0, 0, 0, 0
 	g.filtered, g.saving = false, false
+	g.saveFrac = 0
 	g.toast = ""
 }
 

@@ -62,6 +62,7 @@ func (g *RetroRunner) Init(h Host) {
 	g.score, g.combo, g.phase = 0, 0, 0
 	g.TotalFrames, g.DroppedFrames = 0, 0
 	g.sessionOn = false
+	g.sessionGen, g.frameSeq, g.outstanding = 0, 0, 0
 }
 
 // Enter implements App.

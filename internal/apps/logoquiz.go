@@ -38,7 +38,7 @@ func (q *LogoQuiz) Init(h Host) {
 	q.InFlight = false
 	q.screenID = "menu"
 	q.level, q.menuOffset = 0, 0
-	q.answer = nil
+	q.answer = q.answer[:0]
 	q.lastKey = 0
 	q.solved = false
 	q.loading = 0

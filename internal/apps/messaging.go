@@ -44,7 +44,7 @@ func (m *Messaging) Init(h Host) {
 	m.screenID = "threads"
 	m.thread = 0
 	m.loaded = len(MessagingThreadRects)
-	m.draft = nil
+	m.draft = m.draft[:0]
 	m.sent, m.scroll = 0, 0
 	m.attached, m.sending = false, false
 	m.lastKey = 0

@@ -37,9 +37,11 @@ func (ms *MovieStudio) Init(h Host) {
 	ms.H = h
 	ms.InFlight = false
 	ms.screenID = "projects"
+	ms.loading = 0
 	ms.clips = 0
 	ms.scrubPos = 0
 	ms.rendering = false
+	ms.renderFrac = 0
 	ms.exported = 0
 }
 

@@ -32,7 +32,7 @@ func (s *MusicService) Name() string { return "music" }
 // Start implements Service.
 func (s *MusicService) Start(h Host) {
 	s.h = h
-	s.playing = s.AutoPlay
+	s.Reset()
 	s.tick = func() {
 		if s.playing {
 			s.h.SpawnWork("music.decode", s.ChunkCycles, nil)
@@ -41,6 +41,10 @@ func (s *MusicService) Start(h Host) {
 	}
 	s.h.After(s.Period, s.tick)
 }
+
+// Reset puts the decoder in its start state, playing exactly when AutoPlay
+// is on. Start calls it, and the device's Seal does before every run.
+func (s *MusicService) Reset() { s.playing = s.AutoPlay }
 
 // SetPlaying toggles decoding.
 func (s *MusicService) SetPlaying(on bool) { s.playing = on }

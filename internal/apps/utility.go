@@ -32,6 +32,7 @@ func (m *MusicPlayer) Name() string { return MusicPlayerName }
 func (m *MusicPlayer) Init(h Host) {
 	m.H = h
 	m.InFlight = false
+	m.loading = 0
 	m.playing = false
 	m.track = 0
 }
@@ -235,8 +236,10 @@ func (p *PlayStore) Init(h Host) {
 	p.H = h
 	p.InFlight = false
 	p.screenID = "front"
+	p.loading = 0
 	p.scroll = 0
 	p.installing = false
+	p.installFrac = 0
 	p.installed = 0
 }
 

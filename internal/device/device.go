@@ -291,11 +291,12 @@ func Boot(eng *sim.Engine, prof Profile) *Device {
 }
 
 // Seal finishes booting the device for one concrete run: reseed the RNG with
-// the run seed, attach one governor per cluster, create the run's traces,
-// bring up the thermal zones and schedule the periodic ticks. Restore of a
-// boot checkpoint calls Seal again, so it also resets every piece of
-// run-scoped state the checkpoint does not hold; each call produces a device
-// indistinguishable from a cold NewMulti.
+// the run seed, reset the apps, services and network proxy, attach one
+// governor per cluster, create the run's traces, bring up the thermal zones
+// and schedule the periodic ticks. Restore of a boot checkpoint calls Seal
+// again, so it also resets every piece of run-scoped state the checkpoint
+// does not hold; each call produces a device indistinguishable from a cold
+// NewMulti.
 func (d *Device) Seal(seed uint64, govs []governor.Governor) {
 	spec := d.SoC.Spec()
 	if len(govs) != len(spec.Clusters) {
@@ -316,6 +317,16 @@ func (d *Device) Seal(seed uint64, govs []governor.Governor) {
 	d.cached = nil
 	d.OnInteraction = nil
 	d.OnDirty = nil
+	// At the boot instant every app is in the state its Init produces, the
+	// music decoder in its Start state and the proxy at its first access.
+	for _, name := range d.appOrder {
+		d.appsByName[name].Init(d)
+	}
+	d.launcher.Init(d)
+	d.music.Reset()
+	if d.prof.NetProxy != nil {
+		d.prof.NetProxy.Rewind()
+	}
 
 	// Fresh traces per run: a caller that retains a run's artefacts never
 	// races the next Seal. Scratch setters opt back into reuse.

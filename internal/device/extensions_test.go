@@ -168,4 +168,12 @@ func TestNetProxyMakesIODeterministic(t *testing.T) {
 	if diffProxy >= diffPlain {
 		t.Errorf("proxy lag spread %v not below plain spread %v", diffProxy, diffPlain)
 	}
+
+	// One replay proxy serving two cold boots in a row: every boot rewinds
+	// it, so the second replays the recording from its first access instead
+	// of resuming where the first boot left the cursors.
+	shared := rec.ReplayCopy()
+	if first, second := run(2, shared), run(2, shared); second != first {
+		t.Errorf("second boot on one replay proxy: refresh lag %v, first boot %v", second, first)
+	}
 }

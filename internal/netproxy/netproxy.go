@@ -7,7 +7,8 @@
 //
 // Accesses are keyed by (resource, sequence): the k-th fetch of a resource
 // replays the k-th recorded latency, which keeps distinct fetches of the
-// same feed distinguishable.
+// same feed distinguishable. Every device boot, cold or forked, rewinds the
+// proxy, so each run replays the recording from its first access.
 package netproxy
 
 import (
@@ -17,7 +18,6 @@ import (
 	"sort"
 
 	"repro/internal/sim"
-	"repro/internal/snap"
 )
 
 // Mode selects proxy behaviour.
@@ -95,28 +95,12 @@ func (p *Proxy) ReplayCopy() *Proxy {
 	return cp
 }
 
-// SaveState appends the proxy's replay state to b: the miss count and every
-// resource's cursor. A device checkpoint saves it with the stateful
-// services, so every fork off the checkpoint replays the proxy from the same
-// position. Record mode needs nothing more: what it returns does not depend
-// on what it has stored.
-func (p *Proxy) SaveState(b *snap.Buf) {
-	b.PutInt(int64(p.misses))
-	b.PutInt(int64(len(p.cursor)))
-	for k, c := range p.cursor {
-		b.PutStr(k)
-		b.PutInt(int64(c))
-	}
-}
-
-// LoadState rewinds the proxy to the replay state SaveState wrote.
-func (p *Proxy) LoadState(b *snap.Buf) {
-	p.misses = int(b.Int())
+// Rewind moves every replay cursor back to the first recorded access and
+// zeroes the miss count; recorded entries stay. The device's Seal calls it
+// before every run.
+func (p *Proxy) Rewind() {
 	clear(p.cursor)
-	for n := b.Int(); n > 0; n-- {
-		k := b.Str()
-		p.cursor[k] = int(b.Int())
-	}
+	p.misses = 0
 }
 
 type jsonProxy struct {

@@ -160,8 +160,9 @@ func TestServeQuarantineHeals(t *testing.T) {
 // TestStallWatchdogShedsAndRecovers wedges the only executor's sweep and
 // pins the degradation ladder: the watchdog fails the job as stalled, the
 // executor turns unhealthy, /healthz answers 503 and submissions shed with
-// 429 — then, once the wedged replay returns, the lane heals and serves the
-// next job normally.
+// 429 — then, once the wedged replay returns, the lane heals, the failed
+// job's log stays as the verdict left it, and the lane serves the next job
+// normally.
 func TestStallWatchdogShedsAndRecovers(t *testing.T) {
 	srv := mustNew(t, Options{Executors: 1, Workers: 1, QueueDepth: 4,
 		StallTimeout: 150 * time.Millisecond})
@@ -218,6 +219,12 @@ func TestStallWatchdogShedsAndRecovers(t *testing.T) {
 	waitFor(t, 10*time.Second, "executor to heal", func() bool {
 		return client.Healthz(context.Background()) == nil
 	})
+	// The released replay finished after the verdict; its record must not
+	// land behind the terminal one (the journal, closed at the verdict,
+	// would miss it, and live and recovered logs would disagree).
+	if healed, err := client.Status(context.Background(), st.ID); err != nil || healed.Runs != got.Runs {
+		t.Fatalf("stalled job's log went from %d to %d records after the lane healed (%v)", got.Runs, healed.Runs, err)
+	}
 	_, final, err := client.RunJob(context.Background(), chaosJob)
 	if err != nil || final.State != StateDone {
 		t.Fatalf("job after heal: %v / %+v", err, final)

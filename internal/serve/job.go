@@ -92,9 +92,12 @@ func (j *job) wake() {
 }
 
 // append adds one marshalled record to the result log (and the journal, when
-// on) and wakes streamers. A record whose sweep index is already durable —
-// re-generated by a resumed sweep — is skipped entirely; append reports
-// whether the record actually landed.
+// on) and wakes streamers. A record that arrives once the job is terminal —
+// from a sweep still draining after a stall verdict or a cancel — is
+// dropped, so the log ends with its terminal record, as the journal (closed
+// by finish) does. A record whose sweep index is already durable —
+// re-generated by a resumed sweep — is skipped too; append reports whether
+// the record actually landed.
 func (j *job) append(rec ResultRecord) bool {
 	j.touch()
 	raw, err := json.Marshal(rec)
@@ -105,7 +108,7 @@ func (j *job) append(rec ResultRecord) bool {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if rec.Index != nil && j.durable[*rec.Index] {
+	if Terminal(j.state) || rec.Index != nil && j.durable[*rec.Index] {
 		return false
 	}
 	j.records = append(j.records, raw)
@@ -139,35 +142,29 @@ func (j *job) setTotalRuns(n int) {
 	j.mu.Unlock()
 }
 
-// takeCancel returns the job's cancel func (nil unless running) — the stall
-// watchdog grabs it before finishing the job, so the wedged sweep stops
-// claiming further replays.
-func (j *job) takeCancel() context.CancelFunc {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.cancel
-}
-
 // finish moves the job to a terminal state, appends the terminal record (if
 // any), spools the terminal state to the journal, runs settle (if non-nil)
 // and only then releases everything waiting on the job. settle runs under
 // j.mu, so whatever it does happens before any reader can observe the
-// terminal state or record. finish is idempotent: only the first call wins,
-// so a cancel racing a natural completion cannot double-close done.
+// terminal state or record. Last, once the lock is released, finish cancels
+// the job's context if it has one, which stops a sweep still running
+// whichever way the job ended: a stall verdict, or a cancel that found the
+// job queued and lost the race to the executor's start. finish is
+// idempotent: only the first call wins, so a cancel racing a natural
+// completion cannot double-close done.
 func (j *job) finish(state, errMsg string, rec *ResultRecord, now time.Time, settle func()) bool {
 	var raw json.RawMessage
 	if rec != nil {
 		raw, _ = json.Marshal(*rec)
 	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if Terminal(j.state) {
+		j.mu.Unlock()
 		return false
 	}
 	j.state = state
 	j.errMsg = errMsg
 	j.finished = now
-	j.cancel = nil
 	if raw != nil {
 		j.records = append(j.records, raw)
 		j.jf.Append(raw)
@@ -180,8 +177,14 @@ func (j *job) finish(state, errMsg string, rec *ResultRecord, now time.Time, set
 	if settle != nil {
 		settle()
 	}
+	cancel := j.cancel
+	j.cancel = nil
 	j.wake()
 	close(j.done)
+	j.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
 	return true
 }
 

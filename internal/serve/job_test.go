@@ -104,8 +104,9 @@ func TestRequestCancelSemantics(t *testing.T) {
 		t.Errorf("running job state %q; the executor owns the terminal transition", st.State)
 	}
 
-	fired = false
-	if running.finish(StateCancelled, "job cancelled", nil, time.Now(), nil); running.requestCancel() || fired {
+	running.finish(StateCancelled, "job cancelled", nil, time.Now(), nil)
+	fired = false // finish itself cancels the sweep; requestCancel must not
+	if running.requestCancel() || fired {
 		t.Error("terminal cancel should be a no-op")
 	}
 }
@@ -134,5 +135,32 @@ func TestFinishSettlesBeforeRelease(t *testing.T) {
 	}
 	if j.finish(StateFailed, "late", nil, time.Now(), func() { t.Error("settle ran on a losing finish") }) {
 		t.Error("second finish won")
+	}
+}
+
+// TestChaosCancelRacingStartStopsSweep pins what a terminal transition does
+// to a sweep that is still running. A cancel can find the job queued, and
+// the executor can start it before the cancel finishes it: the finish must
+// still cancel the context the executor started, or the sweep runs on for
+// nothing. A record the draining sweep still delivers is dropped, so the
+// log ends with the terminal record.
+func TestChaosCancelRacingStartStopsSweep(t *testing.T) {
+	j := newJob("job-1", 1, JobSpec{}, time.Now())
+	if !j.requestCancel() {
+		t.Fatal("queued cancel should hand the finish to the caller")
+	}
+	fired := false
+	if !j.start(func() { fired = true }, 0, time.Now()) {
+		t.Fatal("executor could not start the job")
+	}
+	j.finish(StateCancelled, "job cancelled", nil, time.Now(), nil)
+	if !fired {
+		t.Error("finishing a job its executor had started left the sweep running")
+	}
+	if j.append(ResultRecord{Type: "run"}) {
+		t.Error("a terminal job took a record")
+	}
+	if recs, _, _ := j.follow(0); len(recs) != 0 {
+		t.Errorf("log has %d records after a late append, want 0", len(recs))
 	}
 }

@@ -380,14 +380,14 @@ func (s *Server) execute(j *job, e *executor) {
 // finish is the one way a server job becomes terminal. The terminal record
 // is term, or an error record carrying msg when term is nil. Inside
 // job.finish, before the terminal state, record or done channel can be
-// observed, it counts the job under its final state (and under each of
-// also) and retires it, so a client that has read the terminal record never
-// sees stale /statsz counters or a registry above RetainJobs. It reports
-// whether this call made the transition.
+// observed and before the job's sweep is cancelled, it counts the job under
+// its final state, runs each of also and retires it, so a client that has
+// read the terminal record never sees stale /statsz counters or a registry
+// above RetainJobs. It reports whether this call made the transition.
 //
 // Lock order: j.mu, then s.mu (taken by retire). No path takes j.mu while
 // holding s.mu; handleList snapshots statuses after releasing it.
-func (s *Server) finish(j *job, state, msg string, term *ResultRecord, now time.Time, also ...*atomic.Int64) bool {
+func (s *Server) finish(j *job, state, msg string, term *ResultRecord, now time.Time, also ...func()) bool {
 	if term == nil {
 		term = &ResultRecord{Type: "error", Error: msg}
 	}
@@ -400,8 +400,8 @@ func (s *Server) finish(j *job, state, msg string, term *ResultRecord, now time.
 		case StateCancelled:
 			s.jobsCancelled.Add(1)
 		}
-		for _, c := range also {
-			c.Add(1)
+		for _, fn := range also {
+			fn()
 		}
 		s.retire(j)
 	})
@@ -517,8 +517,9 @@ func (s *Server) runPopulationJob(ctx context.Context, j *job, pool *experiment.
 }
 
 // watchdog periodically checks every executing job for liveness and fails
-// the ones that stalled: cancel (so the sweep stops claiming replays),
-// finish failed, mark the lane unhealthy until the wedged replay returns.
+// the ones that stalled: finish failed, which cancels the sweep so it stops
+// claiming replays, and mark the lane unhealthy until the wedged replay
+// returns.
 func (s *Server) watchdog() {
 	defer s.wg.Done()
 	period := s.opts.StallTimeout / 4
@@ -538,7 +539,10 @@ func (s *Server) watchdog() {
 }
 
 // sweepStalled delivers the stall verdict to every wedged job. It runs
-// lock-free over the executor lanes; finish takes its own locks.
+// lock-free over the executor lanes; finish takes its own locks and cancels
+// the sweep. The lane turns unhealthy inside that terminal transition,
+// before the cancel: a sweep that returns at once then heals the lane after
+// the verdict, never before it.
 func (s *Server) sweepStalled(now time.Time) {
 	for _, e := range s.execs {
 		j := e.current.Load()
@@ -549,15 +553,12 @@ func (s *Server) sweepStalled(now time.Time) {
 		if now.Sub(last) < s.opts.StallTimeout {
 			continue
 		}
-		cancel := j.takeCancel()
 		msg := fmt.Sprintf("run stalled: no worker progress for %s (stall timeout %s)",
 			now.Sub(last).Round(time.Millisecond), s.opts.StallTimeout)
-		if s.finish(j, StateFailed, msg, nil, now, &s.jobsStalled) {
+		s.finish(j, StateFailed, msg, nil, now, func() {
+			s.jobsStalled.Add(1)
 			e.healthy.Store(false)
-			if cancel != nil {
-				cancel()
-			}
-		}
+		})
 	}
 }
 

@@ -132,3 +132,8 @@ func (s *SoC) Restore(sn *Snap) {
 	}
 	s.pool.freeAll()
 }
+
+// FaultTruncate drops the snapshot's cluster table, so the next Restore from
+// it panics deterministically (index out of range): the fault-injection form
+// of a damaged checkpoint. Fault-injection suites only.
+func (sn *Snap) FaultTruncate() { sn.clusters = sn.clusters[:0] }
