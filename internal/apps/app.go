@@ -95,6 +95,11 @@ type App interface {
 // the user does not need extra performance".
 type Service interface {
 	Name() string
+	// Start puts the service in its start state and schedules its first
+	// tick, drawing any start jitter from h.Rand(). The device's Seal calls
+	// it before every run, cold or forked, on an engine it has just
+	// rewound, so Start binds its loop closures on the first call only and
+	// allocates nothing after that.
 	Start(h Host)
 }
 

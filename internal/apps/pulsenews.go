@@ -178,6 +178,8 @@ type NewsSyncService struct {
 	Interval sim.Duration
 	Burst    int64
 	h        Host
+	tick     func() // one pre-bound loop body; rescheduling never allocates
+	onNet    func() // the post-fetch parse burst, equally pre-bound
 }
 
 // NewNewsSyncService returns the service with the given period (0 → 15 s).
@@ -194,15 +196,17 @@ func (s *NewsSyncService) Name() string { return "newssync" }
 // Start implements Service.
 func (s *NewsSyncService) Start(h Host) {
 	s.h = h
+	if s.tick == nil {
+		s.onNet = func() { s.h.SpawnWork("newssync.parse", s.Burst, nil) }
+		s.tick = func() {
+			s.h.SpawnIO("newssync.net", 250*sim.Millisecond, s.onNet)
+			s.schedule()
+		}
+	}
 	s.schedule()
 }
 
 func (s *NewsSyncService) schedule() {
 	jitter := s.h.Rand().Jitter(s.Interval / 5)
-	s.h.After(s.Interval+jitter, func() {
-		s.h.SpawnIO("newssync.net", 250*sim.Millisecond, func() {
-			s.h.SpawnWork("newssync.parse", s.Burst, nil)
-		})
-		s.schedule()
-	})
+	s.h.After(s.Interval+jitter, s.tick)
 }

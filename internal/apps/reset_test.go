@@ -17,7 +17,7 @@ var notRunState = map[string]bool{
 	"Messaging.kbd":       true,
 	"Facebook.kbd":        true,
 	"Gmail.kbd":           true,
-	"MusicPlayer.Service": true, // the bound decoder; reset by its own Reset
+	"MusicPlayer.Service": true, // the bound decoder; reset by its own Start
 	"MusicService.tick":   true, // the loop body Start binds once
 }
 
@@ -58,13 +58,12 @@ func readable(v reflect.Value) reflect.Value {
 	return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
 }
 
-// TestInitRestoresFreshState pins what the device's Seal rests on. A boot
-// checkpoint holds no app, service or proxy state: Seal calls every app's
-// Init, the music decoder's Reset and the proxy's Rewind before each run.
-// So after whatever a run did, those must leave every field as a freshly
-// built instance has it. Each app tour is cut after every step, so states
-// in the middle of a load, a save or a game session are reset too, not
-// only where the tours end.
+// TestInitRestoresFreshState pins what the device's Seal rests on: Seal
+// calls every app's Init, every service's Start and the proxy's Rewind
+// before each run, cold or forked. So after whatever a run did, those must
+// leave every field as a freshly built instance has it. Each app tour is
+// cut after every step, so states in the middle of a load, a save or a game
+// session are reset too, not only where the tours end.
 func TestInitRestoresFreshState(t *testing.T) {
 	nop := func(*fakeHost, App, string, *bool) {}
 	for _, at := range appTours {
@@ -82,7 +81,7 @@ func TestInitRestoresFreshState(t *testing.T) {
 		svc := NewMusicService(autoPlay)
 		svc.Start(h)
 		svc.SetPlaying(!autoPlay)
-		svc.Reset()
+		svc.Start(h)
 		fresh := NewMusicService(autoPlay)
 		fresh.Start(h)
 		requireFresh(t, "music service", svc, fresh)

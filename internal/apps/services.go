@@ -29,22 +29,20 @@ func NewMusicService(autoPlay bool) *MusicService {
 // Name implements Service.
 func (s *MusicService) Name() string { return "music" }
 
-// Start implements Service.
+// Start implements Service: the decoder plays exactly when AutoPlay is on.
 func (s *MusicService) Start(h Host) {
 	s.h = h
-	s.Reset()
-	s.tick = func() {
-		if s.playing {
-			s.h.SpawnWork("music.decode", s.ChunkCycles, nil)
+	s.playing = s.AutoPlay
+	if s.tick == nil {
+		s.tick = func() {
+			if s.playing {
+				s.h.SpawnWork("music.decode", s.ChunkCycles, nil)
+			}
+			s.h.After(s.Period, s.tick)
 		}
-		s.h.After(s.Period, s.tick)
 	}
 	s.h.After(s.Period, s.tick)
 }
-
-// Reset puts the decoder in its start state, playing exactly when AutoPlay
-// is on. Start calls it, and the device's Seal does before every run.
-func (s *MusicService) Reset() { s.playing = s.AutoPlay }
 
 // SetPlaying toggles decoding.
 func (s *MusicService) SetPlaying(on bool) { s.playing = on }
@@ -86,10 +84,12 @@ func (s *AccountSyncService) Name() string { return "accountsync" }
 // Start implements Service.
 func (s *AccountSyncService) Start(h Host) {
 	s.h = h
-	s.onNet = func() { s.h.SpawnWork("sync.parse", s.BurstCycles, nil) }
-	s.tick = func() {
-		s.h.SpawnIO("sync.net", s.NetDelay, s.onNet)
-		s.schedule()
+	if s.tick == nil {
+		s.onNet = func() { s.h.SpawnWork("sync.parse", s.BurstCycles, nil) }
+		s.tick = func() {
+			s.h.SpawnIO("sync.net", s.NetDelay, s.onNet)
+			s.schedule()
+		}
 	}
 	s.schedule()
 }
@@ -121,9 +121,11 @@ func (s *TelemetryService) Name() string { return "telemetry" }
 // Start implements Service.
 func (s *TelemetryService) Start(h Host) {
 	s.h = h
-	s.tick = func() {
-		s.h.SpawnWork("telemetry.tick", s.Cycles, nil)
-		s.schedule()
+	if s.tick == nil {
+		s.tick = func() {
+			s.h.SpawnWork("telemetry.tick", s.Cycles, nil)
+			s.schedule()
+		}
 	}
 	s.schedule()
 }
@@ -160,9 +162,11 @@ func (s *PeriodicWorkService) Name() string { return s.Label }
 // Start implements Service.
 func (s *PeriodicWorkService) Start(h Host) {
 	s.h = h
-	s.tick = func() {
-		s.h.SpawnWork(s.Label, s.Cycles, nil)
-		s.schedule()
+	if s.tick == nil {
+		s.tick = func() {
+			s.h.SpawnWork(s.Label, s.Cycles, nil)
+			s.schedule()
+		}
 	}
 	s.schedule()
 }

@@ -5,8 +5,8 @@
 // recorder samples at 30 fps.
 //
 // It is the stand-in for the paper's Dragonboard APQ8074 running Android
-// 4.2.2 with one core enabled. Constructing a Device is the paper's "reset
-// to a known state": same seed plus same inputs yields the same run.
+// 4.2.2 with one core enabled. Sealing a Device is the paper's "reset to a
+// known state": same seed plus same inputs yields the same run.
 package device
 
 import (
@@ -88,9 +88,8 @@ type Profile struct {
 	// through the arbiter under the "battery" source — the population
 	// model's battery-age peak-current limit. Entry i caps cluster i at OPP
 	// index FreqCaps[i]; a negative entry leaves that cluster uncapped.
-	// Caps are applied at every Seal (after the thermal zones come up, so
-	// first Seal and re-Seal produce identical trace prefixes) and composed
-	// min-wins with thermal throttling by the arbiter.
+	// Caps are applied at every Seal and composed min-wins with thermal
+	// throttling by the arbiter.
 	FreqCaps []int
 	// FramePool, when set, supplies recycled storage for captured frames.
 	// Sweeps give each replay worker its own pool and hand matched videos
@@ -124,6 +123,9 @@ func DefaultProfile() Profile {
 
 // Device is the simulated phone.
 type Device struct {
+	// Eng is the engine the device runs on. The device owns it: every Seal
+	// rewinds it to time zero and drops whatever was queued, so schedule a
+	// run's events (input replay, capture) only after Seal.
 	Eng *sim.Engine
 	// SoC is the simulated silicon: one or more clusters plus the task
 	// scheduler.
@@ -228,9 +230,9 @@ func New(eng *sim.Engine, seed uint64, gov governor.Governor, prof Profile) *Dev
 // that degenerates to the original single-core submission path, so the
 // paper's runs reproduce bit for bit.
 //
-// NewMulti is exactly Boot followed by Seal — the checkpoint layer relies on
-// this: Restore of a boot checkpoint ends in the same Seal, so a forked run
-// is indistinguishable from a cold NewMulti with the same seed and governors.
+// NewMulti is exactly Boot followed by Seal. A replay session forks a run by
+// calling Seal again on its warm device, so a forked run and a cold NewMulti
+// with the same seed and governors take the same path to the boot instant.
 func NewMulti(eng *sim.Engine, seed uint64, govs []governor.Governor, prof Profile) *Device {
 	d := Boot(eng, prof)
 	d.Seal(seed, govs)
@@ -240,19 +242,18 @@ func NewMulti(eng *sim.Engine, seed uint64, govs []governor.Governor, prof Profi
 // busyStep is the busy-curve sampling period: one 30 Hz display frame.
 const busyStep = 33333 * sim.Microsecond
 
-// bootRandSeed seeds the device RNG during Boot. Boot-time draws (background
-// service start jitter) deliberately come from this fixed stream, not the run
-// seed: the warm prefix up to the boot checkpoint is then identical for every
-// run of the same profile, and Seal reseeds the RNG with the run seed at the
-// exact instant a forked replay diverges from the shared prefix.
+// bootRandSeed seeds the device RNG while Seal restarts the background
+// services. Their start jitter deliberately comes from this fixed stream, not
+// the run seed, so every run on a profile starts its services at the same
+// phases; Seal reseeds the RNG with the run seed right after.
 const bootRandSeed uint64 = 0xb007_b007_b007_b007
 
-// Boot constructs the device hardware and cold software state that is shared
-// by every run on the same profile: silicon, installed apps, started
-// background services, and the pre-bound periodic tick closures. It schedules
-// no ticks, attaches no governors and creates no traces — that is Seal's job.
-// A booted-but-unsealed device is the natural checkpoint instant for forked
-// replays: everything before it is seed-independent.
+// Boot builds the device hardware and software shared by every run on the
+// profile: silicon, installed apps, background services, thermal zones and
+// throttlers with their power model, and the pre-bound periodic tick
+// closures. It only builds: it schedules nothing, draws nothing from the RNG,
+// attaches no governors and creates no traces. A booted device runs nothing
+// until Seal puts it at its boot instant.
 func Boot(eng *sim.Engine, prof Profile) *Device {
 	if prof.AnimFrameWork == 0 {
 		prof.AnimFrameWork = 1_500_000
@@ -267,7 +268,7 @@ func Boot(eng *sim.Engine, prof Profile) *Device {
 		Eng:         eng,
 		SoC:         soc.New(eng, prof.SoCSpec()),
 		prof:        prof,
-		rand:        sim.NewRand(bootRandSeed),
+		rand:        new(sim.Rand),
 		appsByName:  make(map[string]apps.App),
 		anims:       make(map[string]bool),
 		dispatchIdx: -1,
@@ -285,23 +286,31 @@ func Boot(eng *sim.Engine, prof Profile) *Device {
 	}
 	d.music = apps.NewMusicService(prof.MusicAutoPlay)
 	d.installApps()
-	d.startServices()
+	d.installServices()
 	d.bindTicks()
+	d.bootThermal()
 	return d
 }
 
-// Seal finishes booting the device for one concrete run: reseed the RNG with
-// the run seed, reset the apps, services and network proxy, attach one
-// governor per cluster, create the run's traces, bring up the thermal zones
-// and schedule the periodic ticks. Restore of a boot checkpoint calls Seal
-// again, so it also resets every piece of run-scoped state the checkpoint
-// does not hold; each call produces a device indistinguishable from a cold
-// NewMulti.
+// Seal puts the device at its boot instant and readies it for one run. It
+// rewinds the engine, resets the SoC and restarts every background service
+// from the fixed boot RNG stream; then it reseeds the RNG with the run seed,
+// resets every app, the launcher, the network proxy and the device's own run
+// state, attaches one governor per cluster, creates the run's traces, resets
+// the thermal zones and schedules the periodic ticks. The first Seal after
+// Boot and every later one do exactly the same, so a forked run is
+// indistinguishable from a cold NewMulti with the same arguments.
 func (d *Device) Seal(seed uint64, govs []governor.Governor) {
 	spec := d.SoC.Spec()
 	if len(govs) != len(spec.Clusters) {
 		panic(fmt.Sprintf("device: spec %q has %d clusters but %d governors were supplied",
 			spec.Name, len(spec.Clusters), len(govs)))
+	}
+	d.Eng.Reset()
+	d.SoC.Reset()
+	d.rand.Reseed(bootRandSeed)
+	for _, s := range d.svcs {
+		s.Start(d)
 	}
 	d.rand.Reseed(seed)
 
@@ -317,13 +326,12 @@ func (d *Device) Seal(seed uint64, govs []governor.Governor) {
 	d.cached = nil
 	d.OnInteraction = nil
 	d.OnDirty = nil
-	// At the boot instant every app is in the state its Init produces, the
-	// music decoder in its Start state and the proxy at its first access.
+	// At the boot instant every app is in the state its Init produces and
+	// the proxy at its first access.
 	for _, name := range d.appOrder {
 		d.appsByName[name].Init(d)
 	}
 	d.launcher.Init(d)
-	d.music.Reset()
 	if d.prof.NetProxy != nil {
 		d.prof.NetProxy.Rewind()
 	}
@@ -381,9 +389,6 @@ func (d *Device) Seal(seed uint64, govs []governor.Governor) {
 		}
 	}
 	d.sealThermal()
-	// Battery-age caps go in after sealThermal: the throttle-trace hook only
-	// exists once the zones are up, so applying caps earlier would make the
-	// first Seal's traces differ from a re-Seal's.
 	for i, cl := range d.SoC.Clusters() {
 		if i < len(d.prof.FreqCaps) && d.prof.FreqCaps[i] >= 0 {
 			cl.SetFreqCap("battery", d.prof.FreqCaps[i])
@@ -460,65 +465,62 @@ func (d *Device) bindTicks() {
 	}
 }
 
-// sealThermal brings up one RC thermal zone and throttler per cluster and
-// starts the periodic thermal tick. Heat input is the cluster's mean dynamic
-// power over each tick window, computed from the calibrated per-cluster
-// power model exactly the way energy accounting integrates it. Throttler
-// verdicts feed the cluster's frequency-cap arbiter under the "thermal"
-// source; cap transitions land in the per-cluster throttle trace. On a
-// re-Seal the zones and throttlers already exist and are Reset in place.
-func (d *Device) sealThermal() {
+// bootThermal builds one RC thermal zone and throttler per cluster on a
+// thermal-enabled profile, with the calibrated per-cluster power model that
+// prices their heat input: the cluster's mean dynamic power over each tick
+// window, integrated the way energy accounting does. Throttler verdicts feed
+// the cluster's frequency-cap arbiter under the "thermal" source, and cap
+// transitions land in the run's throttle trace.
+func (d *Device) bootThermal() {
 	cfg := d.prof.Thermal
 	if !cfg.Enabled() {
 		return
 	}
-	if err := cfg.Validate(d.SoC.NumClusters()); err != nil {
+	n := d.SoC.NumClusters()
+	if err := cfg.Validate(n); err != nil {
 		panic(fmt.Sprintf("device: %v", err))
 	}
-	d.thermalN = 0
+	model := d.prof.ThermalPower
+	if model == nil {
+		var err error
+		if model, err = d.SoC.Spec().Calibrate(0); err != nil {
+			panic(fmt.Sprintf("device: thermal calibration: %v", err))
+		}
+	} else if len(model.Models) != n {
+		panic(fmt.Sprintf("device: thermal power model covers %d clusters, spec has %d", len(model.Models), n))
+	}
+	d.Power = model
 	d.thermalPeriod = cfg.Tick()
-	if d.Zones == nil {
-		model := d.prof.ThermalPower
-		if model == nil {
-			var err error
-			if model, err = d.SoC.Spec().Calibrate(0); err != nil {
-				panic(fmt.Sprintf("device: thermal calibration: %v", err))
-			}
-		} else if len(model.Models) != d.SoC.NumClusters() {
-			panic(fmt.Sprintf("device: thermal power model covers %d clusters, spec has %d",
-				len(model.Models), d.SoC.NumClusters()))
-		}
-		d.Power = model
-		d.prevBusy = make([][]sim.Duration, d.SoC.NumClusters())
-		d.busyScratch = make([][]sim.Duration, d.SoC.NumClusters())
-		d.riseScratch = make([]float64, d.SoC.NumClusters())
-		for i := range d.prevBusy {
-			n := len(d.SoC.Cluster(i).Table())
-			d.prevBusy[i] = make([]sim.Duration, n)
-			d.busyScratch[i] = make([]sim.Duration, n)
-		}
-		for i, zc := range cfg.Zones {
-			d.Zones = append(d.Zones, thermal.NewZone(zc.Zone))
-			cl := d.SoC.Cluster(i)
-			th := thermal.NewThrottler(zc.Throttle, len(cl.Table())-1)
-			d.throttlers = append(d.throttlers, th)
-			// Like OnFreqChange, the hook reads the trace set at call time.
-			i := i
-			cl.OnCapChange = func(at sim.Time, capIdx int, capped bool) {
-				d.ClusterTraces[i].Throttle.Append(at, capIdx, capped)
-			}
-		}
-	} else {
-		for i := range d.Zones {
-			d.Zones[i].Reset()
-			d.throttlers[i].Reset()
-			for k := range d.prevBusy[i] {
-				d.prevBusy[i][k] = 0
-			}
+	d.prevBusy = make([][]sim.Duration, n)
+	d.busyScratch = make([][]sim.Duration, n)
+	d.riseScratch = make([]float64, n)
+	for i, zc := range cfg.Zones {
+		cl := d.SoC.Cluster(i)
+		d.prevBusy[i] = make([]sim.Duration, len(cl.Table()))
+		d.busyScratch[i] = make([]sim.Duration, len(cl.Table()))
+		d.Zones = append(d.Zones, thermal.NewZone(zc.Zone))
+		d.throttlers = append(d.throttlers, thermal.NewThrottler(zc.Throttle, len(cl.Table())-1))
+		// Like OnFreqChange, the hook reads the trace set at call time.
+		i := i
+		cl.OnCapChange = func(at sim.Time, capIdx int, capped bool) {
+			d.ClusterTraces[i].Throttle.Append(at, capIdx, capped)
 		}
 	}
-	for i := range d.Zones {
-		d.ClusterTraces[i].Temp.Append(0, d.Zones[i].TempC())
+}
+
+// sealThermal puts the zones, throttlers and busy history back at their boot
+// state, traces the starting temperatures and schedules the first thermal
+// tick. No-op on a profile without thermal zones.
+func (d *Device) sealThermal() {
+	if len(d.Zones) == 0 {
+		return
+	}
+	d.thermalN = 0
+	for i, z := range d.Zones {
+		z.Reset()
+		d.throttlers[i].Reset()
+		clear(d.prevBusy[i])
+		d.ClusterTraces[i].Temp.Append(0, z.TempC())
 	}
 	d.Eng.AtFunc(sim.Time(d.thermalPeriod), d.thermalFn)
 }
@@ -573,9 +575,10 @@ func (d *Device) thermalTick(period sim.Duration) {
 	}
 }
 
+// installApps builds the installed apps and the launcher. Seal puts each in
+// its initial state (App.Init) before every run.
 func (d *Device) installApps() {
 	register := func(a apps.App) {
-		a.Init(d)
 		d.appsByName[a.Name()] = a
 		d.appOrder = append(d.appOrder, a.Name())
 	}
@@ -592,11 +595,12 @@ func (d *Device) installApps() {
 	register(apps.NewBrowser())
 	register(apps.NewRetroRunner())
 	d.launcher = apps.NewLauncher(d.appOrder)
-	d.launcher.Init(d)
 	d.appsByName[d.launcher.Name()] = d.launcher
 }
 
-func (d *Device) startServices() {
+// installServices builds the profile's background services. Seal starts
+// each (Service.Start) before every run.
+func (d *Device) installServices() {
 	d.svcs = append(d.svcs[:0], d.music)
 	if d.prof.NewsSync {
 		d.svcs = append(d.svcs, apps.NewNewsSyncService(d.prof.NewsSyncEvery))
@@ -609,9 +613,6 @@ func (d *Device) startServices() {
 	}
 	for _, mk := range d.prof.ExtraServices {
 		d.svcs = append(d.svcs, mk())
-	}
-	for _, s := range d.svcs {
-		s.Start(d)
 	}
 }
 
@@ -682,7 +683,7 @@ func (d *Device) SetTraceScratch(ts []*trace.ClusterTraces) { d.prof.TraceScratc
 
 // SetBusyScratch hands a recycled SoC-aggregate busy curve to the next Seal,
 // which consumes it. Only callers that do not retain the run's BusyCurve
-// (e.g. the checkpoint allocation gate) should use this.
+// (e.g. the fork allocation gate) should use this.
 func (d *Device) SetBusyScratch(c *trace.BusyCurve) { d.busyCurveScratch = c }
 
 // SetGridScratch hands recycled per-cluster busy-grid storage to the next

@@ -165,34 +165,3 @@ func TestDragonboardMatrixReusesFixedRuns(t *testing.T) {
 		}
 	}
 }
-
-// TestMatrixDeterministicAcrossWorkers pins the worker-pool contract for the
-// matrix sweep, like the sustained sweep's equivalent test.
-func TestMatrixDeterministicAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full sweeps")
-	}
-	sweep := func(workers int) *MatrixResult {
-		res, err := RunMatrix(workload.Quickstart(), soc.BigLittle44(), Options{Reps: 1, Seed: 7, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := sweep(1), sweep(8)
-	for _, cfg := range a.ConfigNames() {
-		if a.MeanEnergyJ(cfg) != b.MeanEnergyJ(cfg) {
-			t.Fatalf("%s energy differs across pool widths: %v vs %v", cfg, a.MeanEnergyJ(cfg), b.MeanEnergyJ(cfg))
-		}
-	}
-	if a.OracleEnergyJ != b.OracleEnergyJ {
-		t.Fatalf("oracle energy differs: %v vs %v", a.OracleEnergyJ, b.OracleEnergyJ)
-	}
-	for i, o := range a.Oracles {
-		for lag, ch := range o.PerLag {
-			if b.Oracles[i].PerLag[lag] != ch {
-				t.Fatalf("oracle rep %d lag %d choice differs", i, lag)
-			}
-		}
-	}
-}

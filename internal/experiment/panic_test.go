@@ -3,12 +3,14 @@ package experiment_test
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/experiment"
 	"repro/internal/faultinject"
+	"repro/internal/oracle"
 	"repro/internal/population"
 	"repro/internal/report"
 	"repro/internal/soc"
@@ -29,14 +31,10 @@ type sweepKind struct {
 }
 
 var sweepKinds = []sweepKind{
-	{"matrix", func(opts experiment.Options) (string, error) {
-		opts.Configs = []string{"0.30 GHz", "2.15 GHz", "ondemand"}
-		res, err := experiment.RunMatrix(workload.Quickstart(), soc.Dragonboard(), opts)
-		if err != nil {
-			return "", err
-		}
-		return canonical(report.MatrixRunRecords(res))
-	}, false},
+	matrixKind("matrix", soc.Dragonboard(), "0.30 GHz", "2.15 GHz", "ondemand"),
+	// The whole big.LITTLE matrix, mixed arms included: its oracle picks
+	// among every (cluster, OPP) candidate.
+	matrixKind("matrix-biglittle", soc.BigLittle44()),
 	{"sustained", func(opts experiment.Options) (string, error) {
 		w := workload.ExportMarathon()
 		w.Profile.SoC = soc.BigLittle44()
@@ -49,6 +47,16 @@ var sweepKinds = []sweepKind{
 		})
 		if err != nil {
 			return "", err
+		}
+		// Runs come in (config, arm, rep) order: configs × {record-only,
+		// throttled} × reps.
+		reps := len(res.Runs) / (2 * len(configs))
+		for i, r := range res.Runs {
+			cfg, throttled, rep := configs[i/(2*reps)].Name, i/reps%2 == 1, i%reps
+			if r.Config != cfg || r.Throttled != throttled || r.Rep != rep {
+				return "", fmt.Errorf("sustained run %d is (%s, %t, %d), want (%s, %t, %d)",
+					i, r.Config, r.Throttled, r.Rep, cfg, throttled, rep)
+			}
 		}
 		// Every run's record plus its arm and full per-cluster traces
 		// (temperatures and throttle caps included).
@@ -81,6 +89,28 @@ var sweepKinds = []sweepKind{
 			Summary report.PopulationSummary
 		}{recs, report.NewPopulationSummary(res)})
 	}, true},
+}
+
+// matrixKind sweeps quickstart's matrix on spec, over the given configs or
+// the whole matrix when none are given. Its canonical output is every run's
+// record and each rep's oracle: energy and per-lag (cluster, OPP) choices.
+func matrixKind(name string, spec soc.Spec, configs ...string) sweepKind {
+	return sweepKind{name, func(opts experiment.Options) (string, error) {
+		opts.Configs = configs
+		res, err := experiment.RunMatrix(workload.Quickstart(), spec, opts)
+		if err != nil {
+			return "", err
+		}
+		perLag := make([]map[int]oracle.ClusterChoice, len(res.Oracles))
+		for i, o := range res.Oracles {
+			perLag[i] = o.PerLag
+		}
+		return canonical(struct {
+			Runs          []report.RunRecord
+			OracleEnergyJ float64
+			PerLag        []map[int]oracle.ClusterChoice
+		}{report.MatrixRunRecords(res), res.OracleEnergyJ, perLag})
+	}, false}
 }
 
 func canonical(v any) (string, error) {
@@ -167,11 +197,11 @@ func TestPoolContainsInjectedPanic(t *testing.T) {
 }
 
 // TestCorruptCheckpointQuarantineHeals drives the worst containment case,
-// for every sweep kind: a warm session whose fork-point checkpoint has
-// silently rotted. The next run panics inside Restore, the pool quarantines
-// the session (cold reboot on next use), and the rebooted session
-// reproduces the original sweep bit for bit — fork≡cold means quarantine is
-// invisible in the results.
+// for every sweep kind: a warm session whose fork point, its booted device,
+// has silently rotted (ReplaySession.CorruptSession). The next run panics
+// inside Seal, the pool quarantines the session (cold reboot on next use),
+// and the rebooted session reproduces the original sweep bit for bit —
+// fork≡cold means quarantine is invisible in the results.
 func TestCorruptCheckpointQuarantineHeals(t *testing.T) {
 	for _, kind := range sweepKinds {
 		t.Run(kind.name, func(t *testing.T) {
@@ -185,13 +215,13 @@ func TestCorruptCheckpointQuarantineHeals(t *testing.T) {
 			corrupt := func() {
 				pool.EachRegistry(func(r *workload.SessionRegistry) {
 					r.Each(func(key string, s *workload.ReplaySession) {
-						s.CorruptCheckpoint()
+						s.CorruptSession()
 						corrupted++
 					})
 				})
 			}
 			if kind.retires {
-				// No session outlives a retiring sweep, so the checkpoint
+				// No session outlives a retiring sweep, so the session
 				// rots mid-sweep instead: in the hook of the first unit's
 				// second replay, after the first booted the session. The
 				// pool's one worker is the hook's own goroutine, so no
@@ -212,11 +242,11 @@ func TestCorruptCheckpointQuarantineHeals(t *testing.T) {
 				_, err = chaosSweep(kind, pool, nil)
 			}
 			if corrupted == 0 {
-				t.Fatal("corrupted no checkpoints")
+				t.Fatal("corrupted no sessions")
 			}
 			var pe *experiment.PanicError
 			if !errors.As(err, &pe) {
-				t.Fatalf("sweep on a corrupted checkpoint returned %v, want a contained *PanicError", err)
+				t.Fatalf("sweep on a corrupted session returned %v, want a contained *PanicError", err)
 			}
 			if pool.Quarantines() == 0 {
 				t.Fatal("corrupted session was not quarantined")

@@ -17,7 +17,7 @@ import (
 // created under the hood by every Run* entry point; a long-lived Pool passed
 // in through Options.Pool is what turns the sweeps into a service: the first
 // job on a pool pays device boot once per worker, every later job on any
-// workload/spec combination forks off the warm checkpoints.
+// workload/spec combination forks off the warm devices.
 //
 // Concurrency: a Pool executes one sweep at a time (concurrent sweeps on the
 // same pool serialise on an internal mutex — give independent job executors
@@ -110,8 +110,8 @@ func (p *Pool) Quarantines() int {
 
 // EachRegistry visits every worker's session registry. This is the
 // inspection surface the chaos suites use to reach warm sessions (e.g. to
-// corrupt a checkpoint and then pin the quarantine recovery); it must only
-// be called while no sweep is executing on the pool.
+// corrupt one and then pin the quarantine recovery); it must only be called
+// while no sweep is executing on the pool.
 func (p *Pool) EachRegistry(fn func(r *workload.SessionRegistry)) {
 	for _, s := range p.scratches {
 		fn(s.sessions)
@@ -181,9 +181,8 @@ func (p *Pool) run(ctx context.Context, n int, fn func(ji int, scratch *replaySc
 
 // protect runs one job under the worker's recover. On panic it captures the
 // stack, quarantines the session the job was using (the device may hold
-// half-mutated mid-run state, and even the fork-point checkpoint cannot be
-// trusted — the next run on that key must boot cold), and returns the
-// structured failure.
+// half-mutated state that even Seal cannot be trusted to reset — the next
+// run on that key must boot cold), and returns the structured failure.
 func (p *Pool) protect(ji int, scratch *replayScratch, fn func(ji int, scratch *replayScratch)) (pe *PanicError) {
 	scratch.activeKey = ""
 	defer func() {

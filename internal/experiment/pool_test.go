@@ -4,6 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -57,6 +61,56 @@ func TestMatrixOrderingDeterministicAcrossWorkers(t *testing.T) {
 
 	if _, narrow := sweep(1); narrow != wide {
 		t.Errorf("summary depends on pool width:\n1 worker:  %s\n8 workers: %s", narrow, wide)
+	}
+}
+
+// TestSweepInvariantToPoolShape is the one invariance table over every sweep
+// kind. Every replay reruns the whole boot path on whichever worker's warm
+// device picks it up, so a sweep's canonical output and the set of its
+// OnRun updates, each with its index, must be identical on a transient pool
+// of 1, 3 or GOMAXPROCS workers, on a fresh caller pool, and on a caller
+// pool that has already run another kind's sweep.
+func TestSweepInvariantToPoolShape(t *testing.T) {
+	for i, kind := range sweepKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			sweep := func(workers int, pool *experiment.Pool) string {
+				var mu sync.Mutex
+				var updates []string
+				out, err := kind.run(experiment.Options{Reps: 2, Seed: 3, Workers: workers, Pool: pool,
+					OnRun: func(u experiment.RunUpdate) {
+						u.Run = nil // the canonical output carries its outcome
+						raw, err := json.Marshal(u)
+						if err != nil {
+							t.Error(err)
+						}
+						mu.Lock()
+						updates = append(updates, string(raw))
+						mu.Unlock()
+					}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sort.Strings(updates)
+				return out + "\n" + strings.Join(updates, "\n")
+			}
+			want := sweep(1, nil)
+			for _, workers := range []int{3, runtime.GOMAXPROCS(0)} {
+				if got := sweep(workers, nil); got != want {
+					t.Errorf("%d workers diverged from 1:\nwant %s\ngot  %s", workers, want, got)
+				}
+			}
+			if got := sweep(0, experiment.NewPool(3)); got != want {
+				t.Errorf("a fresh caller pool diverged from a transient one:\nwant %s\ngot  %s", want, got)
+			}
+			used := experiment.NewPool(3)
+			other := sweepKinds[(i+1)%len(sweepKinds)]
+			if _, err := other.run(experiment.Options{Reps: 1, Seed: 9, Pool: used}); err != nil {
+				t.Fatal(err)
+			}
+			if got := sweep(0, used); got != want {
+				t.Errorf("a pool that ran a %s sweep first diverged:\nwant %s\ngot  %s", other.name, want, got)
+			}
+		})
 	}
 }
 

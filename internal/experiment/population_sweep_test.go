@@ -112,23 +112,6 @@ func popFingerprint(t *testing.T, workers int, units int, m population.Model, bt
 	return string(raw)
 }
 
-// TestPopulationDeterministicAcrossWorkers: streamed records, run positions
-// and digest tables are invariant to pool width and to whether the sweep
-// runs on a transient pool or the caller's, with the full model and thermal
-// on.
-func TestPopulationDeterministicAcrossWorkers(t *testing.T) {
-	m := population.DefaultModel()
-	bt := thermal.PhoneConfig(1, 0, 0) // record-only zones
-	narrow := popFingerprint(t, 1, 3, m, bt, nil)
-	wide := popFingerprint(t, 8, 3, m, bt, nil)
-	if narrow != wide {
-		t.Errorf("population sweep depends on pool width:\n1 worker:  %s\n8 workers: %s", narrow, wide)
-	}
-	if pooled := popFingerprint(t, 0, 3, m, bt, experiment.NewPool(3)); pooled != narrow {
-		t.Errorf("population sweep depends on the caller's pool:\ntransient: %s\ncaller's:  %s", narrow, pooled)
-	}
-}
-
 // TestPopulationPreparePanicNamesUnit: a panic while preparing unit 1, which
 // runs on a worker alongside unit 0's replays, is contained. It fails the
 // sweep with a *PanicError naming unit 1 only after unit 0 has streamed all

@@ -17,7 +17,7 @@ import (
 // busy summaries rather than curves, and the trace slot the whole
 // per-cluster traces of the runs that keep none (the oracle-candidate
 // replays); and the session registry owns the warmed replay sessions, so
-// the boot prefix is paid once per (worker, workload, spec) for the
+// device boot is paid once per (worker, workload, spec) for the
 // scratch's whole lifetime — which, on a long-lived Pool, spans every sweep
 // the pool ever executes, not just one.
 type replayScratch struct {
@@ -41,10 +41,9 @@ func newReplayScratch() *replayScratch {
 }
 
 // session returns the worker's warm replay session for the workload,
-// booting one on first use. Sessions replay the seed-independent warm prefix
-// (engine, silicon, app install, service start) exactly once per worker and
-// fork every subsequent run off the boot checkpoint — the sweep's dominant
-// fixed cost paid once instead of per run. The registry keys by
+// booting one on first use. Sessions build the engine, silicon, apps,
+// services and buffers exactly once per worker and fork every subsequent run
+// by re-sealing the warm device — a fixed cost paid once instead of per run. The registry keys by
 // workload.SessionKey (workload + spec + idle marker), so one scratch can
 // serve many sweeps over different workloads and specs without cross-talk;
 // the oracle's placement-pinned sub-specs carry distinct spec names

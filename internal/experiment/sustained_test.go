@@ -91,69 +91,6 @@ func TestSustainedThermalSweep(t *testing.T) {
 	}
 }
 
-// TestSustainedWorkerPoolDeterminism pins the worker-pool contract: each
-// replay owns an independent sim engine, so the sweep must produce
-// bit-identical results in (config, arm, rep) order no matter how many
-// workers interleave.
-func TestSustainedWorkerPoolDeterminism(t *testing.T) {
-	sweep := func(workers int) *SustainedResult {
-		w := workload.ExportMarathon()
-		w.Profile.SoC = soc.BigLittle44()
-		configs := []Config{
-			{Name: "performance", OPPIndex: -1,
-				NewGovernor: func() governor.Governor { return governor.Performance(power.Snapdragon8074()) }},
-			{Name: "ondemand", OPPIndex: -1,
-				NewGovernor: func() governor.Governor { return governor.NewOndemand() }},
-		}
-		res, err := RunSustained(w, configs, SustainedOptions{
-			Options: Options{Reps: 2, Seed: 3, Workers: workers},
-			Repeats: 2,
-			Thermal: thermal.PhoneConfig(2, 30, 5),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	serial := sweep(1)
-	parallel := sweep(8)
-	if len(serial.Runs) != len(parallel.Runs) {
-		t.Fatalf("run counts differ: %d vs %d", len(serial.Runs), len(parallel.Runs))
-	}
-	for i := range serial.Runs {
-		a, b := serial.Runs[i], parallel.Runs[i]
-		if a.Config != b.Config || a.Throttled != b.Throttled || a.Rep != b.Rep {
-			t.Fatalf("run %d ordering differs: (%s,%v,%d) vs (%s,%v,%d)",
-				i, a.Config, a.Throttled, a.Rep, b.Config, b.Throttled, b.Rep)
-		}
-		if a.EnergyJ != b.EnergyJ {
-			t.Fatalf("run %d energy differs across pool widths: %v vs %v", i, a.EnergyJ, b.EnergyJ)
-		}
-		if a.ThrottleEvents() != b.ThrottleEvents() {
-			t.Fatalf("run %d throttle events differ: %d vs %d", i, a.ThrottleEvents(), b.ThrottleEvents())
-		}
-	}
-	// Expected order: configs × {record-only, throttled} × reps.
-	want := []struct {
-		cfg       string
-		throttled bool
-		rep       int
-	}{
-		{"performance", false, 0}, {"performance", false, 1},
-		{"performance", true, 0}, {"performance", true, 1},
-		{"ondemand", false, 0}, {"ondemand", false, 1},
-		{"ondemand", true, 0}, {"ondemand", true, 1},
-	}
-	for i, wnt := range want {
-		r := serial.Runs[i]
-		if r.Config != wnt.cfg || r.Throttled != wnt.throttled || r.Rep != wnt.rep {
-			t.Fatalf("run %d = (%s,%v,%d), want (%s,%v,%d)",
-				i, r.Config, r.Throttled, r.Rep, wnt.cfg, wnt.throttled, wnt.rep)
-		}
-	}
-}
-
 // TestSustainedRejectsConfigSelection pins that no sweep option is silently
 // ignored: sustained sweeps take their configs as an argument, so a matrix
 // selection in Options is an error rather than a no-op.

@@ -147,8 +147,8 @@ func Generate(m Model, base soc.Spec, baseThermal thermal.Config, seed uint64, i
 	}
 	rng := newUnitRand(seed, i)
 
-	// Every enabled-model unit gets its own spec name: warm-session keys,
-	// checkpoint identity and report rows must all distinguish units.
+	// Every enabled-model unit gets its own spec name: warm-session keys and
+	// report rows must both distinguish units.
 	u.Spec.Name = fmt.Sprintf("%s#u%06d", base.Name, i)
 
 	// Silicon lottery: copy the cluster slice (the elements' Table and

@@ -137,8 +137,8 @@ func TestClockChangesEachMinute(t *testing.T) {
 	// One long-lived framebuffer keeps its minute's band between draws; it
 	// must match a fresh framebuffer's draw for every minute of the day,
 	// with the band overwritten between draws (a redraw within a minute
-	// copies the memo back) and with time moving backwards, as when a fork
-	// restore rewinds the clock.
+	// copies the memo back) and with time moving backwards, as when a Seal
+	// rewinds the clock.
 	var memo Framebuffer
 	check := func(now sim.Time) {
 		t.Helper()

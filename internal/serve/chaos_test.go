@@ -109,11 +109,10 @@ func TestServePanicIsolation(t *testing.T) {
 	}
 }
 
-// TestServeQuarantineHeals corrupts the fork-point checkpoints of a warm
-// executor pool between jobs: the next job fails on the contained Restore
-// panic and quarantines the session (visible in /statsz), and the job after
-// that — on the cold-rebooted session — reproduces the original results bit
-// for bit.
+// TestServeQuarantineHeals corrupts the warm sessions of an executor pool
+// between jobs: the next job fails on the contained Seal panic and
+// quarantines the session (visible in /statsz), and the job after that — on
+// the cold-rebooted session — reproduces the original results bit for bit.
 func TestServeQuarantineHeals(t *testing.T) {
 	srv, client, _ := newTestServer(t, Options{Executors: 1, Workers: 1, QueueDepth: 4})
 	recsBefore, final, err := client.RunJob(context.Background(), chaosJob)
@@ -125,7 +124,7 @@ func TestServeQuarantineHeals(t *testing.T) {
 	for _, e := range srv.execs {
 		e.pool.EachRegistry(func(r *workload.SessionRegistry) {
 			r.Each(func(key string, s *workload.ReplaySession) {
-				s.CorruptCheckpoint()
+				s.CorruptSession()
 				corrupted++
 			})
 		})
@@ -136,7 +135,7 @@ func TestServeQuarantineHeals(t *testing.T) {
 
 	_, _, err = client.RunJob(context.Background(), chaosJob)
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("job on a corrupted checkpoint returned %v, want a contained panic failure", err)
+		t.Fatalf("job on a corrupted session returned %v, want a contained panic failure", err)
 	}
 	stats, err := client.Statsz(context.Background())
 	if err != nil {

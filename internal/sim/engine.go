@@ -69,6 +69,19 @@ func NewEngine() *Engine {
 	return &Engine{freeHead: -1}
 }
 
+// Reset returns the engine to the state NewEngine leaves it in — clock at
+// zero, nothing queued, sequence numbers from zero — keeping its buffers.
+// Every slot is released under a fresh generation, so no EventID issued
+// before Reset can cancel an event scheduled after it.
+func (e *Engine) Reset() {
+	e.now, e.nextSeq, e.stopped = 0, 0, false
+	e.queue = e.queue[:0]
+	e.freeHead = -1
+	for i := len(e.slots) - 1; i >= 0; i-- {
+		e.freeSlot(int32(i))
+	}
+}
+
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 

@@ -14,8 +14,7 @@ type engineModel interface {
 	runUntil(deadline Time)
 	run()
 	stop()
-	snapshot()
-	restore()
+	reset()
 	now() Time
 	pending() int
 	handles() int
@@ -59,12 +58,10 @@ func mix64(x uint64) uint64 {
 
 // engineUnderTest drives the real engine.
 type engineUnderTest struct {
-	e           *Engine
-	salt        uint64
-	ids         []EventID
-	trace       []traceRec
-	snap        EngineSnap
-	snapHandles int
+	e     *Engine
+	salt  uint64
+	ids   []EventID
+	trace []traceRec
 }
 
 func (m *engineUnderTest) schedule(kind int, off Duration) {
@@ -99,8 +96,7 @@ func (m *engineUnderTest) now() Time             { return m.e.Now() }
 func (m *engineUnderTest) pending() int          { return m.e.Pending() }
 func (m *engineUnderTest) handles() int          { return len(m.ids) }
 func (m *engineUnderTest) record(r traceRec)     { m.trace = append(m.trace, r) }
-func (m *engineUnderTest) snapshot()             { m.e.Snapshot(&m.snap); m.snapHandles = len(m.ids) }
-func (m *engineUnderTest) restore()              { m.e.Restore(&m.snap); m.ids = m.ids[:m.snapHandles] }
+func (m *engineUnderTest) reset()                { m.e.Reset() }
 func (m *engineUnderTest) takeTrace() []traceRec { t := m.trace; m.trace = nil; return t }
 
 // refEngine is the reference: pending events in a plain slice, the next one
@@ -116,7 +112,6 @@ type refEngine struct {
 	live    []bool // live[k]: handle k is scheduled
 	stopped bool
 	trace   []traceRec
-	saved   *refEngine
 }
 
 type refEvent struct {
@@ -196,20 +191,12 @@ func (r *refEngine) run() {
 	}
 }
 
-func (r *refEngine) snapshot() {
-	r.saved = &refEngine{
-		t:       r.t,
-		nextSeq: r.nextSeq,
-		queue:   append([]refEvent(nil), r.queue...),
-		live:    append([]bool(nil), r.live...),
-	}
-}
-
-func (r *refEngine) restore() {
-	s := r.saved
-	r.t, r.nextSeq, r.stopped = s.t, s.nextSeq, false
-	r.queue = append(r.queue[:0], s.queue...)
-	r.live = append(r.live[:0], s.live...)
+// reset empties the queue and rewinds the clock and sequence numbers to
+// zero. Handles issued before it stay dead: cancelling one returns false.
+func (r *refEngine) reset() {
+	r.t, r.nextSeq, r.stopped = 0, 0, false
+	r.queue = r.queue[:0]
+	clear(r.live)
 }
 
 func (r *refEngine) stop()                 { r.stopped = true }
@@ -223,7 +210,8 @@ func (r *refEngine) takeTrace() []traceRec { t := r.trace; r.trace = nil; return
 // same seeded random operations — At, AtFunc, After and AfterFunc with past,
 // same-instant and future times, nested scheduling from callbacks, valid,
 // stale, double and zero Cancels, RunUntil with random deadlines, Run, Stop,
-// and Snapshot/Restore mid-sequence — at queue depths from 0 to about 2,000.
+// and Reset mid-sequence, after which no earlier handle may cancel anything —
+// at queue depths from 0 to about 2,000.
 // Dispatch traces (callback id, clock), Cancel results, the clock and
 // Pending must agree after every operation.
 func TestEngineMatchesReference(t *testing.T) {
@@ -233,7 +221,7 @@ func TestEngineMatchesReference(t *testing.T) {
 		eng := &engineUnderTest{e: NewEngine(), salt: salt}
 		ref := &refEngine{salt: salt}
 		models := []engineModel{eng, ref}
-		target, maxDepth, empties, saved := 0, 0, 0, false
+		target, maxDepth, empties := 0, 0, 0
 		for op := 0; op < 5_000; op++ {
 			if op%500 == 0 {
 				target = []int{0, 10, 100, 2000}[rng.Intn(4)]
@@ -278,14 +266,8 @@ func TestEngineMatchesReference(t *testing.T) {
 				apply = func(m engineModel) { m.run() }
 			case r < 96:
 				apply = func(m engineModel) { m.stop() }
-			case r < 98:
-				saved = true
-				apply = func(m engineModel) { m.snapshot() }
 			default:
-				if !saved {
-					continue
-				}
-				apply = func(m engineModel) { m.restore() }
+				apply = func(m engineModel) { m.reset() }
 			}
 			for _, m := range models {
 				apply(m)

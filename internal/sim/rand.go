@@ -20,6 +20,13 @@ func NewRand(seed uint64) *Rand {
 	return r
 }
 
+// Reseed resets the generator in place to the stream NewRand(seed) would
+// produce, preserving pointer identity for closures that captured it.
+func (r *Rand) Reseed(seed uint64) {
+	r.state = seed
+	r.Uint64()
+}
+
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15

@@ -200,12 +200,41 @@ func NewCluster(eng *sim.Engine, spec ClusterSpec) *Cluster {
 	if len(spec.IdleStates) > 0 {
 		c.idle = append([]IdleState(nil), spec.IdleStates...)
 		c.idleRes = make([]sim.Duration, len(c.idle))
-		c.idlePred = idlePredInit
+	}
+	c.reset()
+	return c
+}
+
+// reset puts every field a run changes back to its boot value, keeping
+// slice storage: lowest OPP, no caps, no tasks, no pending event, zero busy
+// and idle accounting, no busy grid and, on an idle ladder, resident in the
+// deepest state since the engine's current instant. Tasks still queued or
+// running are dropped, not drained; their pool frees them (SoC.Reset).
+func (c *Cluster) reset() {
+	c.oppIdx, c.reqIdx = 0, 0
+	c.caps = c.caps[:0]
+	c.runq = c.runq[:0]
+	c.running = c.running[:0]
+	c.sliceEnds = c.sliceEnds[:0]
+	c.coreOf = c.coreOf[:0]
+	clear(c.coreUsed)
+	c.lastSettle = 0
+	c.pending, c.havePending = 0, false
+	c.cumBusy = 0
+	clear(c.coreBusy)
+	clear(c.busyByOPP)
+	c.gridStep, c.gridNext, c.grid = 0, 0, nil
+	clear(c.idleRes)
+	c.idleWakes, c.idleMispred = 0, 0
+	c.waking, c.wakeUntil = false, 0
+	c.stallSince, c.stallTime = 0, 0
+	c.activeOpen, c.activeSince, c.activeWall = false, 0, 0
+	if c.idle != nil {
 		// A freshly booted cluster is idle: sink to the deepest state so the
 		// very first burst already pays a wake-up cost.
-		c.enterIdle(eng.Now())
+		c.idlePred = idlePredInit
+		c.enterIdle(c.eng.Now())
 	}
-	return c
 }
 
 // NewCore returns a single-core cluster — the paper's one enabled Krait core.
@@ -580,8 +609,8 @@ func (c *Cluster) stealQueued() *Task {
 
 // StartBusyGrid begins (or restarts) busy-grid sampling with the given
 // period, reusing scratch as the sample buffer. The first sample lands on
-// virtual time zero; replay runners call this at seal time, right after a
-// checkpoint restore rewound the clock.
+// virtual time zero; the device's Seal calls this right after it rewound the
+// engine and reset the SoC.
 func (c *Cluster) StartBusyGrid(step sim.Duration, scratch []sim.Duration) {
 	c.gridStep = step
 	c.gridNext = 0

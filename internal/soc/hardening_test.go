@@ -124,47 +124,3 @@ func TestPerCoreBusySpreadsAcrossCores(t *testing.T) {
 		t.Errorf("4th core busy %v, want 0", per[3])
 	}
 }
-
-// TestSnapshotPanicsWhileTaskLive pins the checkpoint contract: a Snap holds
-// no task bodies, so Snapshot must refuse an instant at which a task is
-// queued, running or awaiting zero-cycle completion instead of silently
-// dropping it. Once the engine has drained every task it succeeds.
-func TestSnapshotPanicsWhileTaskLive(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		spec Spec
-		live func(s *SoC) bool // submits one task, reports it is in the state named
-	}{
-		{"running", Dragonboard(), func(s *SoC) bool {
-			s.Submit("burst", lightCycles, nil)
-			return s.Cluster(0).Busy() && s.Cluster(0).QueueLen() == 0
-		}},
-		// A cluster in a deep C-state holds new work in its run queue for
-		// the exit latency before dispatching it.
-		{"queued", WithDefaultIdle(Dragonboard()), func(s *SoC) bool {
-			s.Submit("burst", lightCycles, nil)
-			return !s.Cluster(0).Busy() && s.Cluster(0).QueueLen() == 1
-		}},
-		{"zero-cycle", Dragonboard(), func(s *SoC) bool {
-			s.Submit("empty", 0, nil)
-			return s.Cluster(0).Runnable() == 0 && len(s.zq.q) == 1
-		}},
-	} {
-		eng := sim.NewEngine()
-		s := New(eng, tc.spec)
-		eng.RunUntil(sim.Time(10 * sim.Millisecond))
-		if !tc.live(s) {
-			t.Fatalf("%s: setup did not leave exactly one %s task", tc.name, tc.name)
-		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: Snapshot with a live task did not panic", tc.name)
-				}
-			}()
-			s.Snapshot(&Snap{})
-		}()
-		eng.Run()
-		s.Snapshot(&Snap{})
-	}
-}

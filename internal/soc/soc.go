@@ -162,6 +162,24 @@ func New(eng *sim.Engine, spec Spec) *SoC {
 	return s
 }
 
+// Reset returns the SoC to the state New leaves it in, keeping its buffers:
+// every cluster at its boot values, no zero-cycle task pending, no migration
+// counted, no rebalance tick armed, and every task the pool ever created
+// free again, in creation order. Tasks live when Reset is called are
+// dropped. Rewind the engine first (sim.Engine.Reset): the pending cluster,
+// scheduler and zero-cycle events live in its queue, and an idle cluster
+// re-enters its deepest state at the engine's current instant.
+func (s *SoC) Reset() {
+	for _, c := range s.clusters {
+		c.reset()
+	}
+	s.zq.q = s.zq.q[:0]
+	if s.sched != nil {
+		s.sched.migrations, s.sched.tickPending = 0, false
+	}
+	s.pool.freeAll()
+}
+
 // Spec returns the spec the SoC was built from.
 func (s *SoC) Spec() Spec { return s.spec }
 

@@ -46,8 +46,8 @@ func (h Handle) Affinity() int {
 }
 
 // taskPool recycles Task objects so warm submit/complete cycles allocate
-// nothing. It tracks every task it ever created (all) so a checkpoint
-// restore, which rewinds to an instant with no live task, can free them all.
+// nothing. It tracks every task it ever created (all) so SoC.Reset, which
+// returns to the boot instant with no live task, can free them all.
 type taskPool struct {
 	free []*Task
 	all  []*Task

@@ -95,9 +95,9 @@ func (z *Zone) Params() ZoneParams { return z.p }
 // TempC returns the current zone temperature.
 func (z *Zone) TempC() float64 { return z.tempC }
 
-// Reset returns the zone to its boot temperature, so a re-sealed device
-// reuses its zones across forked replays.
-func (z *Zone) Reset() { z.tempC = z.p.InitC }
+// Reset returns the zone to the state NewZone leaves it in, so a re-sealed
+// device reuses its zones across forked replays.
+func (z *Zone) Reset() { z.tempC, z.alphaDt, z.alpha = z.p.InitC, 0, 0 }
 
 // RiseC returns the current rise above ambient (never negative), the
 // quantity cross-cluster coupling is computed from.

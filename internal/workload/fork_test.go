@@ -16,11 +16,11 @@ import (
 	"repro/internal/video"
 )
 
-// coldReplay mirrors ReplaySession.Replay without the checkpoint machinery:
-// a cold NewMulti boot followed by the exact run sequence a forked replay
-// performs. It is the reference the fork≡cold tests compare against — any
-// state the snapshot layer fails to capture or restore shows up as a trace,
-// truth or video divergence against this path.
+// coldReplay mirrors ReplaySession.Replay on a device that never ran: a cold
+// NewMulti boot followed by the exact run sequence a forked replay performs.
+// It is the reference the fork≡cold tests compare against — any state a run
+// changes and Seal fails to reset shows up as a trace, truth or video
+// divergence against this path.
 func coldReplay(w *Workload, rec *Recording, govs []governor.Governor, configName string, seed uint64, capture bool) *RunArtifacts {
 	eng := sim.NewEngine()
 	dev := device.NewMulti(eng, seed, govs, w.Profile)
@@ -124,15 +124,15 @@ func requireSameRun(t *testing.T, label string, cold, fork *RunArtifacts) {
 	}
 }
 
-// TestForkEqualsColdRun is the tentpole correctness gate of checkpoint/fork
-// replay: on both platform specs, with the idle ladder off and on, and on a
-// sustained thermal run whose throttler binds, a run forked from a session's
-// boot checkpoint must be bit-for-bit identical — traces, busy histograms,
+// TestForkEqualsColdRun is the tentpole correctness gate of fork replay: on
+// both platform specs, with the idle ladder off and on, and on a sustained
+// thermal run whose throttler binds, a run forked by re-sealing a session's
+// warm device must be bit-for-bit identical — traces, busy histograms,
 // idle residency, temperatures, throttle caps, ground truth and captured
 // video — to a cold boot with the same seed and governors. The session is
 // "dirtied" with a different-seed fork first, so the test also proves that
 // one run leaves no residue in the next (the property that lets sweeps fork
-// hundreds of runs off one prefix, sustained sweeps included).
+// hundreds of runs off one booted device, sustained sweeps included).
 func TestForkEqualsColdRun(t *testing.T) {
 	quickstartOn := func(spec soc.Spec) func(*testing.T) *Workload {
 		return func(*testing.T) *Workload {
@@ -152,8 +152,8 @@ func TestForkEqualsColdRun(t *testing.T) {
 		{"biglittle", quickstartOn(soc.BigLittle44()), 1, ondemand},
 		{"biglittle-idle", quickstartOn(soc.WithDefaultIdle(soc.BigLittle44())), 1, ondemand},
 		// The sustained sweep's shape: two back-to-back passes of the
-		// export marathon with a binding trip, so the checkpoint must
-		// carry zone temperatures and throttle caps across forks.
+		// export marathon with a binding trip, so Seal must reset zone
+		// temperatures and throttle caps between forks.
 		{"thermal", func(t *testing.T) *Workload {
 			w := ExportMarathon()
 			w.Profile.SoC = soc.BigLittle44()
@@ -166,8 +166,8 @@ func TestForkEqualsColdRun(t *testing.T) {
 			return w
 		}, 2, func() governor.Governor { return governor.NewInteractive() }},
 		// A network proxy recorded with the trace and replayed: its cursors
-		// and miss count live outside the device, so the checkpoint must
-		// carry them, or each fork resumes where the last one left off.
+		// and miss count live outside the device, so Seal must rewind them,
+		// or each fork resumes where the last one left off.
 		{"netproxy", func(*testing.T) *Workload {
 			w := Quickstart()
 			w.Profile.NetProxy = netproxy.New(netproxy.Record)

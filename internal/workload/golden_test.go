@@ -28,7 +28,7 @@ import (
 // boot-seed stream instead of the head of the run-seed stream, so every
 // run's RNG consumption shifted — an intentional change that makes the
 // prefix identical across runs and lets forked replays diverge exactly at
-// Seal. The fork≡cold equivalence tests in checkpoint_test.go pin the new
+// Seal. The fork≡cold equivalence tests in fork_test.go pin the new
 // behaviour bit-for-bit.
 func TestDragonboardGoldenTraces(t *testing.T) {
 	golden := map[string]string{

@@ -7,7 +7,7 @@ import (
 )
 
 // SessionKey identifies the warm-session equivalence class of a workload: two
-// workloads with the same key boot to the same fork-point checkpoint. The key
+// workloads with the same key boot the same device. The key
 // covers the workload (its device profile — apps, services, screen — is a
 // function of the workload definition) and the SoC spec, including whether
 // C-state ladders are installed (soc.WithDefaultIdle keeps the spec name, but
@@ -42,7 +42,7 @@ func SessionKey(w *Workload) string {
 // SessionRegistry owns warmed ReplaySessions keyed by SessionKey and counts
 // the forks served per key. It is the session-ownership layer long-running
 // harnesses share across jobs: a sweep asks the registry for its workload's
-// session instead of booting one, so the boot prefix is paid once per
+// session instead of booting one, so device boot is paid once per
 // (registry, key) for the registry's whole lifetime, not once per sweep.
 //
 // The registry's bookkeeping is mutex-guarded so stats can be read while a
@@ -88,8 +88,8 @@ func (r *SessionRegistry) Session(w *Workload) *ReplaySession {
 // Evict quarantines the session under key: the entry is dropped so the next
 // Session call for the key boots a cold replacement, and the registry counts
 // one quarantine. This is the containment step after a panic escaped a
-// replay — the session's device (and possibly its fork-point checkpoint) may
-// be poisoned mid-run state, and the only safe recovery is to throw it away.
+// replay — the session's device may hold poisoned mid-run state, and the
+// only safe recovery is to throw it away.
 // Evicting an unknown key is a no-op and reports false.
 func (r *SessionRegistry) Evict(key string) bool {
 	r.mu.Lock()

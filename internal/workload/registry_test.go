@@ -8,7 +8,7 @@ import (
 
 // TestSessionKey pins the registry key shape: workload|spec, with an "+idle"
 // marker when the spec carries C-state ladders (WithDefaultIdle keeps the
-// spec name, so the marker is what separates the checkpoints).
+// spec name, so the marker is what separates the sessions).
 func TestSessionKey(t *testing.T) {
 	w := Quickstart()
 	if got, want := SessionKey(w), "quickstart|dragonboard-apq8074"; got != want {

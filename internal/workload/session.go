@@ -8,14 +8,13 @@ import (
 	"repro/internal/video"
 )
 
-// ReplaySession amortises the seed-independent warm prefix of a replay —
-// engine construction, silicon bring-up, app install, background-service
-// start — across every run of one (workload, recording) pair. The session
-// boots the device once, checkpoints it at the fork point (just before
-// governors attach), and each Replay call restores that checkpoint, which
-// seals the device for its concrete configuration. A forked replay is
-// bit-for-bit identical to a cold ReplayMulti with the same arguments; the
-// checkpoint equivalence tests pin that guarantee.
+// ReplaySession amortises what every run of one workload shares — engine,
+// silicon, installed apps, background services, thermal zones, the agent
+// and the buffers they grow — across its runs. The session boots the device
+// once, and each Replay seals it for its concrete configuration, which
+// rewinds it to the boot instant; so a forked replay takes the same path as
+// a cold ReplayMulti with the same arguments, and is bit-for-bit identical
+// to it, as the fork equivalence tests pin.
 //
 // A session is not safe for concurrent use: sweeps give each worker its own.
 type ReplaySession struct {
@@ -27,59 +26,55 @@ type ReplaySession struct {
 	Eng *sim.Engine
 	Dev *device.Device
 
-	cp        *device.Checkpoint
 	agent     *record.Agent
 	agentRand *sim.Rand
 }
 
-// NewReplaySession boots a device for the workload's profile and checkpoints
-// it at the fork point. rec becomes the default recording for Replay; it may
-// be nil when every run goes through ReplayRecording instead.
+// NewReplaySession boots a device for the workload's profile. rec becomes
+// the default recording for Replay; it may be nil when every run goes
+// through ReplayRecording instead.
 func NewReplaySession(w *Workload, rec *Recording) *ReplaySession {
 	eng := sim.NewEngine()
-	dev := device.Boot(eng, w.Profile)
-	s := &ReplaySession{
+	return &ReplaySession{
 		w:         w,
 		rec:       rec,
 		Eng:       eng,
-		Dev:       dev,
+		Dev:       device.Boot(eng, w.Profile),
 		agent:     record.NewAgent(),
 		agentRand: sim.NewRand(1),
 	}
-	s.cp = dev.Checkpoint()
-	return s
 }
 
 // Workload returns the session's workload.
 func (s *ReplaySession) Workload() *Workload { return s.w }
 
-// CorruptCheckpoint deliberately damages the session's fork-point checkpoint
-// so the next ReplayRecording panics inside Restore — the fault-injection
-// stand-in for warm state silently rotting under a long-lived session. The
-// panic is deterministic, which lets the chaos suites pin the full recovery
-// path (recover → quarantine → cold reboot) bit-for-bit. Fault-injection
-// suites only.
-func (s *ReplaySession) CorruptCheckpoint() { s.cp.FaultCorrupt() }
+// CorruptSession deliberately damages the session's warm device — it loses
+// its engine — so the next ReplayRecording panics inside Seal: the
+// fault-injection stand-in for warm state silently rotting under a
+// long-lived session. The panic is deterministic, which lets the chaos
+// suites pin the full recovery path (recover → quarantine → cold reboot)
+// bit-for-bit. Fault-injection suites only.
+func (s *ReplaySession) CorruptSession() { s.Dev.Eng = nil }
 
-// Replay forks one run off the session's boot checkpoint against the
-// session's own recording. See ReplayRecording.
+// Replay forks one run off the session's warm device against the session's
+// own recording. See ReplayRecording.
 func (s *ReplaySession) Replay(govs []governor.Governor, configName string, seed uint64, capture bool) *RunArtifacts {
 	return s.ReplayRecording(s.rec, govs, configName, seed, capture)
 }
 
-// ReplayRecording forks one run off the session's boot checkpoint: restore,
-// seal with the run's seed and governors, replay the recorded input trace and
-// collect artefacts. The returned artefacts are self-contained — ground truth
-// and busy histograms are copied out of the device, and each seal creates
-// fresh traces — so they stay valid across later Replay calls on the same
+// ReplayRecording forks one run off the session's warm device: seal it with
+// the run's seed and governors, replay the recorded input trace and collect
+// artefacts. The returned artefacts are self-contained — ground truth and
+// busy histograms are copied out of the device, and each seal creates fresh
+// traces — so they stay valid across later Replay calls on the same
 // session.
 //
-// The checkpoint depends only on the workload's device profile, never on the
-// input trace, so one warm session serves any recording of its workload:
+// The booted device depends only on the workload's device profile, never on
+// the input trace, so one warm session serves any recording of its workload:
 // long-running harnesses reuse a session across jobs whose recordings differ
-// (different master seeds) without re-paying the boot prefix.
+// (different master seeds) without rebuilding the device.
 func (s *ReplaySession) ReplayRecording(rec *Recording, govs []governor.Governor, configName string, seed uint64, capture bool) *RunArtifacts {
-	s.Dev.Restore(s.cp, seed, govs)
+	s.Dev.Seal(seed, govs)
 	window := rec.RunWindow()
 	s.Dev.ReserveTraces(window)
 	s.agentRand.Reseed(seed ^ 0x5eed)
@@ -103,7 +98,7 @@ func (s *ReplaySession) ReplayRecording(rec *Recording, govs []governor.Governor
 
 	// BusyByOPP/BusyByCluster copy out of the cluster counters and each seal
 	// creates fresh traces, but the ground-truth log is rewound in place by
-	// the next Restore — copy it so artefacts outlive the session's reuse.
+	// the next Seal — copy it so artefacts outlive the session's reuse.
 	byCluster := s.Dev.SoC.BusyByCluster()
 	art := &RunArtifacts{
 		Workload:      rec.Workload,
