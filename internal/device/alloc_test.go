@@ -10,11 +10,14 @@ import (
 )
 
 // TestThermalTickAllocFree gates the thermal hot path: with trace capacity
-// reserved for the run window, one 100 ms thermal tick — per-cluster busy
-// delta, power integration, RC zone step, cross-cluster coupling,
-// temperature trace append — performs zero heap allocations on a warm
-// device. The tick runs 10 times per simulated second on every
-// thermal-enabled replay of a sweep.
+// reserved for the run window, the thermal tick — per-cluster busy delta,
+// power integration, RC zone step, cross-cluster coupling, temperature
+// trace append — and the catch-up of the ticks a quiet tick passed perform
+// zero heap allocations on a warm device. Each measured window spawns one
+// burst on the idle device: its SpawnWork catches the zones up through the
+// passed ticks, the next tick runs live and sees the burst's heat, and the
+// ticks after it go quiet again. The tick runs 10 times per simulated
+// second on every thermal-enabled replay of a sweep.
 func TestThermalTickAllocFree(t *testing.T) {
 	prof := Profile{
 		SoC:     soc.BigLittle44(),
@@ -29,21 +32,44 @@ func TestThermalTickAllocFree(t *testing.T) {
 	// Nil governors: clusters idle at their lowest OPP, isolating the
 	// thermal tick from the governor sample path (gated separately in soc).
 	dev := NewMulti(eng, 1, []governor.Governor{nil, nil}, prof)
-	dev.ReserveTraces(20 * sim.Second)
+	dev.ReserveTraces(40 * sim.Second)
 
 	// Warm up past boot transients (service start, first samples).
 	eng.RunUntil(sim.Time(2 * sim.Second))
 
+	burst := func() { dev.SpawnWork("burst", 5_000_000, nil) }
 	next := eng.Now()
 	if avg := testing.AllocsPerRun(50, func() {
-		next = next.Add(100 * sim.Millisecond)
+		eng.AtFunc(next.Add(150*sim.Millisecond), burst)
+		next = next.Add(500 * sim.Millisecond)
 		eng.RunUntil(next)
 	}); avg != 0 {
-		t.Fatalf("one warm thermal tick window allocates %.2f, want 0", avg)
+		t.Fatalf("one warm thermal window (catch-up, live tick, quiet ticks) allocates %.2f, want 0", avg)
 	}
-	// The tick must actually have run and traced temperatures.
-	if dev.ClusterTraces[0].Temp.Len() < 50 {
-		t.Fatalf("thermal tick did not run: %d temp samples", dev.ClusterTraces[0].Temp.Len())
+	// Passed ticks trace their temperatures only when caught up: before
+	// FinishTraces the trace reaches into the last window (its burst caught
+	// the zones up and the next tick ran live) but misses the ticks passed
+	// since. After it, every tick instant of the run holds exactly one point.
+	temps := dev.ClusterTraces[0].Temp
+	passed, last := temps.Len(), temps.Points[temps.Len()-1].At
+	dev.FinishTraces(sim.Duration(eng.Now()))
+	want := int(int64(eng.Now())/int64(dev.thermalPeriod)) + 1
+	if temps.Len() != want || passed >= want || last < next.Add(-500*sim.Millisecond) {
+		t.Fatalf("%d temp samples after FinishTraces, %d before (last at %v); want %d, one per tick, and fewer before, into the last window",
+			temps.Len(), passed, last, want)
+	}
+	for k, p := range temps.Points {
+		if p.At != sim.Time(int64(k)*int64(dev.thermalPeriod)) {
+			t.Fatalf("temp sample %d at %v, want one every %v", k, p.At, dev.thermalPeriod)
+		}
+	}
+	// The live ticks saw the bursts: the zone ends warmer than on a device
+	// that only idled.
+	cold := NewMulti(sim.NewEngine(), 1, []governor.Governor{nil, nil}, prof)
+	cold.Eng.RunUntil(eng.Now())
+	cold.FinishTraces(sim.Duration(eng.Now()))
+	if got, idle := dev.Zones[0].TempC(), cold.Zones[0].TempC(); got <= idle {
+		t.Fatalf("zone at %.4f°C after bursts, %.4f°C idle; want warmer", got, idle)
 	}
 }
 
@@ -74,7 +100,7 @@ func BenchmarkDeviceThermalTick(b *testing.B) {
 				ct.Temp.Reset()
 			}
 		}
-		dev.thermalTick(dev.thermalPeriod)
+		dev.thermalTick()
 	}
 }
 

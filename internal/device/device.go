@@ -128,7 +128,9 @@ type Device struct {
 	// run's events (input replay, capture) only after Seal.
 	Eng *sim.Engine
 	// SoC is the simulated silicon: one or more clusters plus the task
-	// scheduler.
+	// scheduler. On a device with record-only thermal zones, work submitted
+	// here directly rather than through SpawnWork can run while a quiet
+	// thermal tick assumes zero heat; its temperatures are then wrong.
 	SoC *soc.SoC
 	// Core is the first (littlest) cluster — on the paper's Dragonboard spec,
 	// the one enabled Krait core.
@@ -163,9 +165,13 @@ type Device struct {
 	vsyncOn       bool
 	vsyncFn       func()
 	minuteFn      func()
-	thermalN      int
 	thermalFn     func()
 	thermalPeriod sim.Duration
+	// thermalID is the pending thermal tick and thermalAt the instant the
+	// zones were last stepped at; while the tick is quiet the two bracket
+	// the ticks catchUpThermal still owes the zones.
+	thermalID sim.EventID
+	thermalAt sim.Time
 
 	// busyCurveScratch and gridScratch, when set via SetBusyScratch and
 	// SetGridScratch, are recycled storage for the next Seal's SoC-aggregate
@@ -209,6 +215,7 @@ type Device struct {
 	prevBusy    [][]sim.Duration
 	busyScratch [][]sim.Duration
 	riseScratch []float64 // per-zone rise snapshot for coupling
+	heatW       []float64 // per-zone heat input of the step being taken
 }
 
 // New boots a single-cluster device with the given governor and profile. The
@@ -408,9 +415,12 @@ func (d *Device) Seal(seed uint64, govs []governor.Governor) {
 // FinishTraces materialises the lazily-sampled busy grids into the run's
 // trace series: each cluster's curve plus the SoC aggregate (their
 // elementwise sum, exactly what the retired 30 Hz sampling tick collected).
-// Replay runners call it once after the run window has fully executed, with
-// the engine clock standing at the window.
+// It first steps the thermal zones through the ticks a quiet thermal tick
+// passed, so the temperature traces and zones are complete. Replay runners
+// call it once after the run window has fully executed, with the engine
+// clock standing at the window.
 func (d *Device) FinishTraces(window sim.Duration) {
+	d.catchUpThermal()
 	until := sim.Time(window)
 	agg := d.BusyCurve.Cum[:0]
 	for i, ct := range d.ClusterTraces {
@@ -459,9 +469,8 @@ func (d *Device) bindTicks() {
 		d.Eng.AfterFunc(sim.Duration(sim.Minute), d.minuteFn)
 	}
 	d.thermalFn = func() {
-		d.thermalTick(d.thermalPeriod)
-		d.thermalN++
-		d.Eng.AtFunc(sim.Time(int64(d.thermalN+1)*int64(d.thermalPeriod)), d.thermalFn)
+		d.thermalTick()
+		d.armThermal()
 	}
 }
 
@@ -494,6 +503,7 @@ func (d *Device) bootThermal() {
 	d.prevBusy = make([][]sim.Duration, n)
 	d.busyScratch = make([][]sim.Duration, n)
 	d.riseScratch = make([]float64, n)
+	d.heatW = make([]float64, n)
 	for i, zc := range cfg.Zones {
 		cl := d.SoC.Cluster(i)
 		d.prevBusy[i] = make([]sim.Duration, len(cl.Table()))
@@ -515,33 +525,60 @@ func (d *Device) sealThermal() {
 	if len(d.Zones) == 0 {
 		return
 	}
-	d.thermalN = 0
+	d.thermalAt = 0
 	for i, z := range d.Zones {
 		z.Reset()
 		d.throttlers[i].Reset()
 		clear(d.prevBusy[i])
 		d.ClusterTraces[i].Temp.Append(0, z.TempC())
 	}
-	d.Eng.AtFunc(sim.Time(d.thermalPeriod), d.thermalFn)
+	d.thermalID = d.Eng.AtFunc(sim.Time(d.thermalPeriod), d.thermalFn)
 }
 
-// thermalTick advances every zone by one period and evaluates throttling.
-func (d *Device) thermalTick(period sim.Duration) {
-	now := d.Eng.Now()
-	// Snapshot rises first so cross-cluster coupling is order-independent
-	// within the tick.
-	rises := d.riseScratch
-	for i, z := range d.Zones {
-		rises[i] = z.RiseC()
+// armThermal queues the next thermal tick one period on, quiet
+// (sim.Engine.Quiet) while no throttler is enabled and no cluster has work.
+// Every tick from then until work is spawned steps the zones at zero heat
+// and does nothing else: no busy time accrues, so each would compute the
+// same zero heat input, and with no throttler it never caps a cluster. The
+// engine passes those ticks, and catchUpThermal takes their zone steps when
+// work is spawned or the run ends, before anything reads a temperature. A
+// throttling zone keeps every tick live, because its throttler can lift a
+// cap during an idle window.
+func (d *Device) armThermal() {
+	d.thermalID = d.Eng.AfterFunc(d.thermalPeriod, d.thermalFn)
+	for i, th := range d.throttlers {
+		if th.Enabled() || d.SoC.Cluster(i).Runnable() > 0 {
+			return
+		}
 	}
-	for i, z := range d.Zones {
-		cl := d.SoC.Cluster(i)
+	d.Eng.Quiet(d.thermalID, d.thermalPeriod)
+}
+
+// catchUpThermal wakes a quiet thermal tick and takes the zone steps of the
+// ticks the engine passed: every tick after the last step and before the
+// one now due, which runs live. Their heat input is the zero a live tick
+// computes when no cluster ran. No-op while the tick is live.
+func (d *Device) catchUpThermal() {
+	due, ok := d.Eng.Wake(d.thermalID)
+	if !ok {
+		return
+	}
+	clear(d.heatW)
+	for at := d.thermalAt.Add(d.thermalPeriod); at < due; at = at.Add(d.thermalPeriod) {
+		d.stepZones(at)
+	}
+}
+
+// thermalTick takes each cluster's mean dynamic power over the tick
+// period as its zone's heat input and steps every zone.
+func (d *Device) thermalTick() {
+	for i := range d.Zones {
 		// Mean dynamic power over the tick window, integrated from the
 		// per-OPP busy delta since the previous tick — the same integral
 		// energy accounting uses, without re-walking history or allocating.
 		// All but one or two OPPs sit idle over a tick; skipping their zero
 		// deltas leaves the sum bit-identical (each would add +0).
-		cur := cl.CopyBusyByOPP(d.busyScratch[i])
+		cur := d.SoC.Cluster(i).CopyBusyByOPP(d.busyScratch[i])
 		var heatJ float64
 		dyn := d.Power.Cluster(i).DynW
 		for k, b := range cur {
@@ -550,7 +587,23 @@ func (d *Device) thermalTick(period sim.Duration) {
 			}
 		}
 		d.prevBusy[i], d.busyScratch[i] = cur, d.prevBusy[i]
-		powerW := heatJ / period.Seconds()
+		d.heatW[i] = heatJ / d.thermalPeriod.Seconds()
+	}
+	d.stepZones(d.Eng.Now())
+}
+
+// stepZones advances every zone by one tick period ending at instant at,
+// with heatW as heat input plus cross-cluster coupling, traces the new
+// temperatures and evaluates throttling. It is the one zone step of the
+// live tick and of catchUpThermal.
+func (d *Device) stepZones(at sim.Time) {
+	// Snapshot rises first so cross-cluster coupling is order-independent
+	// within the tick.
+	rises := d.riseScratch
+	for i, z := range d.Zones {
+		rises[i] = z.RiseC()
+	}
+	for i, z := range d.Zones {
 		var coupleC float64
 		if len(d.Zones) > 1 {
 			var sum float64
@@ -561,18 +614,19 @@ func (d *Device) thermalTick(period sim.Duration) {
 			}
 			coupleC = z.Params().CouplingFrac * sum / float64(len(d.Zones)-1)
 		}
-		temp := z.Step(period, powerW, coupleC)
-		d.ClusterTraces[i].Temp.Append(now, temp)
+		temp := z.Step(d.thermalPeriod, d.heatW[i], coupleC)
+		d.ClusterTraces[i].Temp.Append(at, temp)
 		if th := d.throttlers[i]; th.Enabled() {
 			if capIdx, changed := th.Update(temp); changed {
 				if th.Throttled() {
-					cl.SetFreqCap("thermal", capIdx)
+					d.SoC.Cluster(i).SetFreqCap("thermal", capIdx)
 				} else {
-					cl.ClearFreqCap("thermal")
+					d.SoC.Cluster(i).ClearFreqCap("thermal")
 				}
 			}
 		}
 	}
+	d.thermalAt = at
 }
 
 // installApps builds the installed apps and the launcher. Seal puts each in
@@ -720,8 +774,11 @@ func (d *Device) After(dur sim.Duration, fn func()) {
 
 // SpawnWork implements apps.Host, applying the per-repetition work jitter.
 // Fire-and-forget bursts (nil onDone — every animation frame, every
-// background service tick) submit without a completion wrapper.
+// background service tick) submit without a completion wrapper. It is the
+// only way work reaches the SoC, so it first wakes a quiet thermal tick and
+// catches its zones up.
 func (d *Device) SpawnWork(name string, cycles int64, onDone func()) {
+	d.catchUpThermal()
 	jittered := int64(sim.Duration(cycles))
 	if d.prof.WorkJitterFrac > 0 {
 		jittered = int64(d.rand.JitterFrac(sim.Duration(cycles), d.prof.WorkJitterFrac))

@@ -30,8 +30,10 @@ var notSealState = map[string]string{
 	"vsyncFn":     "immutable after Boot: a pre-bound tick closure",
 	"minuteFn":    "immutable after Boot: a pre-bound tick closure",
 	"thermalFn":   "immutable after Boot: a pre-bound tick closure",
+	"thermalID":   "engine handle: its generation counts the engine's past events; sim.Engine.Reset's test covers the queue",
 	"busyScratch": "scratch: the thermal tick copies into it before reading",
 	"riseScratch": "scratch: the thermal tick fills it before reading",
+	"heatW":       "scratch: the thermal tick and its catch-up fill it before stepping",
 }
 
 // TestSealRestoresFreshState walks every field of a device that lived a full

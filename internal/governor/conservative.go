@@ -60,7 +60,7 @@ func (g *Conservative) Start(cpu CPU) {
 	g.requested = cpu.Table()[cpu.OPPIndex()].KHz
 	g.meter.reset(cpu)
 	g.tickFn = g.tick
-	g.cpu.After(g.SamplingRate, g.tickFn)
+	g.meter.arm(g.SamplingRate, g.tickFn, false)
 }
 
 // OnInput implements Governor; conservative ignores input events.
@@ -85,5 +85,9 @@ func (g *Conservative) tick() {
 		}
 		g.cpu.RequestOPPIndex(tbl.IndexAtMost(g.requested))
 	}
-	g.cpu.After(g.SamplingRate, g.tickFn)
+	// On an idle domain the next sample reads load 0, which can only walk
+	// the tracked frequency down: a no-op once it sits at the ladder's floor
+	// and the request and the clock at OPP 0.
+	g.meter.arm(g.SamplingRate, g.tickFn,
+		g.requested == tbl.Min() && g.cpu.RequestedOPPIndex() == 0 && g.cpu.OPPIndex() == 0)
 }

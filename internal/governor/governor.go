@@ -12,6 +12,17 @@
 // immediately ramps up the frequency while ignoring the load in those
 // cases."
 //
+// Quiet samples: on an idle domain most load samples read 0% and change
+// nothing. At the end of each sample a load-based governor checks whether
+// the next one, run on an idle domain, would change no state and re-arm
+// itself with the same delay — the exactness rule of sim.Engine.Quiet — and
+// if so arms it through CPU.AfterIdle, so the domain passes it without
+// running it while it stays idle. Each governor's predicate must be
+// sufficient, never necessary: a sample woken early and run on an idle
+// domain is a no-op anyway. Skipping the sample also skips the domain's
+// settle, which on an idle cluster moves no task: its busy grid is rebuilt
+// identically later and work is settled before it runs.
+//
 // Units: frequencies are kHz (tunables like Interactive.HispeedKHz), loads
 // are integer percent (0..100), and all times are virtual microseconds
 // (sim.Time / sim.Duration) — tunables named after kernel ones keep the
@@ -40,6 +51,12 @@ import (
 type CPU interface {
 	Now() sim.Time
 	After(d sim.Duration, fn func())
+	// AfterIdle schedules fn like After, but while the domain is idle it
+	// passes fn without running it, once every d, until work is queued on
+	// it or its request changes (see sim.Engine.Quiet). Arm a sample this
+	// way only when that sample, run on an idle domain, would change no
+	// state and re-arm itself d later.
+	AfterIdle(d sim.Duration, fn func())
 	// RequestOPPIndex proposes an operating point. The domain applies it
 	// clamped to any active frequency cap and remembers the request so it is
 	// restored when caps lift.
@@ -92,8 +109,12 @@ type Governor interface {
 // actually executed — a governor cannot be tricked into ramping by wake
 // latency alone (pinned by TestLoadMeterIgnoresWakeStalls in soc).
 type loadMeter struct {
-	cpu      CPU
-	lastWall sim.Time
+	cpu CPU
+	// window is the delay the next sample was armed with: the wall time
+	// since the previous sample, because every sample runs where it was
+	// armed or is passed quietly on an idle domain, where it would have
+	// re-armed with the same delay and read no busy time.
+	window sim.Duration
 	// lastPerCore and scratch are swapped each sample so the steady state
 	// never allocates.
 	lastPerCore []sim.Duration
@@ -103,17 +124,28 @@ type loadMeter struct {
 func (m *loadMeter) reset(cpu CPU) {
 	m.cpu = cpu
 	m.lastPerCore = cpu.PerCoreBusy(m.lastPerCore)
-	m.lastWall = cpu.Now()
 }
 
-// sample returns load in percent (0..100) since the previous sample: the
-// maximum per-core load across the domain. A busy-counter reset (cluster
-// hotplug or task migration landing mid-window) can make a core's delta
-// negative; that core clamps to 0 rather than contributing a nonsense
-// negative percent.
+// arm schedules the governor's next sample fn d from now and makes d that
+// sample's window. idleNoop reports that the sample, run on an idle domain,
+// would change no state and re-arm itself d later; the domain then passes
+// it while it stays idle (CPU.AfterIdle).
+func (m *loadMeter) arm(d sim.Duration, fn func(), idleNoop bool) {
+	m.window = d
+	if idleNoop {
+		m.cpu.AfterIdle(d, fn)
+	} else {
+		m.cpu.After(d, fn)
+	}
+}
+
+// sample returns load in percent (0..100) over the window since the
+// previous sample: the maximum per-core load across the domain. A
+// busy-counter reset (cluster hotplug or task migration landing mid-window)
+// can make a core's delta negative; that core clamps to 0 rather than
+// contributing a nonsense negative percent.
 func (m *loadMeter) sample() int {
-	wall := m.cpu.Now()
-	dWall := wall.Sub(m.lastWall)
+	dWall := m.window
 	cur := m.cpu.PerCoreBusy(m.scratch)
 	max := 0
 	if dWall > 0 {
@@ -135,7 +167,6 @@ func (m *loadMeter) sample() int {
 		}
 	}
 	m.scratch, m.lastPerCore = m.lastPerCore, cur
-	m.lastWall = wall
 	return max
 }
 

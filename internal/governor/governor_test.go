@@ -254,6 +254,7 @@ func TestLoadMeterBounds(t *testing.T) {
 	r := newRig()
 	m := &loadMeter{}
 	m.reset(r.core)
+	m.window = 100 * sim.Millisecond // each sample below spans 100 ms
 	// 30M cycles at the min OPP (300 cycles/µs) is exactly 100 ms of work.
 	r.core.Submit("w", soc.Cycles(30_000_000), nil)
 	r.eng.RunUntil(sim.Time(100 * sim.Millisecond))

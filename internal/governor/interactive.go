@@ -72,7 +72,7 @@ func (g *Interactive) Start(cpu CPU) {
 	g.meter.reset(cpu)
 	g.hispeedIdx = cpu.Table().IndexAtLeast(g.HispeedKHz)
 	g.tickFn = g.tick
-	g.cpu.After(g.TimerRate, g.tickFn)
+	g.meter.arm(g.TimerRate, g.tickFn, false)
 }
 
 // OnInput implements Governor: the input boost. The frequency immediately
@@ -133,5 +133,15 @@ func (g *Interactive) tick() {
 			g.cpu.RequestOPPIndex(target)
 		}
 	}
-	g.cpu.After(g.TimerRate, g.tickFn)
+	g.meter.arm(g.TimerRate, g.tickFn, g.idleNoop())
+}
+
+// idleNoop reports whether the next sample, run on an idle domain, would
+// change nothing: load 0 targets OPP 0, which the request and the clock
+// already hold, and clears atHispeed, which is already clear. With hispeed
+// above the floor an input boost raises the request, which wakes the
+// sample; with hispeed at the floor a boost would set atHispeed unseen, so
+// every sample stays live.
+func (g *Interactive) idleNoop() bool {
+	return !g.atHispeed && g.hispeedIdx > 0 && g.cpu.RequestedOPPIndex() == 0 && g.cpu.OPPIndex() == 0
 }

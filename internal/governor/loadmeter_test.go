@@ -20,6 +20,7 @@ type fakeCPU struct {
 
 func (f *fakeCPU) Now() sim.Time                   { return f.now }
 func (f *fakeCPU) After(d sim.Duration, fn func()) {}
+func (f *fakeCPU) AfterIdle(sim.Duration, func())  {}
 func (f *fakeCPU) RequestOPPIndex(i int)           { f.opp = i }
 func (f *fakeCPU) OPPIndex() int                   { return f.opp }
 func (f *fakeCPU) RequestedOPPIndex() int          { return f.opp }
@@ -52,6 +53,7 @@ func TestLoadMeterClampsNegativeLoad(t *testing.T) {
 	cpu.perCore[0] = 500 * sim.Millisecond
 	var m loadMeter
 	m.reset(cpu)
+	m.window = 100 * sim.Millisecond // each sample below spans 100 ms
 	// A busy-counter reset (cluster hotplug / migration) makes the next
 	// delta negative; the meter must report 0, not a negative percent.
 	cpu.now = cpu.now.Add(100 * sim.Millisecond)
@@ -75,6 +77,7 @@ func TestLoadMeterMaxOfCPUs(t *testing.T) {
 	cpu := newFakeCPU(4)
 	var m loadMeter
 	m.reset(cpu)
+	m.window = 100 * sim.Millisecond // each sample below spans 100 ms
 	// One-hot: core 0 busy the whole window, the rest idle.
 	cpu.now = cpu.now.Add(100 * sim.Millisecond)
 	cpu.perCore[0] = 100 * sim.Millisecond
@@ -101,6 +104,7 @@ func TestLoadMeterCapsAtHundred(t *testing.T) {
 	cpu := newFakeCPU(1)
 	var m loadMeter
 	m.reset(cpu)
+	m.window = 100 * sim.Millisecond // each sample below spans 100 ms
 	cpu.now = cpu.now.Add(100 * sim.Millisecond)
 	cpu.perCore[0] = 150 * sim.Millisecond // over-attribution from rounding
 	if load := m.sample(); load != 100 {
@@ -115,6 +119,7 @@ func TestLoadMeterSingleCoreMatchesDomainAverage(t *testing.T) {
 	cpu := newFakeCPU(1)
 	var m loadMeter
 	m.reset(cpu)
+	m.window = 100 * sim.Millisecond // each sample below spans 100 ms
 	for i, frac := range []sim.Duration{73, 12, 100, 0, 55} {
 		cpu.now = cpu.now.Add(100 * sim.Millisecond)
 		cpu.perCore[0] += frac * sim.Millisecond

@@ -53,7 +53,7 @@ func (g *Ondemand) Start(cpu CPU) {
 	}
 	g.meter.reset(cpu)
 	g.tickFn = g.tick
-	g.cpu.After(g.SamplingRate, g.tickFn)
+	g.meter.arm(g.SamplingRate, g.tickFn, false)
 }
 
 // OnInput implements Governor; ondemand does not react to input directly.
@@ -74,5 +74,8 @@ func (g *Ondemand) tick() {
 		target := int(int64(load) * int64(tbl.Max()) / 100)
 		g.cpu.RequestOPPIndex(tbl.IndexAtLeast(target))
 	}
-	g.cpu.After(next, g.tickFn)
+	// On an idle domain the next sample reads load 0, requests OPP 0 and
+	// re-arms SamplingRate later: a no-op once the request and the clock sit
+	// at OPP 0 and it was armed with SamplingRate.
+	g.meter.arm(next, g.tickFn, next == g.SamplingRate && g.cpu.RequestedOPPIndex() == 0 && g.cpu.OPPIndex() == 0)
 }

@@ -83,7 +83,7 @@ func (g *QoEAware) Start(cpu CPU) {
 	g.meter.reset(cpu)
 	g.cpu.RequestOPPIndex(0)
 	g.tickFn = g.tick
-	g.cpu.After(g.TimerRate, g.tickFn)
+	g.meter.arm(g.TimerRate, g.tickFn, false)
 }
 
 // OnInput implements Governor: every input event opens a boost episode.
@@ -120,7 +120,7 @@ func (g *QoEAware) tick() {
 	default:
 		g.cpu.RequestOPPIndex(0)
 	}
-	g.cpu.After(g.TimerRate, g.tickFn)
+	g.meter.arm(g.TimerRate, g.tickFn, false)
 }
 
 // LearnBoost configures BoostIdx from oracle per-lag OPP choices: the

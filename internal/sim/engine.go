@@ -21,10 +21,11 @@ type EventID int64
 // never pins dead closures for the GC. A slot is scheduled exactly while
 // one queue entry names it.
 type event struct {
-	fn   Callback // engine-argument callback (nil when fn0 is set)
-	fn0  func()   // plain callback, scheduled via AtFunc/AfterFunc
-	gen  uint32   // generation, bumped on every release
-	next int32    // free-list link, valid while the slot is free
+	fn    Callback // engine-argument callback (nil when fn0 is set)
+	fn0   func()   // plain callback, scheduled via AtFunc/AfterFunc
+	quiet Duration // period of a quiet event (see Quiet); 0 when live
+	gen   uint32   // generation, bumped on every release
+	next  int32    // free-list link, valid while the slot is free
 }
 
 // queueEnt is one entry of the event queue. The timestamp and FIFO sequence
@@ -53,8 +54,21 @@ const tailScan = 8
 // from the tail, bisects past that, and moves the entries due before the new
 // one up a place with one copy. Cancel removes its entry at once, scanning
 // from the tail, where a re-armed cluster event sits. Events live in a slot pool recycled
-// through a free list. In steady state At, AtFunc, Cancel and event dispatch
-// perform zero heap allocations.
+// through a free list. In steady state At, AtFunc, Cancel, Quiet, Wake and
+// event dispatch perform zero heap allocations.
+//
+// A pending event can be marked quiet (Quiet): when it comes due the engine
+// advances the clock to it and queues it again one period later, on the same
+// slot and under the next sequence number, without running its callback —
+// exactly what a callback whose only act is AfterFunc(period, fn) does to the
+// engine. The exactness rule: an event may be quiet only while running it
+// would re-arm it with the same period and change no other state. Its owner
+// must Wake it before anything that callback reads changes; waking is always
+// safe, because a live callback that changes nothing equals a passed one. A
+// periodic sampler that goes quiet this way keeps its queue position against
+// every other event. It must never be dropped and re-armed on wake instead:
+// the re-armed event would take a later sequence number than events already
+// queued for its instant.
 type Engine struct {
 	now      Time
 	queue    []queueEnt
@@ -100,7 +114,7 @@ func (e *Engine) allocSlot() int32 {
 // outstanding EventID for it becomes permanently stale.
 func (e *Engine) freeSlot(i int32) {
 	s := &e.slots[i]
-	s.fn, s.fn0 = nil, nil
+	s.fn, s.fn0, s.quiet = nil, nil, 0
 	s.gen++
 	if s.gen == 0 { // skip generation 0 on wrap: IDs must never be zero
 		s.gen = 1
@@ -172,21 +186,69 @@ func (e *Engine) AfterFunc(d Duration, fn func()) EventID {
 
 // Cancel removes a scheduled event and its queue entry and releases its
 // slot. Cancelling an event that already fired or was already cancelled is
-// a no-op and returns false.
+// a no-op and returns false. Cancelling a quiet event drops it too.
 func (e *Engine) Cancel(id EventID) bool {
+	idx, ok := e.live(id)
+	if !ok {
+		return false
+	}
+	if k := e.find(idx); k >= 0 {
+		e.queue = append(e.queue[:k], e.queue[k+1:]...)
+		e.freeSlot(idx)
+		return true
+	}
+	return false
+}
+
+// Quiet marks a pending event quiet with the given period: from now on, each
+// time it comes due the engine passes it — advances the clock to it and
+// queues it again period later under the next sequence number, keeping its
+// slot and ID — instead of running its callback, until Wake, Cancel or Reset.
+// Mark an event quiet only when its callback, run at each of those instants,
+// would do nothing but re-arm itself period later (see Engine). Quiet reports
+// false, and marks nothing, for a stale ID or a period below one
+// microsecond.
+func (e *Engine) Quiet(id EventID, period Duration) bool {
+	idx, ok := e.live(id)
+	if !ok || period <= 0 {
+		return false
+	}
+	e.slots[idx].quiet = period
+	return true
+}
+
+// Wake makes a quiet event live again and returns the instant it is due at,
+// where its callback will run. Every instant it was passed at lies before
+// due, on its period's grid. Wake reports false for an event that is not
+// quiet or an ID that is stale.
+func (e *Engine) Wake(id EventID) (due Time, ok bool) {
+	idx, ok := e.live(id)
+	if !ok || e.slots[idx].quiet == 0 {
+		return 0, false
+	}
+	e.slots[idx].quiet = 0
+	return e.queue[e.find(idx)].at, true
+}
+
+// live resolves id to its slot, reporting false for a stale or zero ID.
+func (e *Engine) live(id EventID) (int32, bool) {
 	idx := int32(id & 0xffffffff)
 	gen := uint32(uint64(id) >> 32)
 	if idx < 0 || int(idx) >= len(e.slots) || e.slots[idx].gen != gen {
-		return false
+		return 0, false
 	}
+	return idx, true
+}
+
+// find returns the queue index of the entry naming slot idx, or -1. It scans
+// from the tail, where the next events due sit.
+func (e *Engine) find(idx int32) int {
 	for k := len(e.queue) - 1; k >= 0; k-- {
 		if e.queue[k].slot == idx {
-			e.queue = append(e.queue[:k], e.queue[k+1:]...)
-			e.freeSlot(idx)
-			return true
+			return k
 		}
 	}
-	return false
+	return -1
 }
 
 // Pending reports the number of events still scheduled.
@@ -199,7 +261,11 @@ func (e *Engine) Stop() { e.stopped = true }
 // step executes the earliest pending event, advancing the clock to its
 // timestamp. It returns false when the queue is empty. The event's slot is
 // released before its callback runs, so the callback may immediately reuse
-// it for follow-up scheduling.
+// it for follow-up scheduling. A quiet event is passed instead: it keeps its
+// slot and is queued again one period later under the next sequence number,
+// which is where a callback re-arming it would put it, on the slot that
+// freeing and re-allocating would hand it, so the queue and the free list
+// end up exactly as a live no-op callback leaves them.
 func (e *Engine) step() bool {
 	n := len(e.queue) - 1
 	if n < 0 {
@@ -207,12 +273,17 @@ func (e *Engine) step() bool {
 	}
 	ent := e.queue[n]
 	e.queue = e.queue[:n]
-	s := &e.slots[ent.slot]
-	fn, fn0 := s.fn, s.fn0
-	e.freeSlot(ent.slot)
 	if ent.at > e.now {
 		e.now = ent.at
 	}
+	s := &e.slots[ent.slot]
+	if s.quiet > 0 {
+		e.push(queueEnt{at: e.now.Add(s.quiet), seq: e.nextSeq, slot: ent.slot})
+		e.nextSeq++
+		return true
+	}
+	fn, fn0 := s.fn, s.fn0
+	e.freeSlot(ent.slot)
 	if fn0 != nil {
 		fn0()
 	} else {

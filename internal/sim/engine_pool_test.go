@@ -109,8 +109,8 @@ func TestEngineZeroEventIDNeverIssued(t *testing.T) {
 }
 
 // TestEngineAllocFree gates the tentpole property: in steady state (warm
-// slot pool and heap), scheduling, cancelling and dispatching events
-// performs zero heap allocations.
+// slot pool and heap), scheduling, cancelling, quieting, passing, waking and
+// dispatching events performs zero heap allocations.
 func TestEngineAllocFree(t *testing.T) {
 	e := NewEngine()
 	fn := func(*Engine) {}
@@ -137,6 +137,15 @@ func TestEngineAllocFree(t *testing.T) {
 		e.step()
 	}); avg != 0 {
 		t.Fatalf("At+step allocates %.1f per op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		id := e.AfterFunc(100, fn0)
+		e.Quiet(id, 100)
+		e.step() // passed
+		e.Wake(id)
+		e.step()
+	}); avg != 0 {
+		t.Fatalf("Quiet+pass+Wake+step allocates %.1f per op, want 0", avg)
 	}
 }
 

@@ -11,8 +11,11 @@ import (
 type engineModel interface {
 	schedule(kind int, off Duration) // kind: 0 At, 1 AtFunc, 2 After, 3 AfterFunc
 	cancel(k int) bool               // k < 0 cancels the zero EventID
+	quiet(k int, period Duration) bool
+	wake(k int) (Time, bool)
 	runUntil(deadline Time)
-	run()
+	run() // callbacks quiet nothing during a Run, so it drains
+	draining() bool
 	stop()
 	reset()
 	now() Time
@@ -21,32 +24,56 @@ type engineModel interface {
 	record(r traceRec)
 }
 
-// traceRec is one observable effect: an event dispatched (ok false) or a
-// Cancel (ok is its result).
+// traceRec is one observable effect: an event dispatched, or the result of
+// a Cancel, Quiet or Wake (ok, and for Wake the due instant t).
 type traceRec struct {
-	cancel bool
-	k      int
-	t      Time
-	ok     bool
+	op int // opFire, opCancel, opQuiet or opWake
+	k  int
+	t  Time
+	ok bool
 }
+
+const (
+	opFire = iota
+	opCancel
+	opQuiet
+	opWake
+)
 
 // fire is every event's callback. It records the dispatch, then does what
 // the handle's hash says: schedule a child (past, same-instant or future),
-// cancel some earlier handle (live, fired or cancelled), or Stop the run.
-// Children arrive with probability 1/4, so every Run drains.
+// quiet that child, cancel or wake some earlier handle (live, quiet, fired
+// or cancelled), or Stop the run. Children arrive with probability 1/4, so
+// every Run drains once no quiet event is left.
 func fire(m engineModel, salt uint64, k int) {
 	m.record(traceRec{k: k, t: m.now()})
 	h := mix64(uint64(k) ^ salt)
 	if h%4 == 0 {
 		m.schedule(int(h>>8%4), Duration(int64(h>>16%50)-5))
+		if h>>56%4 == 0 && !m.draining() {
+			doQuiet(m, m.handles()-1, Duration(h>>58%32))
+		}
 	}
 	if h>>24%8 == 0 {
 		c := int(h >> 32 % uint64(m.handles()))
-		m.record(traceRec{cancel: true, k: c, ok: m.cancel(c)})
+		m.record(traceRec{op: opCancel, k: c, ok: m.cancel(c)})
 	}
 	if h>>40%64 == 0 {
 		m.stop()
 	}
+	if h>>46%16 == 0 {
+		doWake(m, int(h>>50%uint64(m.handles())))
+	}
+}
+
+// doQuiet and doWake apply one Quiet or Wake to a model and record it.
+func doQuiet(m engineModel, k int, period Duration) {
+	m.record(traceRec{op: opQuiet, k: k, t: Time(period), ok: m.quiet(k, period)})
+}
+
+func doWake(m engineModel, k int) {
+	due, ok := m.wake(k)
+	m.record(traceRec{op: opWake, k: k, t: due, ok: ok})
 }
 
 func mix64(x uint64) uint64 {
@@ -61,6 +88,7 @@ type engineUnderTest struct {
 	e     *Engine
 	salt  uint64
 	ids   []EventID
+	inRun bool
 	trace []traceRec
 }
 
@@ -89,8 +117,23 @@ func (m *engineUnderTest) cancel(k int) bool {
 	return m.e.Cancel(m.ids[k])
 }
 
+func (m *engineUnderTest) quiet(k int, period Duration) bool {
+	if k < 0 {
+		return m.e.Quiet(0, period)
+	}
+	return m.e.Quiet(m.ids[k], period)
+}
+
+func (m *engineUnderTest) wake(k int) (Time, bool) {
+	if k < 0 {
+		return m.e.Wake(0)
+	}
+	return m.e.Wake(m.ids[k])
+}
+
 func (m *engineUnderTest) runUntil(d Time)       { m.e.RunUntil(d) }
-func (m *engineUnderTest) run()                  { m.e.Run() }
+func (m *engineUnderTest) run()                  { m.inRun = true; m.e.Run(); m.inRun = false }
+func (m *engineUnderTest) draining() bool        { return m.inRun }
 func (m *engineUnderTest) stop()                 { m.e.Stop() }
 func (m *engineUnderTest) now() Time             { return m.e.Now() }
 func (m *engineUnderTest) pending() int          { return m.e.Pending() }
@@ -103,13 +146,18 @@ func (m *engineUnderTest) takeTrace() []traceRec { t := m.trace; m.trace = nil; 
 // found by a linear scan for the minimum (at, seq). It shares nothing with
 // the engine but the documented semantics: past timestamps clamp to now,
 // equal timestamps dispatch FIFO, RunUntil leaves the clock at its deadline,
-// and Stop ends the current run after the in-flight callback.
+// and Stop ends the current run after the in-flight callback. A quiet event
+// is one whose callback records nothing and re-arms its own handle with
+// AfterFunc(period).
 type refEngine struct {
 	salt    uint64
 	t       Time
 	nextSeq uint64
 	queue   []refEvent
-	live    []bool // live[k]: handle k is scheduled
+	live    []bool     // live[k]: handle k is scheduled
+	period  []Duration // period[k] > 0: live handle k is quiet
+	passes  int        // quiet dispatches so far
+	inRun   bool
 	stopped bool
 	trace   []traceRec
 }
@@ -128,20 +176,61 @@ func (r *refEngine) schedule(_ int, off Duration) {
 	r.queue = append(r.queue, refEvent{at: at, seq: r.nextSeq, k: len(r.live)})
 	r.nextSeq++
 	r.live = append(r.live, true)
+	r.period = append(r.period, 0)
 }
 
 func (r *refEngine) cancel(k int) bool {
 	if k < 0 || !r.live[k] {
 		return false
 	}
+	i := r.index(k)
+	r.queue = append(r.queue[:i], r.queue[i+1:]...)
+	r.live[k], r.period[k] = false, 0
+	return true
+}
+
+func (r *refEngine) quiet(k int, period Duration) bool {
+	if k < 0 || !r.live[k] || period <= 0 {
+		return false
+	}
+	r.period[k] = period
+	return true
+}
+
+func (r *refEngine) wake(k int) (Time, bool) {
+	if k < 0 || !r.live[k] || r.period[k] == 0 {
+		return 0, false
+	}
+	r.period[k] = 0
+	return r.queue[r.index(k)].at, true
+}
+
+// index returns the queue position of live handle k.
+func (r *refEngine) index(k int) int {
 	for i, ev := range r.queue {
 		if ev.k == k {
-			r.queue = append(r.queue[:i], r.queue[i+1:]...)
-			r.live[k] = false
-			return true
+			return i
 		}
 	}
 	panic("live handle missing from the reference queue")
+}
+
+// quietPending reports whether any live handle is quiet.
+func (r *refEngine) quietPending() bool { return r.quietHandle(0) >= 0 }
+
+// quietHandle returns the n-th live quiet handle, wrapping around, or -1
+// when none is quiet.
+func (r *refEngine) quietHandle(n int) int {
+	var qs []int
+	for k, p := range r.period {
+		if p > 0 && r.live[k] {
+			qs = append(qs, k)
+		}
+	}
+	if len(qs) == 0 {
+		return -1
+	}
+	return qs[n%len(qs)]
 }
 
 // next returns the index of the minimum (at, seq) event, or -1.
@@ -159,10 +248,17 @@ func (r *refEngine) next() int {
 func (r *refEngine) dispatch(i int) {
 	ev := r.queue[i]
 	r.queue = append(r.queue[:i], r.queue[i+1:]...)
-	r.live[ev.k] = false
 	if ev.at > r.t {
 		r.t = ev.at
 	}
+	if p := r.period[ev.k]; p > 0 {
+		// The quiet callback: re-arm the same handle, record nothing.
+		r.queue = append(r.queue, refEvent{at: r.t.Add(p), seq: r.nextSeq, k: ev.k})
+		r.nextSeq++
+		r.passes++
+		return
+	}
+	r.live[ev.k] = false
 	fire(r, r.salt, ev.k)
 }
 
@@ -180,7 +276,11 @@ func (r *refEngine) runUntil(deadline Time) {
 	}
 }
 
+func (r *refEngine) draining() bool { return r.inRun }
+
 func (r *refEngine) run() {
+	r.inRun = true
+	defer func() { r.inRun = false }()
 	r.stopped = false
 	for !r.stopped {
 		i := r.next()
@@ -197,6 +297,7 @@ func (r *refEngine) reset() {
 	r.t, r.nextSeq, r.stopped = 0, 0, false
 	r.queue = r.queue[:0]
 	clear(r.live)
+	clear(r.period)
 }
 
 func (r *refEngine) stop()                 { r.stopped = true }
@@ -209,11 +310,13 @@ func (r *refEngine) takeTrace() []traceRec { t := r.trace; r.trace = nil; return
 // TestEngineMatchesReference drives the engine and the reference through the
 // same seeded random operations — At, AtFunc, After and AfterFunc with past,
 // same-instant and future times, nested scheduling from callbacks, valid,
-// stale, double and zero Cancels, RunUntil with random deadlines, Run, Stop,
-// and Reset mid-sequence, after which no earlier handle may cancel anything —
-// at queue depths from 0 to about 2,000.
-// Dispatch traces (callback id, clock), Cancel results, the clock and
-// Pending must agree after every operation.
+// stale, double and zero Cancels, Quiet with valid and invalid periods on
+// live, quiet, fired and cancelled handles, Wake from outside and inside
+// callbacks, Cancel of quiet events, RunUntil with random deadlines, Run,
+// Stop, and Reset mid-sequence, after which no earlier handle may cancel,
+// quiet or wake anything — at queue depths from 0 to about 2,000.
+// Dispatch traces (callback id, clock), Cancel, Quiet and Wake results, the
+// clock and Pending must agree after every operation.
 func TestEngineMatchesReference(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
@@ -222,9 +325,19 @@ func TestEngineMatchesReference(t *testing.T) {
 		ref := &refEngine{salt: salt}
 		models := []engineModel{eng, ref}
 		target, maxDepth, empties := 0, 0, 0
+		quiets, wakes, runs := 0, 0, 0
+		// recent picks a handle: mostly a recent one, which is most likely
+		// live, else any issued one or the zero EventID.
+		recent := func() int {
+			k := rng.Intn(ref.handles()+1) - 1
+			if n := ref.handles(); rng.Intn(2) == 0 && n > 0 {
+				k = n - 1 - rng.Intn(min(n, 16))
+			}
+			return k
+		}
 		for op := 0; op < 5_000; op++ {
 			if op%500 == 0 {
-				target = []int{0, 10, 100, 2000}[rng.Intn(4)]
+				target = []int{0, 10, 100, 2000}[(op/500+int(seed))%4]
 			}
 			depth := ref.pending()
 			spread := 60 + target/4
@@ -245,14 +358,22 @@ func TestEngineMatchesReference(t *testing.T) {
 			case r < 55:
 				kind, off := rng.Intn(4), Duration(rng.Intn(spread)-5)
 				apply = func(m engineModel) { m.schedule(kind, off) }
-			case r < 75:
+			case r < 66:
 				// Half the cancels aim at recent handles, which are most
 				// likely live; the rest hit fired, cancelled or zero ones.
-				k := rng.Intn(ref.handles()+1) - 1
-				if n := ref.handles(); rng.Intn(2) == 0 && n > 0 {
-					k = n - 1 - rng.Intn(min(n, 16))
+				k := recent()
+				apply = func(m engineModel) { m.record(traceRec{op: opCancel, k: k, ok: m.cancel(k)}) }
+			case r < 73:
+				// Periods from 0 (refused) to past the spread of offsets.
+				k, period := recent(), Duration(rng.Intn(80))
+				apply = func(m engineModel) { doQuiet(m, k, period) }
+			case r < 76:
+				// Most wakes aim at a quiet event.
+				k := recent()
+				if q := ref.quietHandle(rng.Int()); q >= 0 && rng.Intn(4) != 0 {
+					k = q
 				}
-				apply = func(m engineModel) { m.record(traceRec{cancel: true, k: k, ok: m.cancel(k)}) }
+				apply = func(m engineModel) { doWake(m, k) }
 			case r < 93 && depth > target:
 				d := Duration(rng.Intn(40 + spread))
 				apply = func(m engineModel) { m.runUntil(m.now().Add(d)) }
@@ -260,9 +381,11 @@ func TestEngineMatchesReference(t *testing.T) {
 				d := Duration(rng.Intn(40) - 10)
 				apply = func(m engineModel) { m.runUntil(m.now().Add(d)) }
 			case r < 95:
-				if target > 10 {
+				// Run drains the queue only when no quiet event re-arms.
+				if target > 10 || ref.quietPending() {
 					continue
 				}
+				runs++
 				apply = func(m engineModel) { m.run() }
 			case r < 96:
 				apply = func(m engineModel) { m.stop() }
@@ -280,6 +403,12 @@ func TestEngineMatchesReference(t *testing.T) {
 				if got[i] != want[i] {
 					t.Fatalf("seed %d op %d: effect %d is %+v, reference %+v", seed, op, i, got[i], want[i])
 				}
+				if got[i].ok && got[i].op == opQuiet {
+					quiets++
+				}
+				if got[i].ok && got[i].op == opWake {
+					wakes++
+				}
 			}
 			if eng.now() != ref.now() || eng.pending() != ref.pending() {
 				t.Fatalf("seed %d op %d: now %v pending %d, reference now %v pending %d",
@@ -292,6 +421,10 @@ func TestEngineMatchesReference(t *testing.T) {
 		}
 		if maxDepth < 1500 || empties == 0 {
 			t.Fatalf("seed %d: queue depth reached %d and was empty after %d ops; want ~2000 and some", seed, maxDepth, empties)
+		}
+		if quiets < 200 || wakes < 30 || ref.passes < 1000 || runs < 10 {
+			t.Fatalf("seed %d: %d events went quiet, %d woke, %d were passed and %d Runs drained; want hundreds, dozens, thousands and some",
+				seed, quiets, wakes, ref.passes, runs)
 		}
 	}
 }

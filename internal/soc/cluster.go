@@ -105,6 +105,9 @@ type Cluster struct {
 	// re-arms; keeping a single func value means arming the next completion
 	// or slice event never allocates, no matter how often tasks churn.
 	execCb func()
+	// quietTick is the governor sample AfterIdle marked quiet, 0 when none
+	// is; enqueue and a changed request wake it.
+	quietTick sim.EventID
 
 	cumBusy   sim.Duration   // core-time: sums across simultaneously busy cores
 	coreBusy  []sim.Duration // cumulative busy per core slot, len nCores
@@ -220,6 +223,7 @@ func (c *Cluster) reset() {
 	clear(c.coreUsed)
 	c.lastSettle = 0
 	c.pending, c.havePending = 0, false
+	c.quietTick = 0
 	c.cumBusy = 0
 	clear(c.coreBusy)
 	clear(c.busyByOPP)
@@ -250,6 +254,29 @@ func (c *Cluster) Now() sim.Time { return c.eng.Now() }
 // that reschedules one pre-bound func value ticks forever without allocating.
 func (c *Cluster) After(d sim.Duration, fn func()) {
 	c.eng.AfterFunc(d, fn)
+}
+
+// AfterIdle schedules a governor sample like After and, while the cluster
+// is idle — nothing running, nothing queued, no wake stall in progress —
+// marks it quiet (sim.Engine.Quiet): the engine passes it every d without
+// running it until work is queued here or the OPP request changes, which
+// wake it. A governor arms a sample this way only when that sample, run on
+// an idle cluster, would change nothing and re-arm itself d later; passing
+// it also skips its settle, which on an idle cluster moves no task.
+func (c *Cluster) AfterIdle(d sim.Duration, fn func()) {
+	id := c.eng.AfterFunc(d, fn)
+	if len(c.running) == 0 && len(c.runq) == 0 && !c.waking && c.eng.Quiet(id, d) {
+		c.quietTick = id
+	}
+}
+
+// wakeTick makes a quiet governor sample live again: the state it would
+// read is about to change.
+func (c *Cluster) wakeTick() {
+	if c.quietTick != 0 {
+		c.eng.Wake(c.quietTick)
+		c.quietTick = 0
+	}
 }
 
 // Table exposes the OPP table.
@@ -336,13 +363,17 @@ func (c *Cluster) FreeCores() int { return c.nCores - len(c.running) }
 // RequestOPPIndex is the governor-facing entry of the frequency pipeline: it
 // records the requested operating point and applies it clamped to the
 // effective cap. With no caps active this is exactly the pre-pipeline
-// SetOPPIndex behaviour.
+// SetOPPIndex behaviour. A changed request wakes a quiet governor sample
+// (an input boost does this).
 func (c *Cluster) RequestOPPIndex(i int) {
 	if i < 0 {
 		i = 0
 	}
 	if i >= len(c.tbl) {
 		i = len(c.tbl) - 1
+	}
+	if i != c.reqIdx {
+		c.wakeTick()
 	}
 	c.reqIdx = i
 	c.apply()
@@ -452,9 +483,11 @@ func (c *Cluster) Submit(name string, cycles Cycles, onDone func(at sim.Time)) H
 	return h
 }
 
-// enqueue admits an existing task (fresh or migrated) to the run queue.
+// enqueue admits an existing task (fresh or migrated) to the run queue,
+// waking a quiet governor sample: the cluster is about to run.
 func (c *Cluster) enqueue(t *Task) {
 	t.owner = c
+	c.wakeTick()
 	c.settle()
 	c.wakeFromIdle()
 	c.runq = append(c.runq, t)

@@ -3,9 +3,11 @@ package workload
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/governor"
+	"repro/internal/power"
 	"repro/internal/soc"
 	"repro/internal/thermal"
 )
@@ -232,6 +234,108 @@ func TestCapturedVideoGolden(t *testing.T) {
 		}
 		if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != row.golden {
 			t.Errorf("%s: captured video hash = %s, want %s", row.name, got, row.golden)
+		}
+	}
+}
+
+// TestQuietTickGolden pins every trace point that the governors' load
+// samples and the record-only thermal tick produce on idle-heavy runs, where
+// most of those samples change nothing. Each row records once and replays
+// through one ReplaySession under each governor mix at seeds 1–3; its hash
+// covers, per replay and cluster, every frequency transition, every
+// temperature point (bit for bit), every busy-grid sample and the per-OPP
+// busy histogram. The record-only row steps RC zones with no trip on
+// big.LITTLE with C-state ladders; no other golden pins a temperature that
+// no throttler acts on. The Dragonboard row replays dataset03, whose
+// governor samples mostly fall on an idle core.
+//
+// The constants were captured before an idle domain could pass a sample
+// without running it. A speed-only change must keep them; do not
+// regenerate them for one.
+func TestQuietTickGolden(t *testing.T) {
+	recordOnly := func() *Workload {
+		w := Quickstart()
+		w.Profile.SoC = soc.WithDefaultIdle(soc.BigLittle44())
+		w.Profile.Thermal = thermal.PhoneConfig(2, -1, 0)
+		model, err := w.Profile.SoC.Calibrate(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Profile.ThermalPower = model
+		return w
+	}
+	type mix struct {
+		name string
+		mk   func(tbls []power.Table) []governor.Governor
+	}
+	per := func(mk ...func(power.Table) governor.Governor) func([]power.Table) []governor.Governor {
+		return func(tbls []power.Table) []governor.Governor {
+			govs := make([]governor.Governor, len(tbls))
+			for i, tbl := range tbls {
+				govs[i] = mk[i](tbl)
+			}
+			return govs
+		}
+	}
+	ondemand := func(power.Table) governor.Governor { return governor.NewOndemand() }
+	interactive := func(power.Table) governor.Governor { return governor.NewInteractive() }
+	conservative := func(power.Table) governor.Governor { return governor.NewConservative() }
+	powersave := func(tbl power.Table) governor.Governor { return governor.Powersave(tbl) }
+	rows := []struct {
+		name   string
+		w      func() *Workload
+		mixes  []mix
+		temps  int
+		golden string
+	}{
+		{"biglittle-idle/record-only/quickstart", recordOnly, []mix{
+			{"interactive/interactive", per(interactive, interactive)},
+			{"ondemand/conservative", per(ondemand, conservative)},
+			{"powersave/interactive", per(powersave, interactive)},
+		}, 32418, "26b8f46eb9dfbb1c"},
+		{"dragonboard/dataset03", Dataset03, []mix{
+			{"ondemand", per(ondemand)},
+			{"interactive", per(interactive)},
+			{"conservative", per(conservative)},
+		}, 0, "80574a5f581bd915"},
+	}
+	for _, row := range rows {
+		w := row.w()
+		rec, _, err := w.Record(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tbls []power.Table
+		for _, cs := range w.Profile.SoCSpec().Clusters {
+			tbls = append(tbls, cs.Table)
+		}
+		sess := NewReplaySession(w, rec)
+		h := sha256.New()
+		temps := 0
+		for _, m := range row.mixes {
+			for _, seed := range []uint64{1, 2, 3} {
+				art := sess.Replay(m.mk(tbls), m.name, seed, false)
+				fmt.Fprintf(h, "%s/%d:", m.name, seed)
+				for ci, ct := range art.Clusters {
+					for _, p := range ct.Freq.Points {
+						fmt.Fprintf(h, "%d|%d:%d;", ci, p.At, p.OPPIndex)
+					}
+					for _, p := range ct.Temp.Points {
+						fmt.Fprintf(h, "%d|%d:%x;", ci, p.At, math.Float64bits(p.TempC))
+					}
+					temps += len(ct.Temp.Points)
+					for _, c := range ct.Busy.Cum {
+						fmt.Fprintf(h, "%d.", c)
+					}
+					for _, d := range art.BusyByCluster[ci] {
+						fmt.Fprintf(h, "%d,", d)
+					}
+				}
+			}
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != row.golden || temps != row.temps {
+			t.Errorf("%s: trace hash = %s over %d temperature points, want %s over %d",
+				row.name, got, temps, row.golden, row.temps)
 		}
 	}
 }
