@@ -62,7 +62,7 @@ func BenchmarkJankCharacterization(b *testing.B) {
 		tap := func(at sim.Time, x, y int) {
 			for _, ev := range enc.EncodeTap(at, x, y) {
 				ev := ev
-				d.Eng.At(ev.Time, func(*sim.Engine) { d.Inject(ev) })
+				d.Eng.AtFunc(ev.Time, func() { d.Inject(ev) })
 			}
 		}
 		r, _ := d.Launcher().IconRect(apps.RetroRunnerName)

@@ -61,13 +61,6 @@ type Profile struct {
 	// latencies are stored, in Replay mode they are served verbatim,
 	// removing IO jitter between runs entirely.
 	NetProxy *netproxy.Proxy
-	// AnimFrameWork is the per-frame UI work while an animation runs
-	// (spinner redraw, progress updates). Defaults to 1.5 M cycles.
-	AnimFrameWork int64
-	// IOJitterFrac scales IO durations per repetition (default 0.08).
-	IOJitterFrac float64
-	// WorkJitterFrac scales CPU burst sizes per repetition (default 0.02).
-	WorkJitterFrac float64
 	// SoC selects the simulated silicon. The zero value boots the paper's
 	// single-core Dragonboard APQ8074; multi-cluster specs (for example
 	// soc.BigLittle44) route app and service work through the HMP scheduler
@@ -97,15 +90,17 @@ type Profile struct {
 	// whenever the video's frames outlive the replay (annotation builds,
 	// anything that stores frames). A pool is not safe for concurrent use.
 	FramePool *video.FramePool
-	// TraceScratch, when set, supplies recycled per-cluster trace storage:
-	// cluster i reuses TraceScratch[i] (Reset, renamed) instead of
-	// allocating fresh series. Sweeps that keep only the profile and the
-	// aggregate busy curve of a replay — the oracle-candidate runs — hand
-	// the previous replay's ClusterTraces back through here. Leave nil
-	// whenever the per-cluster traces outlive the replay. Not safe for
-	// concurrent use.
-	TraceScratch []*trace.ClusterTraces
 }
+
+const (
+	// animFrameWork is the per-frame UI work while an animation runs
+	// (spinner redraw, progress updates), in cycles.
+	animFrameWork = 1_500_000
+	// ioJitterFrac scales IO durations per repetition.
+	ioJitterFrac = 0.08
+	// workJitterFrac scales CPU burst sizes per repetition.
+	workJitterFrac = 0.02
+)
 
 // SoCSpec returns the profile's SoC spec, defaulting to the paper's
 // Dragonboard when unset.
@@ -132,13 +127,8 @@ type Device struct {
 	// here directly rather than through SpawnWork can run while a quiet
 	// thermal tick assumes zero heat; its temperatures are then wrong.
 	SoC *soc.SoC
-	// Core is the first (littlest) cluster — on the paper's Dragonboard spec,
-	// the one enabled Krait core.
-	Core *soc.Cluster
-	// Govs holds one governor per cluster, in cluster order. Gov aliases
-	// Govs[0] for the single-cluster call sites.
+	// Govs holds one governor per cluster, in cluster order.
 	Govs []governor.Governor
-	Gov  governor.Governor
 
 	prof Profile
 	rand *sim.Rand
@@ -173,10 +163,11 @@ type Device struct {
 	thermalID sim.EventID
 	thermalAt sim.Time
 
-	// busyCurveScratch and gridScratch, when set via SetBusyScratch and
-	// SetGridScratch, are recycled storage for the next Seal's SoC-aggregate
-	// busy curve and per-cluster busy grids (consumed by that Seal, like
-	// TraceScratch).
+	// traceScratch, busyCurveScratch and gridScratch, when set via
+	// SetTraceScratch, SetBusyScratch and SetGridScratch, are recycled
+	// storage for the next Seal's per-cluster traces, SoC-aggregate busy
+	// curve and per-cluster busy grids, consumed by that Seal.
+	traceScratch     []*trace.ClusterTraces
 	busyCurveScratch *trace.BusyCurve
 	gridScratch      [][]sim.Duration
 
@@ -262,15 +253,6 @@ const bootRandSeed uint64 = 0xb007_b007_b007_b007
 // attaches no governors and creates no traces. A booted device runs nothing
 // until Seal puts it at its boot instant.
 func Boot(eng *sim.Engine, prof Profile) *Device {
-	if prof.AnimFrameWork == 0 {
-		prof.AnimFrameWork = 1_500_000
-	}
-	if prof.IOJitterFrac == 0 {
-		prof.IOJitterFrac = 0.08
-	}
-	if prof.WorkJitterFrac == 0 {
-		prof.WorkJitterFrac = 0.02
-	}
 	d := &Device{
 		Eng:         eng,
 		SoC:         soc.New(eng, prof.SoCSpec()),
@@ -280,7 +262,6 @@ func Boot(eng *sim.Engine, prof Profile) *Device {
 		anims:       make(map[string]bool),
 		dispatchIdx: -1,
 	}
-	d.Core = d.SoC.Cluster(0)
 	for i, cl := range d.SoC.Clusters() {
 		// The hook reads d.ClusterTraces at call time (not capture time), so
 		// one closure per cluster survives every Seal's fresh trace set.
@@ -352,8 +333,8 @@ func (d *Device) Seal(seed uint64, govs []governor.Governor) {
 	} else {
 		d.BusyCurve = trace.NewBusyCurve(busyStep)
 	}
-	ts := d.prof.TraceScratch
-	d.prof.TraceScratch = nil
+	ts := d.traceScratch
+	d.traceScratch = nil
 	gs := d.gridScratch
 	d.gridScratch = nil
 	if ts != nil {
@@ -389,7 +370,6 @@ func (d *Device) Seal(seed uint64, govs []governor.Governor) {
 	d.FreqTrace = d.ClusterTraces[0].Freq
 
 	d.Govs = append(d.Govs[:0], govs...)
-	d.Gov = govs[0]
 	for i, gov := range govs {
 		if gov != nil {
 			gov.Start(d.SoC.Cluster(i))
@@ -456,7 +436,7 @@ func (d *Device) bindTicks() {
 			d.vsyncOn = false
 			return
 		}
-		d.SpawnWork("ui.anim", d.prof.AnimFrameWork, nil)
+		d.SpawnWork("ui.anim", animFrameWork, nil)
 		if d.cached == nil || d.fb.ClockRead() {
 			d.markDirty()
 		}
@@ -731,9 +711,12 @@ func (d *Device) SetFramePool(p *video.FramePool) { d.prof.FramePool = p }
 func (d *Device) FramePool() *video.FramePool { return d.prof.FramePool }
 
 // SetTraceScratch hands recycled per-cluster trace storage to the next Seal,
-// which consumes it (see Profile.TraceScratch). Without it every Seal
-// allocates fresh traces, which is what lets callers retain run artefacts.
-func (d *Device) SetTraceScratch(ts []*trace.ClusterTraces) { d.prof.TraceScratch = ts }
+// which consumes it: cluster i reuses ts[i] (Reset, renamed) instead of
+// allocating fresh series. Without it every Seal allocates fresh traces,
+// which is what lets callers retain run artefacts; hand a replay's
+// ClusterTraces back only once nothing reads them any more. Not safe for
+// concurrent use.
+func (d *Device) SetTraceScratch(ts []*trace.ClusterTraces) { d.traceScratch = ts }
 
 // SetBusyScratch hands a recycled SoC-aggregate busy curve to the next Seal,
 // which consumes it. Only callers that do not retain the run's BusyCurve
@@ -779,10 +762,7 @@ func (d *Device) After(dur sim.Duration, fn func()) {
 // catches its zones up.
 func (d *Device) SpawnWork(name string, cycles int64, onDone func()) {
 	d.catchUpThermal()
-	jittered := int64(sim.Duration(cycles))
-	if d.prof.WorkJitterFrac > 0 {
-		jittered = int64(d.rand.JitterFrac(sim.Duration(cycles), d.prof.WorkJitterFrac))
-	}
+	jittered := int64(d.rand.JitterFrac(sim.Duration(cycles), workJitterFrac))
 	if jittered < 1 {
 		jittered = 1
 	}
@@ -797,7 +777,7 @@ func (d *Device) SpawnWork(name string, cycles int64, onDone func()) {
 // a network proxy configured, the jittered latency is recorded or replaced
 // by the recorded one, making IO deterministic across runs.
 func (d *Device) SpawnIO(name string, dur sim.Duration, onDone func()) {
-	jittered := d.rand.JitterFrac(dur, d.prof.IOJitterFrac)
+	jittered := d.rand.JitterFrac(dur, ioJitterFrac)
 	if d.prof.NetProxy != nil {
 		jittered = d.prof.NetProxy.Access(name, jittered)
 	}
@@ -1032,8 +1012,6 @@ func (d *Device) goHome() bool {
 		return false
 	}
 	ix := apps.BeginInteraction(d, "nav.home", core.SimpleFrequent)
-	from := d.foreground
-	_ = from
 	d.SpawnWork("nav.home", apps.CostTinyUI, func() {
 		d.foreground = d.launcher
 		d.markDirty()

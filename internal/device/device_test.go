@@ -21,7 +21,7 @@ func tapAt(d *Device, at sim.Time, x, y int) {
 	enc := evdev.NewEncoder()
 	for _, ev := range enc.EncodeTap(at, x, y) {
 		ev := ev
-		d.Eng.At(ev.Time, func(*sim.Engine) { d.Inject(ev) })
+		d.Eng.AtFunc(ev.Time, func() { d.Inject(ev) })
 	}
 }
 

@@ -84,8 +84,8 @@ func TestQoEAwareGovernorBehaviour(t *testing.T) {
 
 	// Idle: bottom of the ladder.
 	eng.RunUntil(sim.Time(500 * sim.Millisecond))
-	if d.Core.OPPIndex() != 0 {
-		t.Fatalf("idle OPP = %d", d.Core.OPPIndex())
+	if d.SoC.Cluster(0).OPPIndex() != 0 {
+		t.Fatalf("idle OPP = %d", d.SoC.Cluster(0).OPPIndex())
 	}
 
 	// Input boost: straight to the boost OPP before any load shows.
@@ -93,14 +93,14 @@ func TestQoEAwareGovernorBehaviour(t *testing.T) {
 	cx, cy := r.Center()
 	tapAt(d, sim.Time(sim.Second), cx, cy)
 	eng.RunUntil(sim.Time(sim.Second).Add(2 * sim.Millisecond))
-	if d.Core.OPPIndex() != g.BoostIdx {
-		t.Fatalf("after input OPP = %d, want boost %d", d.Core.OPPIndex(), g.BoostIdx)
+	if d.SoC.Cluster(0).OPPIndex() != g.BoostIdx {
+		t.Fatalf("after input OPP = %d, want boost %d", d.SoC.Cluster(0).OPPIndex(), g.BoostIdx)
 	}
 
 	// After the launch settles and only background work remains, the clock
 	// parks at the efficient OPP or below — never chases the maximum.
 	eng.RunUntil(sim.Time(60 * sim.Second))
-	if idx := d.Core.OPPIndex(); idx > g.EfficientIdx {
+	if idx := d.SoC.Cluster(0).OPPIndex(); idx > g.EfficientIdx {
 		t.Fatalf("background OPP = %d, want <= efficient %d", idx, g.EfficientIdx)
 	}
 }

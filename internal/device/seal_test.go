@@ -19,9 +19,7 @@ import (
 var notSealState = map[string]string{
 	"Eng":         "own test: sim.Engine.Reset (TestEngineMatchesReference)",
 	"SoC":         "own test: soc.SoC.Reset (TestResetRestoresFreshState)",
-	"Core":        "immutable after Boot: the SoC's first cluster",
 	"Govs":        "argument of Seal",
-	"Gov":         "argument of Seal",
 	"appsByName":  "own test: App.Init (apps.TestInitRestoresFreshState)",
 	"launcher":    "own test: App.Init (apps.TestInitRestoresFreshState)",
 	"music":       "own test: Service.Start (apps.TestInitRestoresFreshState)",

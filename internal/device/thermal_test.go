@@ -103,7 +103,7 @@ func TestDeviceRecordOnlyZonesKeepTracesIdentical(t *testing.T) {
 		// Light little-cluster churn as well.
 		for i := 0; i < 40; i++ {
 			at := sim.Time(i) * sim.Time(500*sim.Millisecond)
-			eng.At(at, func(*sim.Engine) { d.SoC.SubmitPinned(0, "w", 5_000_000, nil) })
+			eng.AtFunc(at, func() { d.SoC.SubmitPinned(0, "w", 5_000_000, nil) })
 		}
 		eng.RunUntil(sim.Time(30 * sim.Second))
 		h := sha256.New()

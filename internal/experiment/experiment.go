@@ -194,34 +194,27 @@ type Options struct {
 	// threshold reference. Sustained sweeps take their configs as an
 	// argument and reject a selection here.
 	Configs []string
-	// OnRun, when set, is invoked once per completed replay with the
-	// sweep-relative progress — the streaming hook the serve layer turns
-	// into NDJSON. It is called from worker goroutines concurrently; the
-	// callback must be safe for concurrent use. Contained panics are
-	// delivered too, as Kind "fault" updates carrying the panic message and
-	// stack.
+	// OnRun, when set, receives the sweep's per-replay update stream: a
+	// "start" update just before each replay begins, then its outcome once
+	// it ends, or a "fault" update carrying the panic message and stack when
+	// the pool contained a panic. The serve layer turns the stream into
+	// NDJSON and its stall watchdog's liveness signal. It is called from
+	// worker goroutines concurrently; the callback must be safe for
+	// concurrent use. A panic in a start update's callback is contained as
+	// that replay's fault, before the replay takes a warm session.
 	OnRun func(RunUpdate)
-	// Heartbeat, when set, is called from worker goroutines when a replay
-	// starts and when it ends — the liveness signal a stuck-run watchdog
-	// distinguishes "slow sweep" from "wedged run" by. Must be safe for
-	// concurrent use.
-	Heartbeat func()
-	// TestHookRun, when set, runs at the start of every replay job with the
-	// job's sweep index. It exists for the fault-injection suites — a hook
-	// that panics exercises the containment path, one that blocks simulates
-	// a wedged run — and is never set in production.
-	TestHookRun func(ji int)
 }
 
-// RunUpdate describes one completed replay of a sweep, delivered through
-// Options.OnRun as workers finish. Index/Total are positions in the sweep's
+// RunUpdate describes one replay of a sweep, delivered through Options.OnRun
+// as workers start and finish it. Index/Total are positions in the sweep's
 // deterministic job order, not completion order.
 type RunUpdate struct {
-	// Kind is "config" for matrix runs and the record-only arm of a
-	// sustained sweep, "throttled" for the sustained throttled arm,
-	// "candidate" for the oracle's placement-pinned runs (Run is nil for
-	// candidates), and "fault" for a replay whose panic the pool contained
-	// (Err and Stack are set, Run is nil).
+	// Kind is "start" for a replay about to begin (only Index and Total are
+	// set), "config" for matrix runs and the record-only arm of a sustained
+	// sweep, "throttled" for the sustained throttled arm, "candidate" for
+	// the oracle's placement-pinned runs (Run is nil for candidates), and
+	// "fault" for a replay whose panic the pool contained (Err and Stack
+	// are set, Run is nil).
 	Kind   string
 	Config string // config name, or "<cluster>@<OPP label>" for candidates
 	Rep    int
@@ -261,17 +254,10 @@ func (o Options) progress(format string, args ...any) {
 	}
 }
 
-// emit delivers a completed-replay update to the OnRun hook, if any.
+// emit delivers one update to the OnRun hook, if any.
 func (o Options) emit(u RunUpdate) {
 	if o.OnRun != nil {
 		o.OnRun(u)
-	}
-}
-
-// beat delivers one liveness heartbeat, if a watchdog is listening.
-func (o Options) beat() {
-	if o.Heartbeat != nil {
-		o.Heartbeat()
 	}
 }
 
@@ -340,10 +326,10 @@ func configJobs(configs []Config, arms, reps int) []job {
 
 // sideJob is work that rides along a replay batch as its first-claimed job,
 // so it fills a worker the replays would leave idle. It sits outside the
-// batch's job index space: no seed, test hook, heartbeat or OnRun update,
-// and it cannot fail the batch. A panic in it is contained like a replay's
-// and kept in panicked for the job's owner to report. A batch that returns
-// without error has run it: only cancellation stops workers claiming jobs.
+// batch's job index space: no seed or OnRun update, and it cannot fail the
+// batch. A panic in it is contained like a replay's and kept in panicked
+// for the job's owner to report. A batch that returns without error has run
+// it: only cancellation stops workers claiming jobs.
 type sideJob struct {
 	run      func()
 	panicked *PanicError
@@ -351,10 +337,11 @@ type sideJob struct {
 
 // fanOut is the replay half every sweep shares: jobs [0, n) over the
 // sweep's pool (the caller's long-lived one, or a transient one of Workers
-// width), each under the per-job test hook and start/end heartbeats, seeded
-// from the master seed and its job index. run replays job ji and returns the
-// update to stream through OnRun; Index and Total are filled in here. A
-// panic is contained into a *PanicError and streamed as a "fault" update.
+// width), each announced by a "start" update and seeded from the master
+// seed and its job index. run replays job ji and returns the update to
+// stream through OnRun when it ends; Index and Total are filled in here. A
+// panic, in the replay or in the start update's callback, is contained into
+// a *PanicError and streamed as a "fault" update.
 // side, when set, is claimed before any replay. The sweep fails with the
 // context's error, or else with the first failed job in job order, labelled
 // by label.
@@ -377,11 +364,7 @@ func (o Options) fanOut(name string, n int, side *sideJob, label func(ji int) st
 			return
 		}
 		ji := pj - off
-		if o.TestHookRun != nil {
-			o.TestHookRun(ji)
-		}
-		o.beat()
-		defer o.beat()
+		o.emit(RunUpdate{Kind: "start", Index: ji, Total: n})
 		u, err := run(ji, o.Seed^(uint64(ji+1)*0x9e3779b9), scratch)
 		if errs[ji] = err; err == nil {
 			u.Index, u.Total = ji, n
@@ -395,7 +378,6 @@ func (o Options) fanOut(name string, n int, side *sideJob, label func(ji int) st
 		ji := pj - off
 		errs[ji] = pe
 		o.emit(RunUpdate{Kind: "fault", Index: ji, Total: n, Err: pe.Error(), Stack: string(pe.Stack)})
-		o.beat()
 	})
 	if poolErr != nil {
 		return fmt.Errorf("experiment: %s: %w", name, poolErr)

@@ -132,7 +132,9 @@ func chaosSweep(kind sweepKind, pool *experiment.Pool, mutate func(*experiment.O
 // for every sweep kind: a fault-injected panic in the middle of a sweep
 // fails the sweep with a structured *PanicError instead of killing the
 // process, the fault is streamed through OnRun with its stack, and the same
-// pool then reproduces an undisturbed sweep bit for bit.
+// pool then reproduces an undisturbed sweep bit for bit. The panic is
+// injected in the callback of a replay's start update, which runs before
+// the replay takes a warm session, so nothing is quarantined.
 func TestPoolContainsInjectedPanic(t *testing.T) {
 	for _, kind := range sweepKinds {
 		t.Run(kind.name, func(t *testing.T) {
@@ -147,13 +149,13 @@ func TestPoolContainsInjectedPanic(t *testing.T) {
 			var mu sync.Mutex
 			var faults []experiment.RunUpdate
 			_, err = chaosSweep(kind, pool, func(o *experiment.Options) {
-				o.TestHookRun = func(ji int) {
-					if plan.Fire("experiment.run") {
-						faultinject.PanicNow(plan, "experiment.run")
-					}
-				}
 				o.OnRun = func(u experiment.RunUpdate) {
-					if u.Kind == "fault" {
+					switch u.Kind {
+					case "start":
+						if plan.Fire("experiment.run") {
+							faultinject.PanicNow(plan, "experiment.run")
+						}
+					case "fault":
 						mu.Lock()
 						faults = append(faults, u)
 						mu.Unlock()
@@ -175,6 +177,9 @@ func TestPoolContainsInjectedPanic(t *testing.T) {
 			}
 			if pool.RecoveredPanics() != 1 {
 				t.Fatalf("pool recovered %d panics, want 1", pool.RecoveredPanics())
+			}
+			if q := pool.Quarantines(); q != 0 {
+				t.Errorf("a panic in a start update quarantined %d sessions; the replay had taken none", q)
 			}
 			if len(faults) != 1 {
 				t.Fatalf("%d fault updates streamed, want 1", len(faults))
@@ -222,14 +227,14 @@ func TestCorruptCheckpointQuarantineHeals(t *testing.T) {
 			}
 			if kind.retires {
 				// No session outlives a retiring sweep, so the session
-				// rots mid-sweep instead: in the hook of the first unit's
-				// second replay, after the first booted the session. The
-				// pool's one worker is the hook's own goroutine, so no
-				// replay touches the registry meanwhile.
+				// rots mid-sweep instead: at the start update of the first
+				// unit's second replay, after the first booted the session.
+				// The pool's one worker is the callback's own goroutine, so
+				// no replay touches the registry meanwhile.
 				var once sync.Once
 				_, err = chaosSweep(kind, pool, func(o *experiment.Options) {
-					o.TestHookRun = func(ji int) {
-						if ji == 1 {
+					o.OnRun = func(u experiment.RunUpdate) {
+						if u.Kind == "start" && u.Index == 1 {
 							once.Do(corrupt)
 						}
 					}

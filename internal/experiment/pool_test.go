@@ -69,26 +69,45 @@ func TestMatrixOrderingDeterministicAcrossWorkers(t *testing.T) {
 // device picks it up, so a sweep's canonical output and the set of its
 // OnRun updates, each with its index, must be identical on a transient pool
 // of 1, 3 or GOMAXPROCS workers, on a fresh caller pool, and on a caller
-// pool that has already run another kind's sweep.
+// pool that has already run another kind's sweep. On every shape the stream
+// must hold, for each index in [0, Total) and in arrival order, one "start"
+// update without a Run, then one end or "fault" update.
 func TestSweepInvariantToPoolShape(t *testing.T) {
 	for i, kind := range sweepKinds {
 		t.Run(kind.name, func(t *testing.T) {
 			sweep := func(workers int, pool *experiment.Pool) string {
 				var mu sync.Mutex
 				var updates []string
+				byIndex := map[int][]experiment.RunUpdate{}
 				out, err := kind.run(experiment.Options{Reps: 2, Seed: 3, Workers: workers, Pool: pool,
 					OnRun: func(u experiment.RunUpdate) {
+						mu.Lock()
+						defer mu.Unlock()
+						byIndex[u.Index] = append(byIndex[u.Index], u)
 						u.Run = nil // the canonical output carries its outcome
 						raw, err := json.Marshal(u)
 						if err != nil {
 							t.Error(err)
 						}
-						mu.Lock()
 						updates = append(updates, string(raw))
-						mu.Unlock()
 					}})
 				if err != nil {
 					t.Fatal(err)
+				}
+				total := -1
+				if us := byIndex[0]; len(us) > 0 {
+					total = us[0].Total
+				}
+				if len(byIndex) != total {
+					t.Fatalf("%d workers: updates at %d indices, Total %d", workers, len(byIndex), total)
+				}
+				for ji := 0; ji < total; ji++ {
+					us := byIndex[ji]
+					if len(us) != 2 || us[0].Kind != "start" || us[0].Run != nil || us[1].Kind == "start" ||
+						us[0].Total != total || us[1].Total != total {
+						t.Fatalf("%d workers: index %d of %d streamed %+v, want a start update without a Run, then its end",
+							workers, ji, total, us)
+					}
 				}
 				sort.Strings(updates)
 				return out + "\n" + strings.Join(updates, "\n")
@@ -159,9 +178,10 @@ func TestPoolReuseAcrossSweepsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMatrixContextCancellation cancels a sweep of every kind mid-flight via
-// OnRun and verifies it surfaces context.Canceled — and that the pool then
-// runs a complete sweep bit-identical to one on a fresh pool.
+// TestMatrixContextCancellation cancels a sweep of every kind mid-flight, at
+// its first completed replay, and verifies it surfaces context.Canceled —
+// and that the pool then runs a complete sweep bit-identical to one on a
+// fresh pool.
 func TestMatrixContextCancellation(t *testing.T) {
 	for _, kind := range sweepKinds {
 		t.Run(kind.name, func(t *testing.T) {
@@ -169,8 +189,8 @@ func TestMatrixContextCancellation(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			var seen atomic.Int64
 			_, err := kind.run(experiment.Options{Reps: 3, Seed: 5, Pool: pool, Context: ctx,
-				OnRun: func(experiment.RunUpdate) {
-					if seen.Add(1) == 1 {
+				OnRun: func(u experiment.RunUpdate) {
+					if u.Kind != "start" && seen.Add(1) == 1 {
 						cancel()
 					}
 				}})

@@ -35,11 +35,6 @@ type PopulationOptions struct {
 	// needs no synchronisation. This is the streaming record sink: the
 	// sweep itself retains nothing per-run.
 	OnPop func(PopRun)
-	// OnUnit, when set, observes each unit's full MatrixResult after its
-	// digests are folded in, from the sweep's own goroutine. The result is
-	// dropped right after the call — retaining it is the caller's choice
-	// (tests pin the size-1 sweep against RunMatrix through this hook).
-	OnUnit func(unit int, res *MatrixResult)
 }
 
 // PopRun is one streamed population record: the scalar outcomes of one
@@ -308,9 +303,6 @@ func RunPopulation(w *workload.Workload, spec soc.Spec, opts PopulationOptions) 
 			}
 		}
 		res.OracleEnergy.Add(mres.OracleEnergyJ)
-		if opts.OnUnit != nil {
-			opts.OnUnit(i, mres)
-		}
 
 		// Retire the unit's warm sessions (matrix and candidate boots both
 		// key on the unit's spec name) so pool memory is flat in Units. A

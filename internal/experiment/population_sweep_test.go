@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/faultinject"
 	"repro/internal/population"
@@ -18,42 +19,56 @@ import (
 )
 
 // TestPopulationSizeOneBitIdentical pins the degenerate population: one
-// unit, zero model, same seed — bit-identical to a direct RunMatrix (run
-// records and summary compared marshalled).
+// unit, zero model, same seed — bit-identical to a direct RunMatrix. The
+// streamed config updates, as run records by index, must match, every
+// PopRun's irritation must be its run's under the direct sweep's
+// thresholds, and the oracle digest must hold the direct oracle energy.
 func TestPopulationSizeOneBitIdentical(t *testing.T) {
 	sel := []string{"0.30 GHz", "2.15 GHz", "ondemand"}
-	opts := experiment.Options{Reps: 2, Seed: 11, Configs: sel}
+	// streamed returns sweep options whose OnRun keeps each config update
+	// in recs, as a run record by index.
+	streamed := func(recs map[int]report.RunRecord) experiment.Options {
+		var mu sync.Mutex
+		return experiment.Options{Reps: 2, Seed: 11, Configs: sel,
+			OnRun: func(u experiment.RunUpdate) {
+				if u.Kind == "config" {
+					mu.Lock()
+					recs[u.Index] = report.NewRunRecord("quickstart", u.Run)
+					mu.Unlock()
+				}
+			}}
+	}
 
-	direct, err := experiment.RunMatrix(workload.Quickstart(), soc.Dragonboard(), opts)
+	directRecs, popRecs := map[int]report.RunRecord{}, map[int]report.RunRecord{}
+	direct, err := experiment.RunMatrix(workload.Quickstart(), soc.Dragonboard(), streamed(directRecs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRuns, _ := json.Marshal(report.MatrixRunRecords(direct))
-	wantSum, _ := json.Marshal(report.NewMatrixSummary(direct))
-
-	var unitRes *experiment.MatrixResult
+	var pops []experiment.PopRun
 	popRes, err := experiment.RunPopulation(workload.Quickstart(), soc.Dragonboard(),
 		experiment.PopulationOptions{
-			Options: opts,
+			Options: streamed(popRecs),
 			Units:   1,
-			OnUnit:  func(_ int, res *experiment.MatrixResult) { unitRes = res },
+			OnPop:   func(pr experiment.PopRun) { pops = append(pops, pr) },
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if unitRes == nil {
-		t.Fatal("OnUnit never fired")
+	if len(directRecs) != len(sel)*2 {
+		t.Fatalf("RunMatrix streamed %d config updates, want %d", len(directRecs), len(sel)*2)
 	}
-	gotRuns, _ := json.Marshal(report.MatrixRunRecords(unitRes))
-	gotSum, _ := json.Marshal(report.NewMatrixSummary(unitRes))
-	if string(gotRuns) != string(wantRuns) {
-		t.Errorf("size-1 population runs differ from RunMatrix:\ndirect: %s\npop:    %s", wantRuns, gotRuns)
+	wantRecs, _ := json.Marshal(directRecs)
+	if gotRecs, _ := json.Marshal(popRecs); string(gotRecs) != string(wantRecs) {
+		t.Errorf("size-1 population runs differ from RunMatrix:\ndirect: %s\npop:    %s", wantRecs, gotRecs)
 	}
-	if string(gotSum) != string(wantSum) {
-		t.Errorf("size-1 population summary differs from RunMatrix:\ndirect: %s\npop:    %s", wantSum, gotSum)
+	if len(pops) != len(sel)*2 || popRes.Runs != len(sel)*2 {
+		t.Fatalf("population streamed %d and folded %d runs, want %d", len(pops), popRes.Runs, len(sel)*2)
 	}
-	if popRes.Runs != len(sel)*2 {
-		t.Errorf("population folded %d runs, want %d", popRes.Runs, len(sel)*2)
+	for _, pr := range pops {
+		want := core.Irritation(direct.Runs[pr.Config][pr.Rep].Profile, direct.Thresholds).Seconds()
+		if pr.IrritationS != want {
+			t.Errorf("%s rep %d irritation %v s, want RunMatrix's %v s", pr.Config, pr.Rep, pr.IrritationS, want)
+		}
 	}
 	if got := popRes.OracleEnergy.Quantile(0.5); got != direct.OracleEnergyJ {
 		t.Errorf("oracle energy digest %v, want %v", got, direct.OracleEnergyJ)
@@ -61,8 +76,8 @@ func TestPopulationSizeOneBitIdentical(t *testing.T) {
 }
 
 // popFingerprint marshals the streamed records, the OnRun positions in
-// index order, and the digest percentile tables — everything a population
-// sweep externalises.
+// (index, kind) order, and the digest percentile tables — everything a
+// population sweep externalises.
 func popFingerprint(t *testing.T, workers int, units int, m population.Model, bt thermal.Config, pool *experiment.Pool) string {
 	t.Helper()
 	var recs []experiment.PopRun
@@ -88,7 +103,10 @@ func popFingerprint(t *testing.T, workers int, units int, m population.Model, bt
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Slice(updates, func(i, j int) bool { return updates[i].Index < updates[j].Index })
+	sort.Slice(updates, func(i, j int) bool {
+		a, b := updates[i], updates[j]
+		return a.Index < b.Index || a.Index == b.Index && a.Kind < b.Kind
+	})
 	type row struct {
 		Config        string
 		P50, P95, P99 float64

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"repro/internal/stats"
@@ -115,13 +114,4 @@ func WriteSummaries(w io.Writer, results []*MatrixResult) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// ReadSummaries loads summaries written by WriteSummaries.
-func ReadSummaries(r io.Reader) ([]*Summary, error) {
-	var out []*Summary
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
-		return nil, fmt.Errorf("experiment: decode summaries: %w", err)
-	}
-	return out, nil
 }

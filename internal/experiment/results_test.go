@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -36,8 +37,8 @@ func TestSummariseAndRoundTrip(t *testing.T) {
 	if err := WriteSummaries(&buf, []*MatrixResult{res}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSummaries(&buf)
-	if err != nil {
+	var back []*Summary
+	if err := json.NewDecoder(&buf).Decode(&back); err != nil {
 		t.Fatal(err)
 	}
 	if len(back) != 1 || back[0].Workload != "quickstart" {
@@ -45,11 +46,5 @@ func TestSummariseAndRoundTrip(t *testing.T) {
 	}
 	if back[0].OracleJ != s.OracleJ {
 		t.Fatal("oracle energy lost in round trip")
-	}
-}
-
-func TestReadSummariesRejectsGarbage(t *testing.T) {
-	if _, err := ReadSummaries(bytes.NewBufferString("{nope")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }

@@ -6,10 +6,10 @@
 // underlying simulation is deterministic.
 //
 // The package deliberately owns no hook points of its own. Faults activate
-// through the test-hook pattern the instrumented layers already expose
-// (experiment.Options.TestHookRun, the serve layer's job hooks, the journal
-// write hook): a test arms a Plan and wires plan.Fire into the hook it wants
-// to sabotage. Injected panics carry an Injected value so recovery paths and
+// through the callbacks the instrumented layers already expose (a sweep's
+// "start" updates through experiment.Options.OnRun, the serve layer's job
+// hook, the journal write hook): a test arms a Plan and wires plan.Fire
+// into the hook it wants to sabotage. Injected panics carry an Injected value so recovery paths and
 // assertions can tell a planned fault from a real bug.
 package faultinject
 

@@ -11,7 +11,7 @@ import (
 // rig wires a real simulated core to a governor for behavioural tests.
 type rig struct {
 	eng  *sim.Engine
-	core *soc.Core
+	core *soc.Cluster
 }
 
 func newRig() *rig {
@@ -28,7 +28,7 @@ func (r *rig) start(g Governor) {
 // for the maximum frequency (so it stays busy even if the governor ramps to
 // the top).
 func (r *rig) burst(at sim.Time, dur sim.Duration) {
-	r.eng.At(at, func(*sim.Engine) {
+	r.eng.AtFunc(at, func() {
 		cycles := soc.Cycles(int64(dur) * int64(r.core.Table().Max()) / 1000)
 		r.core.Submit("burst", cycles, nil)
 	})
@@ -56,7 +56,7 @@ func TestPerformancePowersave(t *testing.T) {
 		t.Fatal("performance did not pin max")
 	}
 	r2 := newRig()
-	r2.core.SetOPPIndex(7)
+	r2.core.RequestOPPIndex(7)
 	Powersave(tbl).Start(r2.core)
 	if r2.core.OPPIndex() != 0 {
 		t.Fatal("powersave did not pin min")
@@ -93,7 +93,7 @@ func TestOndemandProportionalBelowThreshold(t *testing.T) {
 	// ~40% duty cycle: 20ms busy every 50ms at min frequency.
 	for i := 0; i < 40; i++ {
 		at := sim.Time(i) * sim.Time(50*sim.Millisecond)
-		r.eng.At(at, func(*sim.Engine) {
+		r.eng.AtFunc(at, func() {
 			r.core.Submit("w", soc.Cycles(20*300), nil) // 20ms·300cycles/µs... small chunk
 		})
 	}
@@ -153,7 +153,7 @@ func TestInteractiveInputBoost(t *testing.T) {
 	g := NewInteractive()
 	r.start(g)
 	// Input with NO load: frequency must still jump to hispeed immediately.
-	r.eng.At(sim.Time(100*sim.Millisecond), func(*sim.Engine) {
+	r.eng.AtFunc(sim.Time(100*sim.Millisecond), func() {
 		g.OnInput(r.eng.Now())
 	})
 	r.eng.RunUntil(sim.Time(101 * sim.Millisecond))
@@ -218,7 +218,7 @@ func TestInteractiveFasterThanOndemandAfterInput(t *testing.T) {
 		r := newRig()
 		r.start(g)
 		at := sim.Time(75 * sim.Millisecond) // between ondemand samples
-		r.eng.At(at, func(*sim.Engine) {
+		r.eng.AtFunc(at, func() {
 			if input {
 				g.OnInput(r.eng.Now())
 			}

@@ -135,7 +135,7 @@ func NaiveReplay(d *device.Device, events []evdev.Event, perEventDelay sim.Durat
 		// Each write blocks for perEventDelay before the event lands.
 		cursor = cursor.Add(perEventDelay)
 		drift = cursor.Sub(ev.Time)
-		d.Eng.At(cursor, func(*sim.Engine) { d.Inject(ev) })
+		d.Eng.AtFunc(cursor, func() { d.Inject(ev) })
 	}
 	return drift
 }

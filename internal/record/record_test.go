@@ -19,7 +19,7 @@ func injectTap(d *device.Device, at sim.Time, x, y int) {
 	enc := evdev.NewEncoder()
 	for _, ev := range enc.EncodeTap(at, x, y) {
 		ev := ev
-		d.Eng.At(ev.Time, func(*sim.Engine) { d.Inject(ev) })
+		d.Eng.AtFunc(ev.Time, func() { d.Inject(ev) })
 	}
 }
 
@@ -118,7 +118,7 @@ func TestNaiveReplayDrifts(t *testing.T) {
 		at := sim.Time(i+1) * sim.Time(sim.Second)
 		for _, ev := range enc.EncodeSwipe(at, 540, 1500, 540, 300, 300*sim.Millisecond) {
 			ev := ev
-			d1.Eng.At(ev.Time, func(*sim.Engine) { d1.Inject(ev) })
+			d1.Eng.AtFunc(ev.Time, func() { d1.Inject(ev) })
 		}
 	}
 	d1.Eng.RunUntil(sim.Time(25 * sim.Second))

@@ -40,8 +40,8 @@ func TestServePanicIsolation(t *testing.T) {
 	srv := mustNew(t, Options{Executors: 2, Workers: 1, QueueDepth: 4})
 	plan := faultinject.NewPlan()
 	plan.Arm("serve.run", 3)
-	srv.testHookRunStart = func(j *job, ji int) {
-		if j.spec.Seed == chaosJob.Seed && plan.Fire("serve.run") {
+	srv.testHook = func(j *job, kind string) {
+		if kind == "start" && j.spec.Seed == chaosJob.Seed && plan.Fire("serve.run") {
 			faultinject.PanicNow(plan, "serve.run")
 		}
 	}
@@ -167,8 +167,8 @@ func TestStallWatchdogShedsAndRecovers(t *testing.T) {
 		StallTimeout: 150 * time.Millisecond})
 	var wedge atomic.Bool
 	release := make(chan struct{})
-	srv.testHookRunStart = func(j *job, ji int) {
-		if wedge.Load() {
+	srv.testHook = func(_ *job, kind string) {
+		if kind == "start" && wedge.Load() {
 			<-release
 		}
 	}
@@ -266,7 +266,10 @@ func TestCrashRecoveryResumesByteIdentical(t *testing.T) {
 	// Crash run: kill the server the instant the second run record lands.
 	dir := t.TempDir()
 	srv1 := mustNew(t, Options{Executors: 1, Workers: 1, Journal: dir})
-	srv1.testHookRunRecord = func(j *job) {
+	srv1.testHook = func(j *job, kind string) {
+		if kind != "run" {
+			return
+		}
 		j.mu.Lock()
 		n := len(j.records)
 		j.mu.Unlock()
@@ -343,7 +346,10 @@ func TestJournalTornWriteRecovery(t *testing.T) {
 		}
 		return line
 	}
-	srv1.testHookRunRecord = func(j *job) {
+	srv1.testHook = func(j *job, kind string) {
+		if kind != "run" {
+			return
+		}
 		j.mu.Lock()
 		n := len(j.records)
 		j.mu.Unlock()

@@ -277,7 +277,11 @@ func TestStreamResumeBitIdentical(t *testing.T) {
 	// Hold the (single-worker) sweep after its first record so the hangup
 	// provably lands mid-job: the resumed stream then follows a live log,
 	// not a finished buffer.
-	srv.testHookRunRecord = func(*job) { hookOnce.Do(func() { <-gate }) }
+	srv.testHook = func(_ *job, kind string) {
+		if kind == "run" {
+			hookOnce.Do(func() { <-gate })
+		}
+	}
 	_, client, teardown := mountServer(t, srv)
 	// Cleanups run LIFO: the gate opens before mountServer's teardown
 	// waits out the executors, so no failure path can wedge Close.

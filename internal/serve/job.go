@@ -27,9 +27,9 @@ type job struct {
 	spec JobSpec
 
 	// progress is the unix-nano timestamp of the job's last sign of life
-	// (start, heartbeat, record append). The stall watchdog compares it
-	// against the stall timeout; atomic so workers never contend with the
-	// watchdog.
+	// (job start, replay update, record append). The stall watchdog
+	// compares it against the stall timeout; atomic so workers never
+	// contend with the watchdog.
 	progress atomic.Int64
 
 	mu        sync.Mutex

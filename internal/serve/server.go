@@ -45,11 +45,12 @@ type Options struct {
 	// durable record. Empty disables journaling entirely.
 	Journal string
 	// StallTimeout, when > 0, arms the stuck-run watchdog: a running job
-	// whose workers report no progress (run started, run finished, record
-	// appended) for this long is cancelled and failed like a deadline, and
-	// its executor is counted unhealthy until the wedged replay actually
-	// returns. While no executor is healthy, /healthz answers 503 and
-	// submissions are shed with 429. 0 disables the watchdog.
+	// whose workers report no progress (replay started, ended or faulted,
+	// record appended) for this long is cancelled and failed like a
+	// deadline, and its executor is counted unhealthy until the wedged
+	// replay actually returns. While no executor is healthy, /healthz
+	// answers 503 and submissions are shed with 429. 0 disables the
+	// watchdog.
 	StallTimeout time.Duration
 }
 
@@ -103,21 +104,13 @@ type Server struct {
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 
-	// testHookJobStart, when set (tests only), runs on the executor
-	// goroutine after a job transitions to running and before its sweep
-	// executes — the deterministic way to hold a job "running" while a
-	// test fills the queue behind it.
-	testHookJobStart func(j *job)
-	// testHookRunRecord, when set (tests only), runs on the worker
-	// goroutine after each run record lands in a job's log — the
-	// deterministic way to hold a job mid-sweep while a test cancels it,
-	// or to crash the server at an exact record count.
-	testHookRunRecord func(j *job)
-	// testHookRunStart, when set (tests only), runs on the worker
-	// goroutine at the start of every replay with the sweep job index —
-	// the fault-injection point: panic here to exercise containment, block
-	// here to wedge a run under the watchdog.
-	testHookRunStart func(j *job, ji int)
+	// testHook, when set (tests only), runs with kind "start" on the
+	// worker about to run each of a job's replays, and with a record's
+	// type right after that record lands in the job's log, on the
+	// goroutine that delivered it. It is the deterministic way to hold a
+	// job running or mid-sweep, to crash the server at an exact record
+	// count, to panic inside a replay or to wedge one under the watchdog.
+	testHook func(j *job, kind string)
 
 	running       atomic.Int64
 	jobsSubmitted atomic.Int64
@@ -336,29 +329,7 @@ func (s *Server) execute(j *job, e *executor) {
 		e.healthy.Store(true)
 		s.running.Add(-1)
 	}()
-	if s.testHookJobStart != nil {
-		s.testHookJobStart(j)
-	}
-
-	// Both job kinds stream into the same result log; only the terminal
-	// summary record differs (matrix aggregates vs population percentiles).
-	var term *ResultRecord
-	var err error
-	if j.spec.Units > 0 {
-		var pres *experiment.PopulationResult
-		pres, err = s.runPopulationJob(ctx, j, e.pool)
-		if err == nil {
-			sum := report.NewPopulationSummary(pres)
-			term = &ResultRecord{Type: "summary", Population: &sum}
-		}
-	} else {
-		var res *experiment.MatrixResult
-		res, err = s.runJob(ctx, j, e.pool)
-		if err == nil {
-			sum := report.NewMatrixSummary(res)
-			term = &ResultRecord{Type: "summary", Summary: &sum}
-		}
-	}
+	term, err := s.runJob(ctx, j, e.pool)
 	switch {
 	case err == nil:
 		s.finish(j, StateDone, "", term, time.Now())
@@ -407,9 +378,17 @@ func (s *Server) finish(j *job, state, msg string, term *ResultRecord, now time.
 	})
 }
 
-// runJob executes the job's sweep on the given pool, streaming per-run
-// records into the job's result log as workers complete them.
-func (s *Server) runJob(ctx context.Context, j *job, pool *experiment.Pool) (*experiment.MatrixResult, error) {
+// runJob executes the job's sweep on the given pool and returns its
+// terminal summary record: matrix aggregates, or population percentiles for
+// a job with Units. Every update of the sweep's stream is a sign of life
+// for the stall watchdog. A matrix job streams a "run" or "candidate"
+// record per replay as workers complete them. A population job streams no
+// per-replay records, which at population volumes would swamp the log:
+// every config run lands as one scalar "pop" record instead, in
+// deterministic global order. Both stream "fault" records, so contained
+// panics stay diagnosable, and every record carries its sweep index, the
+// journal's resume key.
+func (s *Server) runJob(ctx context.Context, j *job, pool *experiment.Pool) (*ResultRecord, error) {
 	w := workload.ByName(j.spec.Workload)
 	if w == nil {
 		return nil, fmt.Errorf("unknown workload %q", j.spec.Workload)
@@ -421,57 +400,52 @@ func (s *Server) runJob(ctx context.Context, j *job, pool *experiment.Pool) (*ex
 	reps := j.spec.Reps
 	if reps <= 0 {
 		reps = 1
+	}
+	pop := j.spec.Units > 0
+	hook := func(kind string) {
+		if s.testHook != nil {
+			s.testHook(j, kind)
+		}
+	}
+	land := func(rec ResultRecord) {
+		if j.append(rec) {
+			hook(rec.Type)
+		}
 	}
 	var totalOnce sync.Once
 	opts := experiment.Options{
-		Reps:      reps,
-		Seed:      j.spec.Seed,
-		Pool:      pool,
-		Context:   ctx,
-		Configs:   j.spec.Configs,
-		Heartbeat: j.touch,
+		Reps:    reps,
+		Seed:    j.spec.Seed,
+		Pool:    pool,
+		Context: ctx,
+		Configs: j.spec.Configs,
 		OnRun: func(u experiment.RunUpdate) {
+			j.touch()
 			totalOnce.Do(func() { j.setTotalRuns(u.Total) })
 			idx := u.Index
-			switch u.Kind {
-			case "config":
+			switch {
+			case u.Kind == "start":
+				hook(u.Kind)
+			case u.Kind == "fault":
+				land(ResultRecord{Type: "fault", Error: u.Err, Stack: u.Stack, Index: &idx})
+			case pop: // population runs land through OnPop
+			case u.Kind == "config":
 				rec := report.NewRunRecord(j.spec.Workload, u.Run)
-				if j.append(ResultRecord{Type: "run", Run: &rec, Index: &idx}) && s.testHookRunRecord != nil {
-					s.testHookRunRecord(j)
-				}
-			case "candidate":
-				j.append(ResultRecord{Type: "candidate", Candidate: u.Config, Rep: u.Rep, Index: &idx})
-			case "fault":
-				j.append(ResultRecord{Type: "fault", Error: u.Err, Stack: u.Stack, Index: &idx})
+				land(ResultRecord{Type: "run", Run: &rec, Index: &idx})
+			case u.Kind == "candidate":
+				land(ResultRecord{Type: "candidate", Candidate: u.Config, Rep: u.Rep, Index: &idx})
 			}
 		},
 	}
-	if s.testHookRunStart != nil {
-		opts.TestHookRun = func(ji int) { s.testHookRunStart(j, ji) }
+	if !pop {
+		res, err := experiment.RunMatrix(w, spec, opts)
+		if err != nil {
+			return nil, err
+		}
+		sum := report.NewMatrixSummary(res)
+		return &ResultRecord{Type: "summary", Summary: &sum}, nil
 	}
-	return experiment.RunMatrix(w, spec, opts)
-}
 
-// runPopulationJob executes a population job: Units seeded device
-// perturbations, each swept through the config matrix on the executor's pool.
-// Per-run "run"/"candidate" records are not streamed — at population volumes
-// they would swamp the log — instead every run lands as one scalar "pop"
-// record, in deterministic global order, with its global index as the
-// journal's resume key. Fault records keep flowing so contained panics stay
-// diagnosable.
-func (s *Server) runPopulationJob(ctx context.Context, j *job, pool *experiment.Pool) (*experiment.PopulationResult, error) {
-	w := workload.ByName(j.spec.Workload)
-	if w == nil {
-		return nil, fmt.Errorf("unknown workload %q", j.spec.Workload)
-	}
-	spec, err := SpecByName(j.spec.SoC, j.spec.Idle)
-	if err != nil {
-		return nil, err
-	}
-	reps := j.spec.Reps
-	if reps <= 0 {
-		reps = 1
-	}
 	var model population.Model
 	if j.spec.Population != nil {
 		model = *j.spec.Population
@@ -482,38 +456,22 @@ func (s *Server) runPopulationJob(ctx context.Context, j *job, pool *experiment.
 	if j.spec.ThermalTripC != 0 {
 		bt = thermal.PhoneConfig(len(spec.Clusters), j.spec.ThermalTripC, 0)
 	}
-	var totalOnce sync.Once
-	opts := experiment.PopulationOptions{
-		Options: experiment.Options{
-			Reps:      reps,
-			Seed:      j.spec.Seed,
-			Pool:      pool,
-			Context:   ctx,
-			Configs:   j.spec.Configs,
-			Heartbeat: j.touch,
-			OnRun: func(u experiment.RunUpdate) {
-				totalOnce.Do(func() { j.setTotalRuns(u.Total) })
-				if u.Kind == "fault" {
-					idx := u.Index
-					j.append(ResultRecord{Type: "fault", Error: u.Err, Stack: u.Stack, Index: &idx})
-				}
-			},
-		},
+	res, err := experiment.RunPopulation(w, spec, experiment.PopulationOptions{
+		Options:     opts,
 		Units:       j.spec.Units,
 		Model:       model,
 		BaseThermal: bt,
 		OnPop: func(pr experiment.PopRun) {
 			rec := report.NewPopRunRecord(pr)
 			idx := pr.Index
-			if j.append(ResultRecord{Type: "pop", Pop: &rec, Index: &idx}) && s.testHookRunRecord != nil {
-				s.testHookRunRecord(j)
-			}
+			land(ResultRecord{Type: "pop", Pop: &rec, Index: &idx})
 		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	if s.testHookRunStart != nil {
-		opts.TestHookRun = func(ji int) { s.testHookRunStart(j, ji) }
-	}
-	return experiment.RunPopulation(w, spec, opts)
+	sum := report.NewPopulationSummary(res)
+	return &ResultRecord{Type: "summary", Population: &sum}, nil
 }
 
 // watchdog periodically checks every executing job for liveness and fails

@@ -88,7 +88,11 @@ func TestConcurrentJobSubmission(t *testing.T) {
 func TestQueueOverflowReturns429(t *testing.T) {
 	gate := make(chan struct{})
 	srv := mustNew(t, Options{Executors: 1, Workers: 1, QueueDepth: 1})
-	srv.testHookJobStart = func(*job) { <-gate }
+	srv.testHook = func(_ *job, kind string) {
+		if kind == "start" {
+			<-gate
+		}
+	}
 	_, client, teardown := mountServer(t, srv)
 
 	ctx := context.Background()
@@ -139,9 +143,11 @@ func TestCancelRunningJobFreesWorkerAndKeepsSessions(t *testing.T) {
 	// Hold the worker after its first run record so the cancel lands
 	// mid-sweep deterministically (a closed gate passes later records
 	// straight through).
-	srv.testHookRunRecord = func(*job) {
-		first.Do(func() { close(firstRec) })
-		<-gate
+	srv.testHook = func(_ *job, kind string) {
+		if kind == "run" {
+			first.Do(func() { close(firstRec) })
+			<-gate
+		}
 	}
 	_, client, teardown := mountServer(t, srv)
 	ctx := context.Background()
@@ -198,7 +204,11 @@ func TestCancelRunningJobFreesWorkerAndKeepsSessions(t *testing.T) {
 func TestCancelQueuedJobNeverRuns(t *testing.T) {
 	gate := make(chan struct{})
 	srv := mustNew(t, Options{Executors: 1, Workers: 1, QueueDepth: 2})
-	srv.testHookJobStart = func(*job) { <-gate }
+	srv.testHook = func(_ *job, kind string) {
+		if kind == "start" {
+			<-gate
+		}
+	}
 	_, client, teardown := mountServer(t, srv)
 	ctx := context.Background()
 	spec := JobSpec{Workload: "quickstart", Configs: smallMatrix, Reps: 1}
@@ -239,7 +249,11 @@ func TestClientDisconnectDuringStreamDoesNotLeak(t *testing.T) {
 	// Hold the job mid-sweep after its first record, so the disconnect
 	// provably happens while the handler is following a live job (not
 	// draining an already-terminal log from the buffer).
-	srv.testHookRunRecord = func(*job) { first.Do(func() { <-gate }) }
+	srv.testHook = func(_ *job, kind string) {
+		if kind == "run" {
+			first.Do(func() { <-gate })
+		}
+	}
 	_, client, teardown := mountServer(t, srv)
 	ctx := context.Background()
 
@@ -438,7 +452,11 @@ func TestTerminalRecordAfterSettle(t *testing.T) {
 func TestListJobs(t *testing.T) {
 	gate := make(chan struct{})
 	srv := mustNew(t, Options{Executors: 1, Workers: 1, QueueDepth: 4})
-	srv.testHookJobStart = func(*job) { <-gate }
+	srv.testHook = func(_ *job, kind string) {
+		if kind == "start" {
+			<-gate
+		}
+	}
 	_, client, teardown := mountServer(t, srv)
 	ctx := context.Background()
 	spec := JobSpec{Workload: "quickstart", Configs: smallMatrix, Reps: 1}
@@ -510,8 +528,10 @@ func TestJobDeadlineExceeded(t *testing.T) {
 	// Stall the sweep well past the deadline after its first record; the
 	// pool then refuses to claim further replays and the executor
 	// surfaces context.DeadlineExceeded.
-	srv.testHookRunRecord = func(*job) {
-		first.Do(func() { time.Sleep(500 * time.Millisecond) })
+	srv.testHook = func(_ *job, kind string) {
+		if kind == "run" {
+			first.Do(func() { time.Sleep(500 * time.Millisecond) })
+		}
 	}
 	_, client, teardown := mountServer(t, srv)
 	ctx := context.Background()

@@ -5,10 +5,6 @@ import (
 	"sort"
 )
 
-// Callback is a function invoked when a scheduled event fires. It receives
-// the engine so it can schedule further events.
-type Callback func(e *Engine)
-
 // EventID identifies a scheduled event so it can be cancelled. An ID packs
 // the event's pool slot with a generation counter: once the event fires or is
 // cancelled the slot is recycled under a new generation, so a stale ID can
@@ -17,12 +13,11 @@ type Callback func(e *Engine)
 type EventID int64
 
 // event is one pooled event slot. Slots live in Engine.slots and are
-// recycled through a free list; fn/fn0 are cleared on release so the pool
-// never pins dead closures for the GC. A slot is scheduled exactly while
-// one queue entry names it.
+// recycled through a free list; fn is cleared on release so the pool never
+// pins dead closures for the GC. A slot is scheduled exactly while one
+// queue entry names it.
 type event struct {
-	fn    Callback // engine-argument callback (nil when fn0 is set)
-	fn0   func()   // plain callback, scheduled via AtFunc/AfterFunc
+	fn    func()   // the callback; nil while the slot is free
 	quiet Duration // period of a quiet event (see Quiet); 0 when live
 	gen   uint32   // generation, bumped on every release
 	next  int32    // free-list link, valid while the slot is free
@@ -54,8 +49,8 @@ const tailScan = 8
 // from the tail, bisects past that, and moves the entries due before the new
 // one up a place with one copy. Cancel removes its entry at once, scanning
 // from the tail, where a re-armed cluster event sits. Events live in a slot pool recycled
-// through a free list. In steady state At, AtFunc, Cancel, Quiet, Wake and
-// event dispatch perform zero heap allocations.
+// through a free list. In steady state AtFunc, AfterFunc, Cancel, Quiet,
+// Wake and event dispatch perform zero heap allocations.
 //
 // A pending event can be marked quiet (Quiet): when it comes due the engine
 // advances the clock to it and queues it again one period later, on the same
@@ -114,7 +109,7 @@ func (e *Engine) allocSlot() int32 {
 // outstanding EventID for it becomes permanently stale.
 func (e *Engine) freeSlot(i int32) {
 	s := &e.slots[i]
-	s.fn, s.fn0, s.quiet = nil, nil, 0
+	s.fn, s.quiet = nil, 0
 	s.gen++
 	if s.gen == 0 { // skip generation 0 on wrap: IDs must never be zero
 		s.gen = 1
@@ -123,14 +118,19 @@ func (e *Engine) freeSlot(i int32) {
 	e.freeHead = i
 }
 
-// schedule is the shared body of At and AtFunc.
-func (e *Engine) schedule(at Time, fn Callback, fn0 func()) EventID {
+// AtFunc schedules fn to run at the absolute time at. Scheduling in the
+// past (or at the current instant) fires the callback at the current time,
+// after all events already queued for that time. The callback takes no
+// arguments, so periodic subsystems (governor sample timers, service loops)
+// can hold one pre-bound func value and reschedule it forever without a
+// wrapper closure.
+func (e *Engine) AtFunc(at Time, fn func()) EventID {
 	if at < e.now {
 		at = e.now
 	}
 	idx := e.allocSlot()
 	s := &e.slots[idx]
-	s.fn, s.fn0 = fn, fn0
+	s.fn = fn
 	e.push(queueEnt{at: at, seq: e.nextSeq, slot: idx})
 	e.nextSeq++
 	return EventID(int64(s.gen)<<32 | int64(idx))
@@ -153,35 +153,12 @@ func (e *Engine) push(ent queueEnt) {
 	e.queue = q
 }
 
-// At schedules fn to run at the absolute time at. Scheduling in the past (or
-// at the current instant) fires the callback at the current time, after all
-// events already queued for that time.
-func (e *Engine) At(at Time, fn Callback) EventID {
-	return e.schedule(at, fn, nil)
-}
-
-// After schedules fn to run d from now.
-func (e *Engine) After(d Duration, fn Callback) EventID {
-	if d < 0 {
-		d = 0
-	}
-	return e.schedule(e.now.Add(d), fn, nil)
-}
-
-// AtFunc schedules a plain func() at the absolute time at. It behaves
-// exactly like At but takes a callback without the engine argument, so
-// periodic subsystems (governor sample timers, service loops) can hold one
-// pre-bound func value and reschedule it forever without a wrapper closure.
-func (e *Engine) AtFunc(at Time, fn func()) EventID {
-	return e.schedule(at, nil, fn)
-}
-
-// AfterFunc schedules a plain func() to run d from now (see AtFunc).
+// AfterFunc schedules fn to run d from now (see AtFunc).
 func (e *Engine) AfterFunc(d Duration, fn func()) EventID {
 	if d < 0 {
 		d = 0
 	}
-	return e.schedule(e.now.Add(d), nil, fn)
+	return e.AtFunc(e.now.Add(d), fn)
 }
 
 // Cancel removes a scheduled event and its queue entry and releases its
@@ -282,13 +259,9 @@ func (e *Engine) step() bool {
 		e.nextSeq++
 		return true
 	}
-	fn, fn0 := s.fn, s.fn0
+	fn := s.fn
 	e.freeSlot(ent.slot)
-	if fn0 != nil {
-		fn0()
-	} else {
-		fn(e)
-	}
+	fn()
 	return true
 }
 

@@ -10,12 +10,12 @@ import "testing"
 // queue holds exactly the pending events and the slot pool stays at two.
 func TestEngineDeadEventCompaction(t *testing.T) {
 	e := NewEngine()
-	fn := func(*Engine) {}
+	fn := func() {}
 	// One far-future survivor, then a churn of schedule+cancel pairs far in
 	// the future so nothing expires on its own.
-	e.At(1_000_000_000, fn)
+	e.AtFunc(1_000_000_000, fn)
 	for i := 0; i < 10_000; i++ {
-		id := e.At(Time(2_000_000_000+i), fn)
+		id := e.AtFunc(Time(2_000_000_000+i), fn)
 		if !e.Cancel(id) {
 			t.Fatalf("Cancel %d failed", i)
 		}
@@ -34,13 +34,13 @@ func TestEngineDeadEventCompaction(t *testing.T) {
 func TestEngineStaleIDNeverCancelsRecycledSlot(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	first := e.At(10, func(*Engine) { fired++ })
+	first := e.AtFunc(10, func() { fired++ })
 	e.Run()
 	if fired != 1 {
 		t.Fatal("first event did not fire")
 	}
 	// The freed slot is reused by the next schedule.
-	second := e.At(20, func(*Engine) { fired++ })
+	second := e.AtFunc(20, func() { fired++ })
 	if EventID(uint64(first)&0xffffffff) != EventID(uint64(second)&0xffffffff) {
 		t.Fatalf("slot not recycled: first id %d, second id %d", first, second)
 	}
@@ -52,27 +52,27 @@ func TestEngineStaleIDNeverCancelsRecycledSlot(t *testing.T) {
 		t.Fatal("second event lost after stale-cancel attempt")
 	}
 	// And a stale cancel after a real cancel is equally inert.
-	third := e.At(30, func(*Engine) {})
+	third := e.AtFunc(30, func() {})
 	if !e.Cancel(third) || e.Cancel(third) {
 		t.Fatal("double-cancel semantics broken")
 	}
 }
 
-// TestEngineAtFuncOrdering checks AtFunc/AfterFunc interleave with At/After
-// in strict (timestamp, FIFO) order — they share one queue and one sequence
+// TestEngineAtFuncOrdering checks AtFunc and AfterFunc events interleave in
+// strict (timestamp, FIFO) order — they share one queue and one sequence
 // counter.
 func TestEngineAtFuncOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.At(20, func(*Engine) { order = append(order, 2) })
+	e.AtFunc(20, func() { order = append(order, 2) })
 	e.AtFunc(10, func() { order = append(order, 1) })
 	e.AtFunc(20, func() { order = append(order, 3) })
-	e.At(20, func(*Engine) { order = append(order, 4) })
+	e.AtFunc(20, func() { order = append(order, 4) })
 	e.AfterFunc(30, func() { order = append(order, 5) })
 	e.Run()
 	for i, v := range order {
 		if v != i+1 {
-			t.Fatalf("mixed At/AtFunc events fired out of order: %v", order)
+			t.Fatalf("mixed AtFunc/AfterFunc events fired out of order: %v", order)
 		}
 	}
 	if len(order) != 5 {
@@ -80,18 +80,18 @@ func TestEngineAtFuncOrdering(t *testing.T) {
 	}
 }
 
-// TestEngineCancelAtFunc checks plain-func events are cancellable like any
-// other.
+// TestEngineCancelAtFunc checks AfterFunc events are cancellable like
+// AtFunc ones.
 func TestEngineCancelAtFunc(t *testing.T) {
 	e := NewEngine()
 	ran := false
 	id := e.AfterFunc(10, func() { ran = true })
 	if !e.Cancel(id) {
-		t.Fatal("Cancel returned false for a live AtFunc event")
+		t.Fatal("Cancel returned false for a live AfterFunc event")
 	}
 	e.Run()
 	if ran {
-		t.Fatal("cancelled AtFunc event still fired")
+		t.Fatal("cancelled AfterFunc event still fired")
 	}
 }
 
@@ -99,7 +99,7 @@ func TestEngineCancelAtFunc(t *testing.T) {
 func TestEngineZeroEventIDNeverIssued(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 1000; i++ {
-		if id := e.At(Time(i), func(*Engine) {}); id == 0 {
+		if id := e.AtFunc(Time(i), func() {}); id == 0 {
 			t.Fatal("engine issued the zero EventID")
 		}
 	}
@@ -113,33 +113,32 @@ func TestEngineZeroEventIDNeverIssued(t *testing.T) {
 // dispatching events performs zero heap allocations.
 func TestEngineAllocFree(t *testing.T) {
 	e := NewEngine()
-	fn := func(*Engine) {}
-	fn0 := func() {}
+	fn := func() {}
 	// Warm the pool and heap beyond anything the measured loops need.
 	for i := 0; i < 128; i++ {
-		e.At(Time(i), fn)
+		e.AtFunc(Time(i), fn)
 	}
 	e.Run()
 
 	if avg := testing.AllocsPerRun(200, func() {
-		e.Cancel(e.At(e.Now().Add(100), fn))
+		e.Cancel(e.AtFunc(e.Now().Add(100), fn))
 	}); avg != 0 {
-		t.Fatalf("At+Cancel allocates %.1f per op, want 0", avg)
+		t.Fatalf("AtFunc+Cancel allocates %.1f per op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		e.AtFunc(e.Now().Add(100), fn0)
+		e.AtFunc(e.Now().Add(100), fn)
 		e.step()
 	}); avg != 0 {
 		t.Fatalf("AtFunc+step allocates %.1f per op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		e.At(e.Now().Add(100), fn)
+		e.AfterFunc(100, fn)
 		e.step()
 	}); avg != 0 {
-		t.Fatalf("At+step allocates %.1f per op, want 0", avg)
+		t.Fatalf("AfterFunc+step allocates %.1f per op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		id := e.AfterFunc(100, fn0)
+		id := e.AfterFunc(100, fn)
 		e.Quiet(id, 100)
 		e.step() // passed
 		e.Wake(id)
@@ -154,7 +153,7 @@ func TestEngineAllocFree(t *testing.T) {
 // cancelled and replaced before it fires.
 func BenchmarkEngineChurn(b *testing.B) {
 	e := NewEngine()
-	fn := func(*Engine) {}
+	fn := func() {}
 	var pending EventID
 	have := false
 	b.ReportAllocs()
@@ -162,7 +161,7 @@ func BenchmarkEngineChurn(b *testing.B) {
 		if have {
 			e.Cancel(pending)
 		}
-		pending = e.At(e.Now().Add(Duration(1+i%7)), fn)
+		pending = e.AtFunc(e.Now().Add(Duration(1+i%7)), fn)
 		have = true
 		if i%3 == 0 {
 			e.step()

@@ -9,7 +9,7 @@ import (
 // Events are named by handle: the k-th event scheduled has handle k, which
 // is also its callback id.
 type engineModel interface {
-	schedule(kind int, off Duration) // kind: 0 At, 1 AtFunc, 2 After, 3 AfterFunc
+	schedule(kind int, off Duration) // kind: 0 or 1 AtFunc, 2 or 3 AfterFunc
 	cancel(k int) bool               // k < 0 cancels the zero EventID
 	quiet(k int, period Duration) bool
 	wake(k int) (Time, bool)
@@ -94,18 +94,12 @@ type engineUnderTest struct {
 
 func (m *engineUnderTest) schedule(kind int, off Duration) {
 	k := len(m.ids)
-	fn := func(*Engine) { fire(m, m.salt, k) }
-	fn0 := func() { fire(m, m.salt, k) }
+	fn := func() { fire(m, m.salt, k) }
 	var id EventID
-	switch kind {
-	case 0:
-		id = m.e.At(m.e.Now().Add(off), fn)
-	case 1:
-		id = m.e.AtFunc(m.e.Now().Add(off), fn0)
-	case 2:
-		id = m.e.After(off, fn)
-	default:
-		id = m.e.AfterFunc(off, fn0)
+	if kind < 2 {
+		id = m.e.AtFunc(m.e.Now().Add(off), fn)
+	} else {
+		id = m.e.AfterFunc(off, fn)
 	}
 	m.ids = append(m.ids, id)
 }
@@ -308,7 +302,7 @@ func (r *refEngine) record(rec traceRec)   { r.trace = append(r.trace, rec) }
 func (r *refEngine) takeTrace() []traceRec { t := r.trace; r.trace = nil; return t }
 
 // TestEngineMatchesReference drives the engine and the reference through the
-// same seeded random operations — At, AtFunc, After and AfterFunc with past,
+// same seeded random operations — AtFunc and AfterFunc with past,
 // same-instant and future times, nested scheduling from callbacks, valid,
 // stale, double and zero Cancels, Quiet with valid and invalid periods on
 // live, quiet, fired and cancelled handles, Wake from outside and inside

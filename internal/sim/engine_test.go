@@ -8,9 +8,9 @@ import (
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.At(30, func(*Engine) { order = append(order, 3) })
-	e.At(10, func(*Engine) { order = append(order, 1) })
-	e.At(20, func(*Engine) { order = append(order, 2) })
+	e.AtFunc(30, func() { order = append(order, 3) })
+	e.AtFunc(10, func() { order = append(order, 1) })
+	e.AtFunc(20, func() { order = append(order, 2) })
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events fired out of order: %v", order)
@@ -25,7 +25,7 @@ func TestEngineFIFOForEqualTimestamps(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func(*Engine) { order = append(order, i) })
+		e.AtFunc(5, func() { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -38,9 +38,9 @@ func TestEngineFIFOForEqualTimestamps(t *testing.T) {
 func TestEngineAfterAndNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	e.After(100, func(e *Engine) {
+	e.AfterFunc(100, func() {
 		fired = append(fired, e.Now())
-		e.After(50, func(e *Engine) {
+		e.AfterFunc(50, func() {
 			fired = append(fired, e.Now())
 		})
 	})
@@ -53,7 +53,7 @@ func TestEngineAfterAndNestedScheduling(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	id := e.At(10, func(*Engine) { ran = true })
+	id := e.AtFunc(10, func() { ran = true })
 	if !e.Cancel(id) {
 		t.Fatal("Cancel returned false for a live event")
 	}
@@ -71,7 +71,7 @@ func TestEngineRunUntil(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{10, 20, 30, 40} {
 		at := at
-		e.At(at, func(e *Engine) { fired = append(fired, e.Now()) })
+		e.AtFunc(at, func() { fired = append(fired, e.Now()) })
 	}
 	e.RunUntil(25)
 	if len(fired) != 2 {
@@ -92,8 +92,8 @@ func TestEngineRunUntil(t *testing.T) {
 func TestEnginePastSchedulingClamps(t *testing.T) {
 	e := NewEngine()
 	var at Time = -1
-	e.At(50, func(e *Engine) {
-		e.At(10, func(e *Engine) { at = e.Now() }) // in the past
+	e.AtFunc(50, func() {
+		e.AtFunc(10, func() { at = e.Now() }) // in the past
 	})
 	e.Run()
 	if at != 50 {
@@ -105,7 +105,7 @@ func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 0; i < 10; i++ {
-		e.At(Time(i), func(e *Engine) {
+		e.AtFunc(Time(i), func() {
 			count++
 			if count == 3 {
 				e.Stop()
@@ -231,7 +231,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := NewEngine()
 		for j := 0; j < 1000; j++ {
-			e.At(Time(j%97), func(*Engine) {})
+			e.AtFunc(Time(j%97), func() {})
 		}
 		e.Run()
 	}

@@ -135,7 +135,7 @@ func TestCapChangeAttributesCycles(t *testing.T) {
 	c.RequestOPPIndex(13)
 	c.Submit("w", Cycles(1_000_000_000), nil) // outlasts the window at any OPP
 
-	eng.At(sim.Time(100*sim.Millisecond), func(*sim.Engine) { c.SetFreqCap("thermal", 0) })
+	eng.AtFunc(sim.Time(100*sim.Millisecond), func() { c.SetFreqCap("thermal", 0) })
 	eng.RunUntil(sim.Time(200 * sim.Millisecond))
 
 	busy := c.BusyByOPP()

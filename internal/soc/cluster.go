@@ -167,10 +167,6 @@ type freqCap struct {
 	maxIdx int
 }
 
-// Core is the pre-multi-cluster name of Cluster, kept so single-core call
-// sites and tests read naturally.
-type Core = Cluster
-
 // NewCluster returns a cluster attached to the engine, clocked at the lowest
 // OPP. A NumCores below 1 is treated as 1.
 func NewCluster(eng *sim.Engine, spec ClusterSpec) *Cluster {
@@ -362,9 +358,8 @@ func (c *Cluster) FreeCores() int { return c.nCores - len(c.running) }
 
 // RequestOPPIndex is the governor-facing entry of the frequency pipeline: it
 // records the requested operating point and applies it clamped to the
-// effective cap. With no caps active this is exactly the pre-pipeline
-// SetOPPIndex behaviour. A changed request wakes a quiet governor sample
-// (an input boost does this).
+// effective cap, which with no caps active is the request itself. A changed
+// request wakes a quiet governor sample (an input boost does this).
 func (c *Cluster) RequestOPPIndex(i int) {
 	if i < 0 {
 		i = 0
@@ -378,10 +373,6 @@ func (c *Cluster) RequestOPPIndex(i int) {
 	c.reqIdx = i
 	c.apply()
 }
-
-// SetOPPIndex is the pre-pipeline name of RequestOPPIndex, kept so direct
-// call sites (tests, tools) read naturally.
-func (c *Cluster) SetOPPIndex(i int) { c.RequestOPPIndex(i) }
 
 // SetFreqCap installs or updates a named frequency ceiling: the applied OPP
 // never exceeds maxIdx while the cap is active. Multiple sources may cap

@@ -8,7 +8,7 @@ import (
 	"repro/internal/sim"
 )
 
-func newTestCore() (*sim.Engine, *Core) {
+func newTestCore() (*sim.Engine, *Cluster) {
 	eng := sim.NewEngine()
 	return eng, NewCore(eng, power.Snapdragon8074())
 }
@@ -34,7 +34,7 @@ func TestSingleTaskTiming(t *testing.T) {
 func TestTaskFasterAtHigherFrequency(t *testing.T) {
 	for _, idx := range []int{0, 5, 13} {
 		eng, c := newTestCore()
-		c.SetOPPIndex(idx)
+		c.RequestOPPIndex(idx)
 		var doneAt sim.Time
 		c.Submit("work", 300_000_000, func(at sim.Time) { doneAt = at })
 		eng.Run()
@@ -52,7 +52,7 @@ func TestFrequencyChangeMidTask(t *testing.T) {
 	// switching to 2150.4 MHz at t=0.5s finishes the rest in ~209.7 ms.
 	var doneAt sim.Time
 	c.Submit("work", 600_000_000, func(at sim.Time) { doneAt = at })
-	eng.At(sim.Time(500*sim.Millisecond), func(*sim.Engine) { c.SetOPPIndex(13) })
+	eng.AtFunc(sim.Time(500*sim.Millisecond), func() { c.RequestOPPIndex(13) })
 	eng.Run()
 	rem := int64(600_000_000 - 150_000_000) // 0.5s at 300MHz consumes 150M
 	wantTail := (rem*1000 + 2150399) / 2150400
@@ -107,7 +107,7 @@ func TestCancelRunningTask(t *testing.T) {
 	eng, c := newTestCore()
 	ran := false
 	task := c.Submit("doomed", 300_000_000, func(sim.Time) { ran = true })
-	eng.At(sim.Time(100*sim.Millisecond), func(*sim.Engine) { c.Cancel(task) })
+	eng.AtFunc(sim.Time(100*sim.Millisecond), func() { c.Cancel(task) })
 	eng.Run()
 	if ran {
 		t.Fatal("cancelled task completed anyway")
@@ -136,22 +136,22 @@ func TestFreqChangeHook(t *testing.T) {
 	eng, c := newTestCore()
 	var changes []int
 	c.OnFreqChange = func(at sim.Time, idx int) { changes = append(changes, idx) }
-	eng.At(10, func(*sim.Engine) { c.SetOPPIndex(5) })
-	eng.At(20, func(*sim.Engine) { c.SetOPPIndex(5) }) // no-op: same index
-	eng.At(30, func(*sim.Engine) { c.SetOPPIndex(13) })
+	eng.AtFunc(10, func() { c.RequestOPPIndex(5) })
+	eng.AtFunc(20, func() { c.RequestOPPIndex(5) }) // no-op: same index
+	eng.AtFunc(30, func() { c.RequestOPPIndex(13) })
 	eng.Run()
 	if len(changes) != 2 || changes[0] != 5 || changes[1] != 13 {
 		t.Fatalf("observed transitions %v, want [5 13]", changes)
 	}
 }
 
-func TestSetOPPIndexClamps(t *testing.T) {
+func TestRequestOPPIndexClamps(t *testing.T) {
 	_, c := newTestCore()
-	c.SetOPPIndex(-5)
+	c.RequestOPPIndex(-5)
 	if c.OPPIndex() != 0 {
 		t.Fatalf("negative index clamped to %d", c.OPPIndex())
 	}
-	c.SetOPPIndex(99)
+	c.RequestOPPIndex(99)
 	if c.OPPIndex() != 13 {
 		t.Fatalf("oversized index clamped to %d", c.OPPIndex())
 	}
@@ -159,7 +159,7 @@ func TestSetOPPIndexClamps(t *testing.T) {
 
 func TestIdleTimeAccounting(t *testing.T) {
 	eng, c := newTestCore()
-	eng.At(sim.Time(1*sim.Second), func(*sim.Engine) {
+	eng.AtFunc(sim.Time(1*sim.Second), func() {
 		c.Submit("w", 300_000_000, nil) // 1s at OPP0
 	})
 	eng.RunUntil(sim.Time(3 * sim.Second))
@@ -190,7 +190,7 @@ func TestWorkConservationProperty(t *testing.T) {
 	f := func(sizes [5]uint16, opp uint8) bool {
 		eng, c := newTestCore()
 		idx := int(opp) % 14
-		c.SetOPPIndex(idx)
+		c.RequestOPPIndex(idx)
 		khz := int64(c.Table()[idx].KHz)
 		var totalCycles int64
 		for _, s := range sizes {
@@ -215,7 +215,7 @@ func TestWorkConservationProperty(t *testing.T) {
 
 func BenchmarkCoreTaskChurn(b *testing.B) {
 	eng, c := newTestCore()
-	c.SetOPPIndex(13)
+	c.RequestOPPIndex(13)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Submit("w", 1_000_000, nil)

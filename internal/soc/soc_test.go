@@ -55,10 +55,10 @@ func TestSingleClusterEquivalence(t *testing.T) {
 		done := func(at sim.Time) { res.doneAt = append(res.doneAt, at) }
 		ctl.OnFreqChange = func(at sim.Time, idx int) { res.freq = append(res.freq, idx) }
 		submit("a", 300_000_000, done)
-		eng.At(sim.Time(5*sim.Millisecond), func(*sim.Engine) { submit("b", 90_000_000, done) })
-		eng.At(sim.Time(200*sim.Millisecond), func(*sim.Engine) { ctl.SetOPPIndex(9) })
-		eng.At(sim.Time(400*sim.Millisecond), func(*sim.Engine) { submit("c", 50_000_000, done) })
-		eng.At(sim.Time(450*sim.Millisecond), func(*sim.Engine) { ctl.SetOPPIndex(2) })
+		eng.AtFunc(sim.Time(5*sim.Millisecond), func() { submit("b", 90_000_000, done) })
+		eng.AtFunc(sim.Time(200*sim.Millisecond), func() { ctl.RequestOPPIndex(9) })
+		eng.AtFunc(sim.Time(400*sim.Millisecond), func() { submit("c", 50_000_000, done) })
+		eng.AtFunc(sim.Time(450*sim.Millisecond), func() { ctl.RequestOPPIndex(2) })
 		eng.Run()
 		res.busyByOPP = ctl.BusyByOPP()
 		res.cumBusy = ctl.CumulativeBusy()
@@ -269,7 +269,7 @@ func TestSoCCancel(t *testing.T) {
 	eng, s := newBigLittle()
 	ran := false
 	task := s.Submit("doomed", heavyCycles, func(sim.Time) { ran = true })
-	eng.At(sim.Time(10*sim.Millisecond), func(*sim.Engine) { s.Cancel(task) })
+	eng.AtFunc(sim.Time(10*sim.Millisecond), func() { s.Cancel(task) })
 	eng.Run()
 	if ran {
 		t.Fatal("cancelled task completed")
@@ -309,7 +309,7 @@ func TestSchedulerIsDeterministic(t *testing.T) {
 				cyc = heavyCycles
 			}
 			at := sim.Time(i) * sim.Time(3*sim.Millisecond)
-			eng.At(at, func(*sim.Engine) {
+			eng.AtFunc(at, func() {
 				s.Submit("w", cyc, func(t sim.Time) { last = t })
 			})
 		}

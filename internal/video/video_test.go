@@ -392,7 +392,7 @@ func TestRecorderCapturesAtRate(t *testing.T) {
 	rec := NewRecorder(eng, 30, func() *Frame { return solidFrame(shade) })
 	rec.Start()
 	// Change the content at t=1s.
-	eng.At(sim.Time(sim.Second), func(*sim.Engine) { shade = 99 })
+	eng.AtFunc(sim.Time(sim.Second), func() { shade = 99 })
 	eng.RunUntil(sim.Time(2 * sim.Second))
 	v := rec.Video()
 	// 2 seconds at 30 fps: 61 frames (t=0 .. t=2s inclusive).
@@ -468,17 +468,17 @@ func captureScript(probe, early bool, changes []sim.Time, stop sim.Time) (*Video
 	rec.Start()
 	for i, at := range changes {
 		shade := uint8(i + 1)
-		change := func(*sim.Engine) {
+		change := func() {
 			if !dirty {
 				rec.Wake()
 			}
 			frame, dirty = solidFrame(shade), true
 		}
 		if early {
-			eng.At(at, change)
+			eng.AtFunc(at, change)
 			continue
 		}
-		eng.At(at-1, func(e *sim.Engine) { e.At(at, change) })
+		eng.AtFunc(at-1, func() { eng.AtFunc(at, change) })
 	}
 	eng.RunUntil(stop)
 	rec.Stop()

@@ -9,6 +9,7 @@ import (
 	"repro/internal/governor"
 	"repro/internal/sim"
 	"repro/internal/soc"
+	"repro/internal/trace"
 )
 
 // replayHash digests the traces the golden tests pin (per-cluster freq
@@ -110,8 +111,8 @@ func TestIdleLadderPricesRaceToIdle(t *testing.T) {
 }
 
 // TestTraceScratchRecycling pins the ClusterTraces recycling plumbed through
-// device.NewMulti: a replay that reuses a previous replay's trace storage
-// produces bit-identical traces in the very same backing objects.
+// Device.SetTraceScratch: a replay that reuses a previous replay's trace
+// storage produces bit-identical traces in the very same backing objects.
 func TestTraceScratchRecycling(t *testing.T) {
 	w := Quickstart()
 	w.Profile.SoC = soc.BigLittle44()
@@ -124,23 +125,26 @@ func TestTraceScratchRecycling(t *testing.T) {
 	}
 	fresh := ReplayMulti(w, rec, mk(), "ondemand", 42, false)
 	want := replayHash(fresh)
+	// scratched replays rec on a fresh session of w whose device recycles
+	// ts.
+	scratched := func(w *Workload, rec *Recording, ts []*trace.ClusterTraces, govs []governor.Governor, name string) *RunArtifacts {
+		sess := NewReplaySession(w, rec)
+		sess.Dev.SetTraceScratch(ts)
+		return sess.Replay(govs, name, 42, false)
+	}
 
 	// Hand the first replay's traces back as scratch for a second replay of
 	// a different configuration (interactive), then a third back at
 	// ondemand: content must match the fresh runs and the backing objects
 	// must be the recycled ones.
-	w2 := *w
-	w2.Profile.TraceScratch = fresh.Clusters
-	mid := ReplayMulti(&w2, rec, []governor.Governor{governor.NewInteractive(), governor.NewInteractive()}, "interactive", 42, false)
+	mid := scratched(w, rec, fresh.Clusters, []governor.Governor{governor.NewInteractive(), governor.NewInteractive()}, "interactive")
 	for i, ct := range mid.Clusters {
 		if ct != fresh.Clusters[i] {
 			t.Fatalf("cluster %d traces were reallocated instead of recycled", i)
 		}
 	}
 
-	w3 := *w
-	w3.Profile.TraceScratch = mid.Clusters
-	again := ReplayMulti(&w3, rec, mk(), "ondemand", 42, false)
+	again := scratched(w, rec, mid.Clusters, mk(), "ondemand")
 	if got := replayHash(again); got != want {
 		t.Errorf("recycled replay hash = %s, fresh = %s", got, want)
 	}
@@ -155,9 +159,7 @@ func TestTraceScratchRecycling(t *testing.T) {
 	}
 	freshS := ReplayMulti(single, recS, []governor.Governor{governor.NewOndemand()}, "ondemand", 42, false)
 	wantS := replayHash(freshS)
-	s2 := *single
-	s2.Profile.TraceScratch = again.Clusters
-	gotS := ReplayMulti(&s2, recS, []governor.Governor{governor.NewOndemand()}, "ondemand", 42, false)
+	gotS := scratched(single, recS, again.Clusters, []governor.Governor{governor.NewOndemand()}, "ondemand")
 	if gotS.Clusters[0] != again.Clusters[0] {
 		t.Error("single-cluster boot did not recycle the scratch entry")
 	}

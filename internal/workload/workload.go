@@ -138,7 +138,7 @@ func (drv *driver) next() {
 	drv.pending = len(drv.dev.GroundTruths())
 	for _, ev := range drv.enc.Encode(*g) {
 		ev := ev
-		drv.dev.Eng.At(ev.Time, func(*sim.Engine) { drv.dev.Inject(ev) })
+		drv.dev.Eng.AtFunc(ev.Time, func() { drv.dev.Inject(ev) })
 	}
 }
 
