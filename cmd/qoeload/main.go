@@ -3,7 +3,9 @@
 // completion before submitting the next, and the run is summarised as
 // throughput (jobs/min), job latency percentiles (p50/p95/p99), queue-wait
 // percentiles and error counts. The server's 429 backpressure responses are
-// absorbed as retries and reported separately.
+// absorbed as retries and reported separately. Submission n sweeps seed
+// -seed + n − 1, so qoed records, annotates and replays every job instead of
+// answering a repeated spec from a finished job's log.
 //
 // Passing a comma-separated -soc list ("dragonboard,biglittle") makes the
 // harness cycle a job mix round-robin instead of replaying one spec, and the
@@ -55,7 +57,7 @@ func main() {
 	idle := flag.Bool("idle", false, "install the default C-state ladder")
 	configs := flag.String("configs", "", "comma-separated config subset (empty = full matrix)")
 	reps := flag.Int("reps", 1, "repetitions per configuration")
-	seed := flag.Uint64("seed", 1, "sweep master seed")
+	seed := flag.Uint64("seed", 1, "the first submission's master seed; submission n sweeps seed + n - 1")
 	timeout := flag.Duration("timeout", 0, "per-job execution deadline (0 = none)")
 	units := flag.Int("units", 0, "population units per job (0 = plain matrix jobs)")
 	pop := flag.String("pop", "", `population model: "default" or "cn=..,active=..,ambient=lo:hi,case=..,aged=..,steps=N" (needs -units)`)

@@ -34,7 +34,7 @@ type RetroRunner struct {
 	sessionOn   bool
 	sessionGen  int
 	frameSeq    int
-	outstanding int // frames submitted but not yet completed
+	outstanding int // frames submitted but not yet completed, at most maxQueuedFrames
 }
 
 // RetroRunnerName is the registered app name.
@@ -42,6 +42,12 @@ const RetroRunnerName = "retrorunner"
 
 // GameFramePeriod is the game's render deadline (one 30 fps vsync).
 const GameFramePeriod = 33333 * sim.Microsecond
+
+// maxQueuedFrames bounds the frames in flight. Like a render thread that
+// blocks once its BufferQueue holds two buffers, the game skips a frame due
+// while two are outstanding, so a saturated core never queues more work
+// than two frames' worth ahead of the user's input.
+const maxQueuedFrames = 2
 
 // NewRetroRunner returns the game. The 27M-cycle frame cost needs ~0.81 GHz
 // of sustained throughput for 30 fps: the bottom of the ladder is hopeless,
@@ -135,7 +141,8 @@ func (g *RetroRunner) HandleTap(x, y int) bool {
 }
 
 // startSession begins the frame loop. Each frame submits FrameWork cycles;
-// if the work finishes after the next vsync deadline the frame is dropped.
+// if the work finishes after the next vsync deadline the frame is dropped,
+// and so is a frame skipped because two are still in flight.
 func (g *RetroRunner) startSession() {
 	g.screenID = "playing"
 	g.sessionOn = true
@@ -152,11 +159,16 @@ func (g *RetroRunner) frameLoop() {
 	if !g.sessionOn {
 		return
 	}
+	g.TotalFrames++
+	if g.outstanding == maxQueuedFrames {
+		g.DroppedFrames++
+		g.H.After(GameFramePeriod, g.frameLoop)
+		return
+	}
 	gen := g.sessionGen
 	seq := g.frameSeq
 	g.frameSeq++
 	deadline := g.H.Now().Add(GameFramePeriod)
-	g.TotalFrames++
 	g.outstanding++
 	g.H.SpawnWork("game.frame", g.FrameWork, func() {
 		if gen != g.sessionGen {
@@ -174,32 +186,25 @@ func (g *RetroRunner) frameLoop() {
 	g.H.After(GameFramePeriod, g.frameLoop)
 }
 
-// stopSession ends the frame loop. Frames still queued behind a saturated
-// core have all blown their deadlines: they count as dropped, which is
-// exactly what a user staring at a frozen game perceives.
+// stopSession ends the frame loop. The frames still in flight are never
+// shown, so they count as dropped.
 func (g *RetroRunner) stopSession() {
 	g.sessionOn = false
 	g.DroppedFrames += g.outstanding
-	g.outstanding = 0
 	g.sessionGen++
 	g.screenID = "menu"
 	g.H.SetAnimating("game.session", false)
 	g.H.Invalidate()
 }
 
-// JankRatio returns the fraction of dropped frames. Outstanding frames still
-// queued behind a saturated core count as dropped except the newest two,
-// which may still be inside their 33 ms deadline — so the ratio is valid
+// JankRatio returns the fraction of dropped frames. The frames still in
+// flight, at most two, are not judged yet, so the ratio is valid
 // mid-session as well as after stopSession.
 func (g *RetroRunner) JankRatio() float64 {
 	if g.TotalFrames == 0 {
 		return 0
 	}
-	stale := g.outstanding - 2
-	if stale < 0 {
-		stale = 0
-	}
-	return float64(g.DroppedFrames+stale) / float64(g.TotalFrames)
+	return float64(g.DroppedFrames) / float64(g.TotalFrames)
 }
 
 // HandleSwipe implements App.

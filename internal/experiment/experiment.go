@@ -196,8 +196,9 @@ type Options struct {
 	Configs []string
 	// OnRun, when set, receives the sweep's per-replay update stream: a
 	// "start" update just before each replay begins, then its outcome once
-	// it ends, or a "fault" update carrying the panic message and stack when
-	// the pool contained a panic. The serve layer turns the stream into
+	// it ends, or a "fault" update when it failed: the error for a replay
+	// that returned one, the panic message and stack when the pool
+	// contained a panic. The serve layer turns the stream into
 	// NDJSON and its stall watchdog's liveness signal. It is called from
 	// worker goroutines concurrently; the callback must be safe for
 	// concurrent use. A panic in a start update's callback is contained as
@@ -213,16 +214,17 @@ type RunUpdate struct {
 	// set), "config" for matrix runs and the record-only arm of a sustained
 	// sweep, "throttled" for the sustained throttled arm, "candidate" for
 	// the oracle's placement-pinned runs (Run is nil for candidates), and
-	// "fault" for a replay whose panic the pool contained (Err and Stack
-	// are set, Run is nil).
+	// "fault" for a replay that failed (Err is set, Run is nil; Stack is
+	// set when the pool contained a panic).
 	Kind   string
 	Config string // config name, or "<cluster>@<OPP label>" for candidates
 	Rep    int
 	Index  int
 	Total  int
 	Run    *Run
-	// Err and Stack describe a contained panic on Kind "fault" updates: the
-	// panic message and the worker stack captured at the recovery site.
+	// Err and Stack describe a failed replay on Kind "fault" updates: the
+	// returned error, or the panic message and the worker stack captured at
+	// the recovery site.
 	Err   string
 	Stack string
 }
@@ -340,8 +342,9 @@ type sideJob struct {
 // width), each announced by a "start" update and seeded from the master
 // seed and its job index. run replays job ji and returns the update to
 // stream through OnRun when it ends; Index and Total are filled in here. A
-// panic, in the replay or in the start update's callback, is contained into
-// a *PanicError and streamed as a "fault" update.
+// replay that returns an error streams a "fault" update with the error and
+// no stack. A panic, in the replay or in the start update's callback, is
+// contained into a *PanicError and streamed as a "fault" update too.
 // side, when set, is claimed before any replay. The sweep fails with the
 // context's error, or else with the first failed job in job order, labelled
 // by label.
@@ -366,10 +369,11 @@ func (o Options) fanOut(name string, n int, side *sideJob, label func(ji int) st
 		ji := pj - off
 		o.emit(RunUpdate{Kind: "start", Index: ji, Total: n})
 		u, err := run(ji, o.Seed^(uint64(ji+1)*0x9e3779b9), scratch)
-		if errs[ji] = err; err == nil {
-			u.Index, u.Total = ji, n
-			o.emit(u)
+		if errs[ji] = err; err != nil {
+			u = RunUpdate{Kind: "fault", Err: err.Error()}
 		}
+		u.Index, u.Total = ji, n
+		o.emit(u)
 	}, func(pj int, pe *PanicError) {
 		if pj < off {
 			side.panicked = pe

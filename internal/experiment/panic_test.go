@@ -331,3 +331,53 @@ func chaosSweepBL(t *testing.T, pool *experiment.Pool) (*experiment.MatrixResult
 	}
 	return res, string(raw), nil
 }
+
+// TestReplayErrorStreamsFault pins the end of a replay that returns an error
+// rather than panicking: its index streams its "start" update and then a
+// "fault" update carrying the error and no stack, while the other replays
+// end as usual, so an OnRun consumer sees every index end. A config naming
+// one governor for a two-cluster spec fails each of its replays in
+// Governors.
+func TestReplayErrorStreamsFault(t *testing.T) {
+	w := workload.Quickstart()
+	w.Profile.SoC = soc.BigLittle44()
+	configs := []experiment.Config{
+		{Name: "interactive", OPPIndex: -1, ArmNames: []string{"interactive", "interactive"}},
+		{Name: "one-arm", OPPIndex: -1, ArmNames: []string{"interactive"}},
+	}
+	var mu sync.Mutex
+	byIndex := map[int][]experiment.RunUpdate{}
+	_, err := experiment.RunSustained(w, configs, experiment.SustainedOptions{
+		Options: experiment.Options{Reps: 1, Seed: 3, Workers: 2, OnRun: func(u experiment.RunUpdate) {
+			mu.Lock()
+			byIndex[u.Index] = append(byIndex[u.Index], u)
+			mu.Unlock()
+		}},
+		Repeats: 1,
+		Thermal: thermal.PhoneConfig(2, 30, 5),
+	})
+	if err == nil || !strings.Contains(err.Error(), "one-arm") {
+		t.Fatalf("sweep error %v, want the failing config's replay error", err)
+	}
+	// Jobs run config-major, then arm: indices 0 and 1 are interactive's
+	// record-only and throttled replays, 2 and 3 the failing config's.
+	if len(byIndex) != 4 {
+		t.Fatalf("updates at %d indices, want 4", len(byIndex))
+	}
+	for ji, us := range byIndex {
+		if len(us) != 2 || us[0].Kind != "start" {
+			t.Fatalf("index %d streamed %+v, want a start update, then its end", ji, us)
+		}
+		end := us[1]
+		if ji < 2 {
+			if end.Kind == "fault" || end.Run == nil {
+				t.Errorf("index %d ended %+v, want a run", ji, end)
+			}
+			continue
+		}
+		if end.Kind != "fault" || end.Run != nil || end.Stack != "" || end.Total != 4 ||
+			!strings.Contains(end.Err, "names 1 governors for a 2-cluster spec") {
+			t.Errorf("index %d ended %+v, want a fault with the replay's error and no stack", ji, end)
+		}
+	}
+}

@@ -13,7 +13,10 @@
 // for the deterministic sweep order), then one terminal "summary" record —
 // or an "error" record if the sweep failed or was cancelled. DELETE
 // /jobs/{id} cancels: a queued job never starts, a running one stops
-// claiming new replays and keeps its warmed sessions for the next job.
+// claiming new replays and keeps its warmed sessions for the next job. A
+// job whose normalised spec matches a done job this process finished and
+// still retains sweeps nothing: its log is a copy of that job's (see
+// docs/serving.md, "Reuse of finished results").
 //
 // The result log is append-only and replayable: GET /jobs/{id}/results?from=N
 // skips the first N records, so a client that lost its stream resumes where
@@ -142,10 +145,10 @@ type ResultRecord struct {
 	// oracle placement-pinned replay completed; progress only, no
 	// payload), "pop" (population jobs: one scalar record per
 	// unit × config × rep run, replacing "run"/"candidate" records),
-	// "fault" (one replay panicked; the panic was contained, the
-	// session quarantined, and the job will finish "failed" with whatever
-	// completed), "summary" (terminal, sweep aggregates) or "error"
-	// (terminal, sweep failed or cancelled).
+	// "fault" (one replay failed: it returned an error, or it panicked and
+	// the panic was contained and the session quarantined; the job will
+	// finish "failed" with whatever completed), "summary" (terminal, sweep
+	// aggregates) or "error" (terminal, sweep failed or cancelled).
 	Type string `json:"type"`
 	// Index is the replay's position in the sweep's deterministic job
 	// order, set on "run", "candidate", "pop" and "fault" records (on
@@ -168,7 +171,7 @@ type ResultRecord struct {
 	// (percentile tables from the merged digests).
 	Summary    *report.MatrixSummary     `json:"summary,omitempty"`
 	Population *report.PopulationSummary `json:"population,omitempty"`
-	// Error is set for "error" and "fault" records; Stack carries the
+	// Error is set for "error" and "fault" records; Stack carries a
 	// contained panic's worker stack on "fault" records.
 	Error string `json:"error,omitempty"`
 	Stack string `json:"stack,omitempty"`
@@ -208,6 +211,10 @@ type Stats struct {
 	JobsFailed    int `json:"jobs_failed"`
 	JobsCancelled int `json:"jobs_cancelled"`
 	JobsEvicted   int `json:"jobs_evicted"`
+	// JobsReused counts jobs answered by copying the log of a retained job
+	// this process finished done under the same normalised spec, with no
+	// record, annotation or replay run.
+	JobsReused int `json:"jobs_reused"`
 	// Reliability counters: replay panics contained by the pools, warm
 	// sessions quarantined after them, jobs failed by the stall watchdog,
 	// submissions shed while no executor was healthy, and journal

@@ -112,10 +112,11 @@ func TestServePanicIsolation(t *testing.T) {
 // TestServeQuarantineHeals corrupts the warm sessions of an executor pool
 // between jobs: the next job fails on the contained Seal panic and
 // quarantines the session (visible in /statsz), and the job after that — on
-// the cold-rebooted session — reproduces the original results bit for bit.
+// the cold-rebooted session — reproduces the direct sweep bit for bit. Both
+// sweep a seed the warm-up did not, so neither copies the warm-up's log.
 func TestServeQuarantineHeals(t *testing.T) {
 	srv, client, _ := newTestServer(t, Options{Executors: 1, Workers: 1, QueueDepth: 4})
-	recsBefore, final, err := client.RunJob(context.Background(), chaosJob)
+	_, final, err := client.RunJob(context.Background(), chaosJob)
 	if err != nil || final.State != StateDone {
 		t.Fatalf("warmup job: %v / %+v", err, final)
 	}
@@ -133,7 +134,9 @@ func TestServeQuarantineHeals(t *testing.T) {
 		t.Fatal("no warm sessions to corrupt")
 	}
 
-	_, _, err = client.RunJob(context.Background(), chaosJob)
+	fresh := chaosJob
+	fresh.Seed = 98
+	_, _, err = client.RunJob(context.Background(), fresh)
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("job on a corrupted session returned %v, want a contained panic failure", err)
 	}
@@ -146,13 +149,75 @@ func TestServeQuarantineHeals(t *testing.T) {
 			stats.SessionQuarantines, stats.RunPanics)
 	}
 
-	recsAfter, final, err := client.RunJob(context.Background(), chaosJob)
+	recsAfter, final, err := client.RunJob(context.Background(), fresh)
 	if err != nil || final.State != StateDone {
 		t.Fatalf("job after quarantine: %v / %+v", err, final)
 	}
-	if mustJSON(t, recsAfter) != mustJSON(t, recsBefore) {
-		t.Errorf("rebooted session diverged:\nbefore %s\nafter  %s",
-			mustJSON(t, recsBefore), mustJSON(t, recsAfter))
+	wantRuns, wantSummary, order := directRunsAndSummary(t, 1, fresh.Seed)
+	assertRecordsMatchDirect(t, recsAfter, wantRuns, wantSummary, order)
+}
+
+// TestServedReplayErrorLandsFault serves a job whose replays return an
+// error instead of panicking: each lands in the log as a "fault" record
+// carrying the error, with no stack, ahead of the job's "error" terminal
+// record, and nothing is quarantined. Between jobs the warm session's clock
+// ladder is slowed a thousandfold, so its replays run to the end of the
+// window without completing a lag and the matcher fails them.
+func TestServedReplayErrorLandsFault(t *testing.T) {
+	srv, client, _ := newTestServer(t, Options{Executors: 1, Workers: 1})
+	ctx := context.Background()
+	if _, final, err := client.RunJob(ctx, chaosJob); err != nil || final.State != StateDone {
+		t.Fatalf("warm-up job: %v / %+v", err, final)
+	}
+	slowed := 0
+	for _, e := range srv.execs {
+		e.pool.EachRegistry(func(r *workload.SessionRegistry) {
+			r.Each(func(_ string, s *workload.ReplaySession) {
+				tbl := s.Dev.SoC.Cluster(0).Table()
+				for i := range tbl {
+					tbl[i].KHz /= 1000
+				}
+				slowed++
+			})
+		})
+	}
+	if slowed == 0 {
+		t.Fatal("no warm sessions to slow")
+	}
+
+	fresh := chaosJob
+	fresh.Seed = 97
+	st, err := client.Submit(ctx, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []ResultRecord
+	if err := client.StreamResults(ctx, st.ID, func(rec ResultRecord) error {
+		recs = append(recs, rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(smallMatrix)+1 {
+		t.Fatalf("log holds %d records, want a fault per replay and the terminal record: %+v", len(recs), recs)
+	}
+	seen := map[int]bool{}
+	for _, rec := range recs[:len(smallMatrix)] {
+		if rec.Type != "fault" || rec.Index == nil || rec.Stack != "" || !strings.Contains(rec.Error, "ending image not found") {
+			t.Fatalf("record %+v, want a fault with the matcher's error and no stack", rec)
+		}
+		seen[*rec.Index] = true
+	}
+	if len(seen) != len(smallMatrix) {
+		t.Errorf("faults cover indices %v, want each of %d replays once", seen, len(smallMatrix))
+	}
+	if last := recs[len(recs)-1]; last.Type != "error" || !strings.Contains(last.Error, "ending image not found") {
+		t.Errorf("terminal record %+v, want the sweep's error", last)
+	}
+	stats := srv.Stats()
+	if stats.JobsFailed != 1 || stats.RunPanics != 0 || stats.SessionQuarantines != 0 {
+		t.Errorf("statsz failed=%d panics=%d quarantines=%d, want 1, 0 and 0",
+			stats.JobsFailed, stats.RunPanics, stats.SessionQuarantines)
 	}
 }
 

@@ -15,9 +15,12 @@ import (
 )
 
 // HarnessOptions configures the load harness: N concurrent clients submit
-// the same job spec against a time budget, each streaming its job's results
-// to completion before submitting the next — the ReqBench task-loop shape,
-// with the server's 429 backpressure handled as retry, not failure.
+// jobs from one template against a time budget, each streaming its job's
+// results to completion before submitting the next — the ReqBench
+// task-loop shape, with the server's 429 backpressure handled as retry, not
+// failure. Submission n (from 1) sweeps the template's seed + n − 1, so no
+// two submissions share a spec and every job records, annotates and
+// replays rather than copying a finished job's log.
 type HarnessOptions struct {
 	// BaseURL is the target server root.
 	BaseURL string
@@ -26,7 +29,8 @@ type HarnessOptions struct {
 	// Budget is the submission window: no new job starts after it
 	// elapses, in-flight jobs run to completion (0 → 10s).
 	Budget time.Duration
-	// Job is the job template every client submits.
+	// Job is the job template every client submits; its seed (0 → 1) is
+	// the first submission's.
 	Job JobSpec
 	// Jobs, when non-empty, is a mix of job templates the harness cycles
 	// through round-robin across all submissions (overrides Job) — the
@@ -269,6 +273,10 @@ func RunHarness(ctx context.Context, opts HarnessOptions) (*HarnessReport, error
 			for time.Now().Before(deadline) && ctx.Err() == nil {
 				seq := submitSeq.Add(1)
 				spec := mix[int(seq-1)%len(mix)]
+				if spec.Seed == 0 {
+					spec.Seed = 1
+				}
+				spec.Seed += uint64(seq - 1)
 
 				if opts.Chaos.CancelEvery > 0 && seq%int64(opts.Chaos.CancelEvery) == 0 {
 					err := runCancelledJob(ctx, client, spec)

@@ -52,7 +52,7 @@ func TestPercentile(t *testing.T) {
 // and zero errors.
 func TestHarnessSmoke(t *testing.T) {
 	checkLeaks := baselineGoroutines(t)
-	_, client, teardown := newTestServer(t, Options{Executors: 2, Workers: 2, QueueDepth: 8})
+	srv, client, teardown := newTestServer(t, Options{Executors: 2, Workers: 2, QueueDepth: 8})
 
 	rep, err := RunHarness(context.Background(), HarnessOptions{
 		Clients:    4,
@@ -90,6 +90,11 @@ func TestHarnessSmoke(t *testing.T) {
 	// One spec in the mix → no per-spec breakdown.
 	if rep.JobsBySpec != nil {
 		t.Errorf("single-spec run grew a per-spec breakdown: %v", rep.JobsBySpec)
+	}
+	// Each submission sweeps its own seed, so the throughput above is
+	// record, annotate and replay, never a copied log.
+	if n := srv.Stats().JobsReused; n != 0 {
+		t.Errorf("harness load reused %d jobs, want 0", n)
 	}
 	teardown()
 	checkLeaks()

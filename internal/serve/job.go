@@ -25,6 +25,7 @@ type job struct {
 	id   string
 	seq  int // submission order, drives the newest-first listing
 	spec JobSpec
+	key  string // reuseKey(spec)
 
 	// progress is the unix-nano timestamp of the job's last sign of life
 	// (job start, replay update, record append). The stall watchdog
@@ -52,6 +53,7 @@ func newJob(id string, seq int, spec JobSpec, now time.Time) *job {
 		id:      id,
 		seq:     seq,
 		spec:    spec,
+		key:     reuseKey(spec),
 		state:   StateQueued,
 		created: now,
 		notify:  make(chan struct{}),
@@ -111,10 +113,34 @@ func (j *job) append(rec ResultRecord) bool {
 	if Terminal(j.state) || rec.Index != nil && j.durable[*rec.Index] {
 		return false
 	}
-	j.records = append(j.records, raw)
-	j.jf.Append(raw)
-	j.wake()
+	j.land(raw)
 	return true
+}
+
+// land appends marshalled records to the result log and, in one write and
+// one sync, to the journal, then wakes streamers. Callers hold j.mu.
+func (j *job) land(raws ...json.RawMessage) {
+	j.records = append(j.records, raws...)
+	j.jf.Append(raws...)
+	j.wake()
+}
+
+// copyLog lands src's records, all but its terminal summary, as j's own in
+// one append, takes src's replay count, and returns the summary for finish
+// to land as j's terminal record. src is a done job, so its log is final.
+// A job that turned terminal meanwhile keeps its log as it is.
+func (j *job) copyLog(src *job) json.RawMessage {
+	src.mu.Lock()
+	recs, total := src.records, src.totalRuns
+	src.mu.Unlock()
+	last := len(recs) - 1
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if !Terminal(j.state) {
+		j.totalRuns = total
+		j.land(recs[:last]...)
+	}
+	return recs[last]
 }
 
 // start transitions queued → running. It returns false when the job was
@@ -142,21 +168,18 @@ func (j *job) setTotalRuns(n int) {
 	j.mu.Unlock()
 }
 
-// finish moves the job to a terminal state, appends the terminal record (if
-// any), spools the terminal state to the journal, runs settle (if non-nil)
-// and only then releases everything waiting on the job. settle runs under
-// j.mu, so whatever it does happens before any reader can observe the
-// terminal state or record. Last, once the lock is released, finish cancels
+// finish moves the job to a terminal state, appends the marshalled terminal
+// record (if any), spools it and the terminal state line to the journal in
+// one write, runs settle (if non-nil) and only then releases everything
+// waiting on the job. settle runs under j.mu, so whatever it does happens
+// before any reader can observe the terminal state or record. Last, once
+// the lock is released, finish cancels
 // the job's context if it has one, which stops a sweep still running
 // whichever way the job ended: a stall verdict, or a cancel that found the
 // job queued and lost the race to the executor's start. finish is
 // idempotent: only the first call wins, so a cancel racing a natural
 // completion cannot double-close done.
-func (j *job) finish(state, errMsg string, rec *ResultRecord, now time.Time, settle func()) bool {
-	var raw json.RawMessage
-	if rec != nil {
-		raw, _ = json.Marshal(*rec)
-	}
+func (j *job) finish(state, errMsg string, term json.RawMessage, now time.Time, settle func()) bool {
 	j.mu.Lock()
 	if Terminal(j.state) {
 		j.mu.Unlock()
@@ -165,13 +188,16 @@ func (j *job) finish(state, errMsg string, rec *ResultRecord, now time.Time, set
 	j.state = state
 	j.errMsg = errMsg
 	j.finished = now
-	if raw != nil {
-		j.records = append(j.records, raw)
-		j.jf.Append(raw)
+	if term != nil {
+		j.records = append(j.records, term)
 	}
 	if j.jf != nil {
 		st, _ := json.Marshal(journalState{Type: "state", State: state, Error: errMsg, FinishedMS: now.UnixMilli()})
-		j.jf.Append(st)
+		if term != nil {
+			j.jf.Append(term, st)
+		} else {
+			j.jf.Append(st)
+		}
 		j.jf.Close()
 	}
 	if settle != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -17,7 +18,7 @@ func TestFollowSpliceDeterministic(t *testing.T) {
 	for i := 0; i < n; i++ {
 		j.append(ResultRecord{Type: "candidate", Candidate: fmt.Sprintf("c%d", i), Rep: i})
 	}
-	j.finish(StateDone, "", &ResultRecord{Type: "summary"}, time.Now(), nil)
+	j.finish(StateDone, "", json.RawMessage(`{"type":"summary"}`), time.Now(), nil)
 
 	whole, terminal, _ := j.follow(0)
 	if !terminal {
@@ -65,10 +66,10 @@ func TestFollowSpliceDeterministic(t *testing.T) {
 func TestFinishIdempotent(t *testing.T) {
 	j := newJob("job-1", 1, JobSpec{}, time.Now())
 	j.start(func() {}, 0, time.Now())
-	if !j.finish(StateDone, "", &ResultRecord{Type: "summary"}, time.Now(), nil) {
+	if !j.finish(StateDone, "", json.RawMessage(`{"type":"summary"}`), time.Now(), nil) {
 		t.Fatal("first finish refused")
 	}
-	if j.finish(StateCancelled, "late cancel", &ResultRecord{Type: "error", Error: "late"}, time.Now(), nil) {
+	if j.finish(StateCancelled, "late cancel", json.RawMessage(`{"type":"error","error":"late"}`), time.Now(), nil) {
 		t.Fatal("second finish won")
 	}
 	if st := j.status(); st.State != StateDone || st.Error != "" {
@@ -118,7 +119,7 @@ func TestRequestCancelSemantics(t *testing.T) {
 func TestFinishSettlesBeforeRelease(t *testing.T) {
 	j := newJob("job-1", 1, JobSpec{}, time.Now())
 	settled := false
-	j.finish(StateDone, "", &ResultRecord{Type: "summary"}, time.Now(), func() {
+	j.finish(StateDone, "", json.RawMessage(`{"type":"summary"}`), time.Now(), func() {
 		settled = true
 		select {
 		case <-j.done:

@@ -126,10 +126,10 @@ func frame(payload []byte) []byte {
 	return append(line, '\n')
 }
 
-// Append spools one JSON payload as a framed, synced line. No-op while the
-// journal is frozen or after a previous write error.
-func (jf *jobFile) Append(payload []byte) error {
-	if jf == nil || jf.jn.frozen.Load() {
+// Append spools JSON payloads as framed lines in one write and one sync.
+// No-op while the journal is frozen or after a previous write error.
+func (jf *jobFile) Append(payloads ...json.RawMessage) error {
+	if jf == nil || len(payloads) == 0 || jf.jn.frozen.Load() {
 		return nil
 	}
 	jf.mu.Lock()
@@ -137,15 +137,19 @@ func (jf *jobFile) Append(payload []byte) error {
 	if jf.err != nil {
 		return jf.err
 	}
-	line := frame(payload)
-	if jf.jn.testHookWrite != nil {
-		line = jf.jn.testHookWrite(line)
+	var buf []byte
+	for _, p := range payloads {
+		line := frame(p)
+		if jf.jn.testHookWrite != nil {
+			line = jf.jn.testHookWrite(line)
+		}
+		buf = append(buf, line...)
 	}
-	if _, err := jf.f.Write(line); err != nil {
+	if _, err := jf.f.Write(buf); err != nil {
 		jf.err = err
 		return err
 	}
-	// Sync per record: a record a client saw on the stream must survive the
+	// Sync per append: a record a client saw on the stream must survive the
 	// process. Sweep replays dwarf the fsync, so this is cheap where it
 	// matters and off (journal disabled) where it would not be.
 	if err := jf.f.Sync(); err != nil {

@@ -95,6 +95,11 @@ type Server struct {
 	jobs    map[string]*job
 	retired []*job // terminal jobs in finish order; evicted from the front
 	nextID  int
+	// sources maps a normalised spec (reuseKey) to the latest retained job
+	// this process finished done under it; a later job with that spec
+	// copies its log instead of sweeping. Eviction clears the entry, so
+	// RetainJobs bounds the map.
+	sources map[string]*job
 
 	execs   []*executor
 	journal *Journal
@@ -123,6 +128,7 @@ type Server struct {
 	jobsShed      atomic.Int64
 	jobsRecovered atomic.Int64
 	jobsRequeued  atomic.Int64
+	jobsReused    atomic.Int64
 }
 
 // New builds a server, replays its journal (when configured) and starts its
@@ -132,9 +138,10 @@ type Server struct {
 func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts: opts,
-		mux:  http.NewServeMux(),
-		jobs: make(map[string]*job),
+		opts:    opts,
+		mux:     http.NewServeMux(),
+		jobs:    make(map[string]*job),
+		sources: make(map[string]*job),
 	}
 	s.baseCtx, s.cancelAll = context.WithCancel(context.Background())
 
@@ -157,7 +164,7 @@ func New(opts Options) (*Server, error) {
 			s.jobs[j.id] = j
 			if Terminal(j.state) {
 				s.jobsRecovered.Add(1)
-				s.retire(j)
+				s.retire(j, false)
 				continue
 			}
 			jf, err := jn.Reopen(j.id)
@@ -291,6 +298,31 @@ func validateSpec(spec JobSpec) error {
 	return nil
 }
 
+// reuseKey is a spec's normalised form: two jobs with the same key sweep
+// the same inputs to the same results. It fills in the defaults runJob and
+// the sweeps apply (seed 1, one rep, Dragonboard, the zero population
+// model) and drops what cannot change a result: the deadline, and the
+// thermal trip of a matrix job.
+func reuseKey(spec JobSpec) string {
+	if spec.Seed == 0 {
+		spec.Seed = 1
+	}
+	if spec.Reps <= 0 {
+		spec.Reps = 1
+	}
+	if spec.SoC == "" {
+		spec.SoC = "dragonboard"
+	}
+	if spec.Units == 0 {
+		spec.ThermalTripC = 0
+	} else if spec.Population == nil {
+		spec.Population = &population.Model{}
+	}
+	spec.TimeoutMS = 0
+	raw, _ := json.Marshal(spec)
+	return string(raw)
+}
+
 // executorLoop consumes jobs off the queue until the server closes.
 func (s *Server) executorLoop(e *executor) {
 	defer s.wg.Done()
@@ -349,18 +381,20 @@ func (s *Server) execute(j *job, e *executor) {
 }
 
 // finish is the one way a server job becomes terminal. The terminal record
-// is term, or an error record carrying msg when term is nil. Inside
-// job.finish, before the terminal state, record or done channel can be
-// observed and before the job's sweep is cancelled, it counts the job under
-// its final state, runs each of also and retires it, so a client that has
-// read the terminal record never sees stale /statsz counters or a registry
-// above RetainJobs. It reports whether this call made the transition.
+// is the marshalled term, or an error record carrying msg when term is nil.
+// Inside job.finish, before the terminal state, record or done channel can
+// be observed and before the job's sweep is cancelled, it counts the job
+// under its final state, runs each of also and retires it, so a client that
+// has read the terminal record never sees stale /statsz counters or a
+// registry above RetainJobs. It reports whether this call made the
+// transition. A job finished done becomes its spec's reuse source, unless
+// it resumed a journal's log, which may hold records of another binary.
 //
 // Lock order: j.mu, then s.mu (taken by retire). No path takes j.mu while
 // holding s.mu; handleList snapshots statuses after releasing it.
-func (s *Server) finish(j *job, state, msg string, term *ResultRecord, now time.Time, also ...func()) bool {
+func (s *Server) finish(j *job, state, msg string, term json.RawMessage, now time.Time, also ...func()) bool {
 	if term == nil {
-		term = &ResultRecord{Type: "error", Error: msg}
+		term, _ = json.Marshal(ResultRecord{Type: "error", Error: msg})
 	}
 	return j.finish(state, msg, term, now, func() {
 		switch state {
@@ -374,21 +408,29 @@ func (s *Server) finish(j *job, state, msg string, term *ResultRecord, now time.
 		for _, fn := range also {
 			fn()
 		}
-		s.retire(j)
+		s.retire(j, state == StateDone && j.durable == nil)
 	})
 }
 
 // runJob executes the job's sweep on the given pool and returns its
-// terminal summary record: matrix aggregates, or population percentiles for
-// a job with Units. Every update of the sweep's stream is a sign of life
-// for the stall watchdog. A matrix job streams a "run" or "candidate"
-// record per replay as workers complete them. A population job streams no
-// per-replay records, which at population volumes would swamp the log:
-// every config run lands as one scalar "pop" record instead, in
-// deterministic global order. Both stream "fault" records, so contained
-// panics stay diagnosable, and every record carries its sweep index, the
-// journal's resume key.
-func (s *Server) runJob(ctx context.Context, j *job, pool *experiment.Pool) (*ResultRecord, error) {
+// marshalled terminal summary record: matrix aggregates, or population
+// percentiles for a job with Units. A job that has a source copies that
+// job's log instead and sweeps nothing. Every update of the sweep's stream
+// is a sign of life for the stall watchdog. A matrix job streams a "run" or
+// "candidate" record per replay as workers complete them. A population job
+// streams no per-replay records, which at population volumes would swamp
+// the log: every config run lands as one scalar "pop" record instead, in
+// deterministic global order. Both stream "fault" records, so failed
+// replays and contained panics stay diagnosable, and every record carries
+// its sweep index, the journal's resume key.
+func (s *Server) runJob(ctx context.Context, j *job, pool *experiment.Pool) (json.RawMessage, error) {
+	if src := s.source(j); src != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		s.jobsReused.Add(1)
+		return j.copyLog(src), nil
+	}
 	w := workload.ByName(j.spec.Workload)
 	if w == nil {
 		return nil, fmt.Errorf("unknown workload %q", j.spec.Workload)
@@ -443,7 +485,7 @@ func (s *Server) runJob(ctx context.Context, j *job, pool *experiment.Pool) (*Re
 			return nil, err
 		}
 		sum := report.NewMatrixSummary(res)
-		return &ResultRecord{Type: "summary", Summary: &sum}, nil
+		return json.Marshal(ResultRecord{Type: "summary", Summary: &sum})
 	}
 
 	var model population.Model
@@ -471,7 +513,20 @@ func (s *Server) runJob(ctx context.Context, j *job, pool *experiment.Pool) (*Re
 		return nil, err
 	}
 	sum := report.NewPopulationSummary(res)
-	return &ResultRecord{Type: "summary", Population: &sum}, nil
+	return json.Marshal(ResultRecord{Type: "summary", Population: &sum})
+}
+
+// source returns the job whose log answers j: the latest retained job this
+// process finished done under j's normalised spec, or nil. A duplicate of a
+// job still running has none yet, and a resumed job never uses one: it
+// sweeps to complete the log it already holds.
+func (s *Server) source(j *job) *job {
+	if j.durable != nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sources[j.key]
 }
 
 // watchdog periodically checks every executing job for liveness and fails
@@ -538,14 +593,18 @@ func (s *Server) lookup(id string) *job {
 	return s.jobs[id]
 }
 
-// retire counts a freshly-terminal job into the retention ring and evicts
-// the oldest-finished jobs beyond the cap. It runs once per job: from
-// inside the job's one winning terminal transition (finish), or from New
-// for a job the journal recovered as terminal.
-func (s *Server) retire(j *job) {
+// retire counts a freshly-terminal job into the retention ring, makes it
+// its spec's reuse source when source is set, and evicts the
+// oldest-finished jobs beyond the cap. It runs once per job: from inside
+// the job's one winning terminal transition (finish), or from New for a job
+// the journal recovered as terminal.
+func (s *Server) retire(j *job, source bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.retired = append(s.retired, j)
+	if source {
+		s.sources[j.key] = j
+	}
 	for len(s.retired) > s.opts.RetainJobs {
 		old := s.retired[0]
 		// Shift instead of re-slicing so evicted jobs do not pin the
@@ -553,6 +612,9 @@ func (s *Server) retire(j *job) {
 		copy(s.retired, s.retired[1:])
 		s.retired = s.retired[:len(s.retired)-1]
 		delete(s.jobs, old.id)
+		if s.sources[old.key] == old {
+			delete(s.sources, old.key)
+		}
 		if s.journal != nil {
 			s.journal.Remove(old.id)
 		}
@@ -725,8 +787,14 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	for {
 		recs, terminal, wait := j.follow(sent)
 		for _, raw := range recs {
-			if _, err := w.Write(append(raw, '\n')); err != nil {
+			// Two writes, never append(raw, '\n'): a record's bytes are
+			// shared with every reader of its log and of the logs copied
+			// from it.
+			if _, err := w.Write(raw); err != nil {
 				return // client went away
+			}
+			if _, err := w.Write(newline); err != nil {
+				return
 			}
 			sent++
 		}
@@ -743,6 +811,8 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 }
+
+var newline = []byte{'\n'}
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	healthy := s.healthyExecutors()
@@ -788,6 +858,7 @@ func (s *Server) Stats() Stats {
 		JobsShed:         int(s.jobsShed.Load()),
 		JobsRecovered:    int(s.jobsRecovered.Load()),
 		JobsRequeued:     int(s.jobsRequeued.Load()),
+		JobsReused:       int(s.jobsReused.Load()),
 	}
 	for _, e := range s.execs {
 		st.InFlightRuns += e.pool.InFlightRuns()

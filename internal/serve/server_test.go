@@ -120,8 +120,11 @@ func TestQueueOverflowReturns429(t *testing.T) {
 	close(gate)
 	waitState(t, client, first.ID, StateDone)
 
-	// Not wedged: a fresh job completes end to end.
-	_, final, err := client.RunJob(ctx, spec)
+	// Not wedged: a fresh job completes end to end. A new seed keeps it
+	// off the finished jobs' logs, so it runs on the pool.
+	fresh := spec
+	fresh.Seed = 2
+	_, final, err := client.RunJob(ctx, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
