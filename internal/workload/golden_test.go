@@ -339,3 +339,60 @@ func TestQuietTickGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestLegacyBenchGolden pins the play/pause path of the music decoder.
+// legacybench is the one built-in workload that starts playback and pauses
+// it again: it taps play in the music player, listens for a minute and taps
+// pause. The row records once and replays through one ReplaySession under
+// ondemand and the lowest and highest fixed OPP at seeds 1 and 2; its hash
+// covers every frequency transition, the busy curve, the per-OPP busy
+// histogram and the ground truth of each replay. A decoder that misses a
+// play tap, or decodes on after a pause, moves the decode load and so every
+// one of those traces.
+//
+// The constants were captured while the paused decoder still ran every
+// tick live. A speed-only change must keep them; do not regenerate them
+// for one.
+func TestLegacyBenchGolden(t *testing.T) {
+	const golden, lags = "1e944b25b023360a", 204
+	w := LegacyBench()
+	rec, _, err := w.Record(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := w.Profile.SoCSpec().Clusters[0].Table
+	configs := []struct {
+		name string
+		mk   func() governor.Governor
+	}{
+		{"ondemand", func() governor.Governor { return governor.NewOndemand() }},
+		{"lowest-opp", func() governor.Governor { return governor.NewFixed(tbl, 0) }},
+		{"highest-opp", func() governor.Governor { return governor.NewFixed(tbl, len(tbl)-1) }},
+	}
+	sess := NewReplaySession(w, rec)
+	h := sha256.New()
+	truths := 0
+	for _, cfg := range configs {
+		for _, seed := range []uint64{1, 2} {
+			art := sess.Replay([]governor.Governor{cfg.mk()}, cfg.name, seed, false)
+			fmt.Fprintf(h, "%s/%d:", cfg.name, seed)
+			for _, p := range art.FreqTrace.Points {
+				fmt.Fprintf(h, "%d:%d;", p.At, p.OPPIndex)
+			}
+			for _, c := range art.BusyCurve.Cum {
+				fmt.Fprintf(h, "%d.", c)
+			}
+			for _, d := range art.BusyByOPP {
+				fmt.Fprintf(h, "%d,", d)
+			}
+			for _, gt := range art.Truths {
+				fmt.Fprintf(h, "%d|%s|%d|%d|%d|%d|%t|%t|%d;", gt.Index, gt.Label, gt.Class, gt.Kind,
+					gt.InputTime, gt.DispatchTime, gt.Spurious, gt.Complete, gt.CompleteTime)
+			}
+			truths += len(art.Truths)
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != golden || truths != lags {
+		t.Errorf("legacybench trace hash = %s over %d ground truths, want %s over %d", got, truths, golden, lags)
+	}
+}
