@@ -27,6 +27,15 @@ type Host interface {
 	Rand() *sim.Rand
 	// After schedules fn after d of virtual time (timers, service loops).
 	After(d sim.Duration, fn func())
+	// AfterQuiet schedules fn after d like After, but quiet
+	// (sim.Engine.Quiet): the engine passes it every d without running it
+	// until Wake. A loop arms its next tick this way only while that tick
+	// would do nothing but re-arm itself d later with AfterQuiet, and it
+	// must Wake the tick before anything the tick reads changes.
+	AfterQuiet(d sim.Duration, fn func()) sim.EventID
+	// Wake makes a tick armed by AfterQuiet live again at the next instant
+	// of its period's grid. A stale ID is ignored.
+	Wake(id sim.EventID)
 	// SpawnWork schedules a CPU burst; onDone fires when it completes.
 	// Wall-clock duration depends on the governor's frequency choices.
 	SpawnWork(name string, cycles int64, onDone func())

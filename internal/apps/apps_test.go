@@ -22,6 +22,8 @@ type fakeHost struct {
 	anims        map[string]bool
 	launched     string
 	deferredWork int
+	quietTimers  int           // timers armed by AfterQuiet
+	woken        []sim.EventID // IDs passed to Wake
 	queueWork    bool
 	queued       []func()
 	// renderT is the test rendering through render, nil outside a Render.
@@ -46,6 +48,15 @@ func (h *fakeHost) After(d sim.Duration, fn func()) {
 	// Timers are dropped: services are not under test here.
 	h.deferredWork++
 }
+
+// AfterQuiet drops the timer like After and returns an ID that Wake
+// records.
+func (h *fakeHost) AfterQuiet(d sim.Duration, fn func()) sim.EventID {
+	h.deferredWork++
+	h.quietTimers++
+	return sim.EventID(h.quietTimers)
+}
+func (h *fakeHost) Wake(id sim.EventID) { h.woken = append(h.woken, id) }
 func (h *fakeHost) SpawnWork(name string, cycles int64, onDone func()) {
 	h.complete(sim.Duration(cycles/1000), onDone) // pretend 1 GHz
 }
@@ -423,6 +434,24 @@ func TestMusicServiceToggle(t *testing.T) {
 	}
 	if h.deferredWork == 0 {
 		t.Fatal("service scheduled no timer")
+	}
+	if h.quietTimers != 0 {
+		t.Fatal("a playing decoder armed its tick quietly")
+	}
+
+	// A paused decoder arms its tick quietly, and playback wakes that tick
+	// once, before it starts.
+	svc = NewMusicService(false)
+	h = newFakeHost()
+	svc.Start(h)
+	if h.quietTimers != 1 {
+		t.Fatalf("a paused decoder armed %d quiet ticks, want 1", h.quietTimers)
+	}
+	svc.SetPlaying(false)
+	svc.SetPlaying(true)
+	svc.SetPlaying(true)
+	if len(h.woken) != 1 || h.woken[0] != 1 || !svc.Playing() {
+		t.Fatalf("play woke %v (playing %t), want the quiet tick 1 once", h.woken, svc.Playing())
 	}
 }
 

@@ -19,6 +19,7 @@ var notRunState = map[string]bool{
 	"Gmail.kbd":           true,
 	"MusicPlayer.Service": true, // the bound decoder; reset by its own Start
 	"MusicService.tick":   true, // the loop body Start binds once
+	"MusicService.quiet":  true, // the quiet tick's engine ID; Start re-arms it on the rewound engine
 }
 
 // requireFresh fails unless every field of *got, embedded structs included,

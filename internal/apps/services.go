@@ -17,7 +17,8 @@ type MusicService struct {
 
 	h       Host
 	playing bool
-	tick    func() // one pre-bound loop body; rescheduling never allocates
+	tick    func()      // one pre-bound loop body; rescheduling never allocates
+	quiet   sim.EventID // the next tick while it is armed quietly, else 0
 }
 
 // NewMusicService returns a decoder service: 12 M cycles every 250 ms
@@ -38,14 +39,33 @@ func (s *MusicService) Start(h Host) {
 			if s.playing {
 				s.h.SpawnWork("music.decode", s.ChunkCycles, nil)
 			}
-			s.h.After(s.Period, s.tick)
+			s.arm()
 		}
 	}
-	s.h.After(s.Period, s.tick)
+	s.arm()
+}
+
+// arm queues the next tick one period on. A tick reads only playing, so
+// while playback is off it would do nothing but re-arm itself: it is armed
+// quietly (Host.AfterQuiet), and SetPlaying wakes it before playback
+// starts.
+func (s *MusicService) arm() {
+	if s.playing {
+		s.quiet = 0
+		s.h.After(s.Period, s.tick)
+		return
+	}
+	s.quiet = s.h.AfterQuiet(s.Period, s.tick)
 }
 
 // SetPlaying toggles decoding.
-func (s *MusicService) SetPlaying(on bool) { s.playing = on }
+func (s *MusicService) SetPlaying(on bool) {
+	if on && s.quiet != 0 {
+		s.h.Wake(s.quiet)
+		s.quiet = 0
+	}
+	s.playing = on
+}
 
 // Playing reports the playback state.
 func (s *MusicService) Playing() bool { return s.playing }

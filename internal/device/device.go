@@ -755,6 +755,17 @@ func (d *Device) After(dur sim.Duration, fn func()) {
 	d.Eng.AfterFunc(dur, fn)
 }
 
+// AfterQuiet implements apps.Host: fn goes to the engine as After's does
+// and is marked quiet with period dur.
+func (d *Device) AfterQuiet(dur sim.Duration, fn func()) sim.EventID {
+	id := d.Eng.AfterFunc(dur, fn)
+	d.Eng.Quiet(id, dur)
+	return id
+}
+
+// Wake implements apps.Host.
+func (d *Device) Wake(id sim.EventID) { d.Eng.Wake(id) }
+
 // SpawnWork implements apps.Host, applying the per-repetition work jitter.
 // Fire-and-forget bursts (nil onDone — every animation frame, every
 // background service tick) submit without a completion wrapper. It is the

@@ -35,9 +35,12 @@ func TestForkRestoreAllocFree(t *testing.T) {
 		name   string
 		prof   device.Profile
 		window sim.Duration
+		passed uint64 // quiet events passed per fork
 	}{
-		{"default", device.DefaultProfile(), 3 * sim.Second},
-		{"every-service", everyService, 6 * sim.Second},
+		// Under a fixed governor and with no thermal zones, only the paused
+		// music decoder is quiet: 12 ticks in 3 s.
+		{"default", device.DefaultProfile(), 3 * sim.Second, 12},
+		{"every-service", everyService, 6 * sim.Second, 0},
 	} {
 		eng := sim.NewEngine()
 		d := device.Boot(eng, tc.prof)
@@ -59,6 +62,9 @@ func TestForkRestoreAllocFree(t *testing.T) {
 		fork()
 		if avg := testing.AllocsPerRun(10, fork); avg != 0 {
 			t.Errorf("%s: steady-state fork allocates %.1f times per run, want 0", tc.name, avg)
+		}
+		if _, passed := eng.Counts(); passed != tc.passed {
+			t.Errorf("%s: a fork passed %d quiet events, want %d", tc.name, passed, tc.passed)
 		}
 	}
 }

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -15,12 +18,12 @@ type EventID int64
 // event is one pooled event slot. Slots live in Engine.slots and are
 // recycled through a free list; fn is cleared on release so the pool never
 // pins dead closures for the GC. A slot is scheduled exactly while one
-// queue entry names it.
+// queue entry or one quiet entry names it.
 type event struct {
-	fn    func()   // the callback; nil while the slot is free
-	quiet Duration // period of a quiet event (see Quiet); 0 when live
-	gen   uint32   // generation, bumped on every release
-	next  int32    // free-list link, valid while the slot is free
+	fn    func() // the callback; nil while the slot is free
+	gen   uint32 // generation, bumped on every release
+	next  int32  // free-list link, valid while the slot is free
+	quiet bool   // an entry of Engine.quiet names the slot (see Quiet)
 }
 
 // queueEnt is one entry of the event queue. The timestamp and FIFO sequence
@@ -31,6 +34,30 @@ type queueEnt struct {
 	seq  uint64 // tie-breaker: FIFO among events with equal timestamps
 	slot int32
 }
+
+// quietEnt is a quiet event's entry: where it is due and its period. from
+// and n describe the bulk pass that moved it last: the instant it was due
+// at before that pass and the number of passes it took.
+type quietEnt struct {
+	queueEnt
+	period Duration
+	from   Time
+	n      int64
+}
+
+// lastAt returns the instant at which e's last pass in its bulk pass was
+// queued: its instant before the pass if it was passed once, else one
+// period before where it landed.
+func (e *quietEnt) lastAt() Time {
+	if e.n == 1 {
+		return e.from
+	}
+	return e.at - Time(e.period)
+}
+
+// never is the instant no event reaches: Engine.quietAt while nothing is
+// quiet.
+const never = Time(math.MaxInt64)
 
 // tailScan is how many entries push compares from the tail before it
 // bisects the rest of the queue. In a replay a new event lands within one or
@@ -48,43 +75,58 @@ const tailScan = 8
 // usually among the next few due, so push compares up to tailScan entries
 // from the tail, bisects past that, and moves the entries due before the new
 // one up a place with one copy. Cancel removes its entry at once, scanning
-// from the tail, where a re-armed cluster event sits. Events live in a slot pool recycled
-// through a free list. In steady state AtFunc, AfterFunc, Cancel, Quiet,
-// Wake and event dispatch perform zero heap allocations.
+// from the tail, where a re-armed cluster event sits. Events live in a slot
+// pool recycled through a free list. In steady state AtFunc, AfterFunc,
+// Cancel, Quiet, Wake, a bulk pass and event dispatch perform zero heap
+// allocations.
 //
-// A pending event can be marked quiet (Quiet): when it comes due the engine
-// advances the clock to it and queues it again one period later, on the same
-// slot and under the next sequence number, without running its callback —
-// exactly what a callback whose only act is AfterFunc(period, fn) does to the
-// engine. The exactness rule: an event may be quiet only while running it
-// would re-arm it with the same period and change no other state. Its owner
-// must Wake it before anything that callback reads changes; waking is always
-// safe, because a live callback that changes nothing equals a passed one. A
-// periodic sampler that goes quiet this way keeps its queue position against
-// every other event. It must never be dropped and re-armed on wake instead:
-// the re-armed event would take a later sequence number than events already
-// queued for its instant.
+// A pending event can be marked quiet (Quiet). Its callback never runs: each
+// time it comes due the engine passes it, queuing it again one period later
+// under the next sequence number, on the same slot — exactly what a callback
+// whose only act is AfterFunc(period, fn) does to the engine. The exactness
+// rule: an event may be quiet only while running it would re-arm it with the
+// same period and change no other state. Its owner must Wake it before
+// anything that callback reads changes; waking is always safe, because a
+// live callback that changes nothing equals a passed one. A periodic sampler
+// that goes quiet this way keeps its queue position against every other
+// event. It must never be dropped and re-armed on wake instead: the re-armed
+// event would take a later sequence number than events already queued for
+// its instant.
+//
+// Quiet events stay out of the queue, in a short list whose earliest
+// instant the engine caches. Before it runs a live event, and when RunUntil
+// reaches its deadline, the engine takes in one bulk pass every pass that
+// passing one tick at a time would have taken before that point (see pass).
+// Dispatch order, the clock, Wake's instants and Pending are those of
+// passing one tick at a time; a passed tick costs nothing however many there
+// are, and while no quiet event is due the check is one comparison.
 type Engine struct {
 	now      Time
-	queue    []queueEnt
+	queue    []queueEnt // live events
+	quiet    []quietEnt // quiet events, in no order
+	quietAt  Time       // the earliest instant in quiet; never when empty
 	slots    []event
 	freeHead int32 // head of the slot free list, -1 when empty
 	nextSeq  uint64
 	stopped  bool
+	ran      uint64 // callbacks run since NewEngine or Reset
+	passed   uint64 // quiet events passed since NewEngine or Reset
 }
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
 func NewEngine() *Engine {
-	return &Engine{freeHead: -1}
+	return &Engine{freeHead: -1, quietAt: never}
 }
 
 // Reset returns the engine to the state NewEngine leaves it in — clock at
-// zero, nothing queued, sequence numbers from zero — keeping its buffers.
-// Every slot is released under a fresh generation, so no EventID issued
-// before Reset can cancel an event scheduled after it.
+// zero, nothing queued, sequence numbers and counts from zero — keeping its
+// buffers. Every slot is released under a fresh generation, so no EventID
+// issued before Reset can cancel an event scheduled after it.
 func (e *Engine) Reset() {
 	e.now, e.nextSeq, e.stopped = 0, 0, false
+	e.ran, e.passed = 0, 0
 	e.queue = e.queue[:0]
+	e.quiet, e.quietAt = e.quiet[:0], never
 	e.freeHead = -1
 	for i := len(e.slots) - 1; i >= 0; i-- {
 		e.freeSlot(int32(i))
@@ -93,6 +135,12 @@ func (e *Engine) Reset() {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
+
+// Counts reports how many callbacks the engine has run and how many times it
+// has passed a quiet event since NewEngine or the last Reset. A bulk pass
+// counts every tick it stands for, so the counts are those of passing one
+// tick at a time.
+func (e *Engine) Counts() (run, passed uint64) { return e.ran, e.passed }
 
 // allocSlot takes a slot off the free list, growing the pool when empty.
 func (e *Engine) allocSlot() int32 {
@@ -109,7 +157,7 @@ func (e *Engine) allocSlot() int32 {
 // outstanding EventID for it becomes permanently stale.
 func (e *Engine) freeSlot(i int32) {
 	s := &e.slots[i]
-	s.fn, s.quiet = nil, 0
+	s.fn, s.quiet = nil, false
 	s.gen++
 	if s.gen == 0 { // skip generation 0 on wrap: IDs must never be zero
 		s.gen = 1
@@ -147,7 +195,21 @@ func (e *Engine) push(ent queueEnt) {
 	if i > 0 && q[i-1].at <= ent.at {
 		i = sort.Search(i-1, func(k int) bool { return q[k].at <= ent.at })
 	}
-	q = append(q, queueEnt{})
+	e.insert(i, ent)
+}
+
+// requeue inserts ent, a woken quiet event whose sequence number may be
+// older than queued ones, in front of every entry due before it.
+func (e *Engine) requeue(ent queueEnt) {
+	q := e.queue
+	e.insert(sort.Search(len(q), func(k int) bool {
+		return q[k].at < ent.at || q[k].at == ent.at && q[k].seq < ent.seq
+	}), ent)
+}
+
+// insert puts ent into the queue at index i.
+func (e *Engine) insert(i int, ent queueEnt) {
+	q := append(e.queue, queueEnt{})
 	copy(q[i+1:], q[i:])
 	q[i] = ent
 	e.queue = q
@@ -169,28 +231,39 @@ func (e *Engine) Cancel(id EventID) bool {
 	if !ok {
 		return false
 	}
-	if k := e.find(idx); k >= 0 {
+	if e.slots[idx].quiet {
+		e.dropQuiet(idx)
+	} else {
+		k := e.find(idx)
 		e.queue = append(e.queue[:k], e.queue[k+1:]...)
-		e.freeSlot(idx)
-		return true
 	}
-	return false
+	e.freeSlot(idx)
+	return true
 }
 
 // Quiet marks a pending event quiet with the given period: from now on, each
-// time it comes due the engine passes it — advances the clock to it and
-// queues it again period later under the next sequence number, keeping its
-// slot and ID — instead of running its callback, until Wake, Cancel or Reset.
-// Mark an event quiet only when its callback, run at each of those instants,
-// would do nothing but re-arm itself period later (see Engine). Quiet reports
-// false, and marks nothing, for a stale ID or a period below one
-// microsecond.
+// time it comes due the engine passes it — queues it again period later
+// under the next sequence number, keeping its slot and ID — instead of
+// running its callback, until Wake, Cancel or Reset. Marking a quiet event
+// again changes its period. Mark an event quiet only when its callback, run
+// at each of those instants, would do nothing but re-arm itself period later
+// (see Engine). Quiet reports false, and marks nothing, for a stale ID or a
+// period below one microsecond.
 func (e *Engine) Quiet(id EventID, period Duration) bool {
 	idx, ok := e.live(id)
 	if !ok || period <= 0 {
 		return false
 	}
-	e.slots[idx].quiet = period
+	if e.slots[idx].quiet {
+		e.quiet[e.findQuiet(idx)].period = period
+		return true
+	}
+	k := e.find(idx)
+	ent := e.queue[k]
+	e.queue = append(e.queue[:k], e.queue[k+1:]...)
+	e.slots[idx].quiet = true
+	e.quiet = append(e.quiet, quietEnt{queueEnt: ent, period: period})
+	e.quietAt = min(e.quietAt, ent.at)
 	return true
 }
 
@@ -200,11 +273,13 @@ func (e *Engine) Quiet(id EventID, period Duration) bool {
 // quiet or an ID that is stale.
 func (e *Engine) Wake(id EventID) (due Time, ok bool) {
 	idx, ok := e.live(id)
-	if !ok || e.slots[idx].quiet == 0 {
+	if !ok || !e.slots[idx].quiet {
 		return 0, false
 	}
-	e.slots[idx].quiet = 0
-	return e.queue[e.find(idx)].at, true
+	ent := e.dropQuiet(idx)
+	e.slots[idx].quiet = false
+	e.requeue(ent)
+	return ent.at, true
 }
 
 // live resolves id to its slot, reporting false for a stale or zero ID.
@@ -228,44 +303,127 @@ func (e *Engine) find(idx int32) int {
 	return -1
 }
 
-// Pending reports the number of events still scheduled.
-func (e *Engine) Pending() int { return len(e.queue) }
+// findQuiet returns the index in e.quiet of the entry naming slot idx, or
+// -1.
+func (e *Engine) findQuiet(idx int32) int {
+	for k := range e.quiet {
+		if e.quiet[k].slot == idx {
+			return k
+		}
+	}
+	return -1
+}
+
+// dropQuiet removes the quiet entry naming slot idx and returns it.
+func (e *Engine) dropQuiet(idx int32) queueEnt {
+	k := e.findQuiet(idx)
+	ent := e.quiet[k].queueEnt
+	last := len(e.quiet) - 1
+	e.quiet[k] = e.quiet[last]
+	e.quiet = e.quiet[:last]
+	if ent.at == e.quietAt {
+		e.quietAt = never
+		for _, q := range e.quiet {
+			e.quietAt = min(e.quietAt, q.at)
+		}
+	}
+	return ent
+}
+
+// Pending reports the number of events still scheduled, quiet ones
+// included.
+func (e *Engine) Pending() int { return len(e.queue) + len(e.quiet) }
 
 // Stop makes the current Run or RunUntil call return after the in-flight
 // callback completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// step executes the earliest pending event, advancing the clock to its
-// timestamp. It returns false when the queue is empty. The event's slot is
-// released before its callback runs, so the callback may immediately reuse
-// it for follow-up scheduling. A quiet event is passed instead: it keeps its
-// slot and is queued again one period later under the next sequence number,
-// which is where a callback re-arming it would put it, on the slot that
-// freeing and re-allocating would hand it, so the queue and the free list
-// end up exactly as a live no-op callback leaves them.
+// pass takes in one step every pass that passing one tick at a time would
+// take before the event keyed (at, seq) ran. A quiet entry due before that
+// key is passed first at its instant, or at the clock if it is overdue
+// (RunUntil was stopped before reaching it), and then every period while
+// the grid instant lies before at: each later pass carries a sequence number
+// newer than seq. The entry lands where its last pass would queue it, and
+// the entries passed take fresh sequence numbers in the order their last
+// passes would have run (lastPassOrder).
+func (e *Engine) pass(at Time, seq uint64) {
+	e.quietAt = never
+	k := 0
+	for i := range e.quiet {
+		q := &e.quiet[i]
+		if q.at < at || q.at == at && q.seq < seq {
+			start := max(q.at, e.now)
+			n := Duration(1)
+			if d := at.Sub(start); d > q.period {
+				n = (d + q.period - 1) / q.period
+			}
+			q.from, q.n = q.at, int64(n)
+			q.at = start.Add(n * q.period)
+			e.passed += uint64(n)
+			e.quiet[i], e.quiet[k] = e.quiet[k], e.quiet[i]
+			q = &e.quiet[k]
+			k++
+		}
+		e.quietAt = min(e.quietAt, q.at)
+	}
+	passed := e.quiet[:k]
+	if k > 1 {
+		slices.SortFunc(passed, lastPassOrder)
+	}
+	for i := range passed {
+		passed[i].seq = e.nextSeq
+		e.nextSeq++
+	}
+}
+
+// lastPassOrder orders the entries of one bulk pass as their last passes
+// would have run one tick at a time, wherever that order can show. A
+// sequence number only ever breaks a tie between entries due at one
+// instant, so only entries that land on one instant need their true order.
+// Entries whose last passes ran at different instants keep the order of
+// those instants. Entries that last passed at one instant and land on one
+// instant share a period, and of two such the one passed fewer times goes
+// first: it started later, and at its first instant it was passed under its
+// number from before the bulk pass, older than the other's fresh one, so it
+// ran ahead there and at every instant after. Entries passed equally often
+// started at one instant and keep the order of their entries before the
+// pass.
+func lastPassOrder(x, y quietEnt) int {
+	return cmp.Or(
+		cmp.Compare(x.lastAt(), y.lastAt()),
+		cmp.Compare(x.n, y.n),
+		cmp.Compare(x.from, y.from),
+		cmp.Compare(x.seq, y.seq),
+	)
+}
+
+// step runs the earliest live event, advancing the clock to its timestamp,
+// after taking the passes due before it. It returns false when no live event
+// is queued. The event's slot is released before its callback runs, so the
+// callback may immediately reuse it for follow-up scheduling.
 func (e *Engine) step() bool {
 	n := len(e.queue) - 1
 	if n < 0 {
 		return false
 	}
 	ent := e.queue[n]
+	if e.quietAt <= ent.at {
+		e.pass(ent.at, ent.seq)
+	}
 	e.queue = e.queue[:n]
 	if ent.at > e.now {
 		e.now = ent.at
 	}
-	s := &e.slots[ent.slot]
-	if s.quiet > 0 {
-		e.push(queueEnt{at: e.now.Add(s.quiet), seq: e.nextSeq, slot: ent.slot})
-		e.nextSeq++
-		return true
-	}
-	fn := s.fn
+	fn := e.slots[ent.slot].fn
 	e.freeSlot(ent.slot)
+	e.ran++
 	fn()
 	return true
 }
 
-// Run executes events until the queue drains or Stop is called.
+// Run executes events until no live event is left or Stop is called. A
+// quiet event never runs, so Run leaves quiet events pending, passed up to
+// the last event it ran.
 func (e *Engine) Run() {
 	e.stopped = false
 	for !e.stopped && e.step() {
@@ -274,12 +432,16 @@ func (e *Engine) Run() {
 
 // RunUntil executes events with timestamps at or before deadline, then
 // advances the clock to the deadline. Events scheduled beyond the deadline
-// remain queued.
+// remain queued, and a quiet event is passed at every one of its instants up
+// to the deadline unless Stop ended the run.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	for !e.stopped {
 		n := len(e.queue)
 		if n == 0 || e.queue[n-1].at > deadline {
+			if e.quietAt <= deadline && deadline < never {
+				e.pass(deadline+1, 0)
+			}
 			break
 		}
 		e.step()
@@ -291,5 +453,5 @@ func (e *Engine) RunUntil(deadline Time) {
 
 // String summarises engine state for debugging.
 func (e *Engine) String() string {
-	return fmt.Sprintf("sim.Engine{now: %s, pending: %d}", e.now, len(e.queue))
+	return fmt.Sprintf("sim.Engine{now: %s, pending: %d}", e.now, e.Pending())
 }

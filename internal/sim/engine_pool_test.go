@@ -109,8 +109,8 @@ func TestEngineZeroEventIDNeverIssued(t *testing.T) {
 }
 
 // TestEngineAllocFree gates the tentpole property: in steady state (warm
-// slot pool and heap), scheduling, cancelling, quieting, passing, waking and
-// dispatching events performs zero heap allocations.
+// slot pool and heap), scheduling, cancelling, quieting, a bulk pass, waking
+// and dispatching events perform zero heap allocations.
 func TestEngineAllocFree(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
@@ -137,14 +137,29 @@ func TestEngineAllocFree(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("AfterFunc+step allocates %.1f per op, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(200, func() {
-		id := e.AfterFunc(100, fn)
-		e.Quiet(id, 100)
-		e.step() // passed
-		e.Wake(id)
-		e.step()
-	}); avg != 0 {
-		t.Fatalf("Quiet+pass+Wake+step allocates %.1f per op, want 0", avg)
+	// Quiet 256 events, more than any fixed buffer would hold, on periods
+	// of 10 and 15 so that their passes tie; take a bulk pass before a live
+	// event and another at the deadline; then wake and run them all.
+	ids := make([]EventID, 256)
+	quietRound := func() {
+		for i := range ids {
+			period := Duration(10 + i%2*5)
+			ids[i] = e.AfterFunc(period, fn)
+			e.Quiet(ids[i], period)
+		}
+		e.AfterFunc(50, fn)
+		e.RunUntil(e.Now().Add(100))
+		for _, id := range ids {
+			e.Wake(id)
+		}
+		e.Run()
+	}
+	quietRound() // grow the quiet list
+	if avg := testing.AllocsPerRun(50, quietRound); avg != 0 {
+		t.Fatalf("Quiet+bulk pass+Wake+step allocates %.1f per round, want 0", avg)
+	}
+	if _, passed := e.Counts(); passed == 0 {
+		t.Fatal("no event was passed")
 	}
 }
 
@@ -200,4 +215,29 @@ func BenchmarkEngineReplayMix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.step()
 	}
+}
+
+// BenchmarkEngineQuietMix runs 60 simulated seconds of an idle replay's
+// event mix per op: one live chain every 33 ms (a vsync-like tick) and
+// three quiet events, every 20, 100 and 250 ms (an idle governor sample, a
+// record-only thermal tick, a paused service loop). It reports the wall
+// time per simulated second.
+func BenchmarkEngineQuietMix(b *testing.B) {
+	e := NewEngine()
+	var vsync func()
+	vsync = func() { e.AfterFunc(33*Millisecond, vsync) }
+	e.AfterFunc(33*Millisecond, vsync)
+	for _, p := range []Duration{20, 100, 250} {
+		period := p * Millisecond
+		var tick func()
+		tick = func() { e.AfterFunc(period, tick) }
+		e.Quiet(e.AfterFunc(period, tick), period)
+	}
+	const window = 60 * Second
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.RunUntil(e.Now().Add(window))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/window.Seconds(), "ns/sim-s")
 }

@@ -151,6 +151,8 @@ type refEngine struct {
 	live    []bool     // live[k]: handle k is scheduled
 	period  []Duration // period[k] > 0: live handle k is quiet
 	passes  int        // quiet dispatches so far
+	ran     uint64     // callbacks run since the last reset
+	passed  uint64     // quiet dispatches since the last reset
 	inRun   bool
 	stopped bool
 	trace   []traceRec
@@ -199,6 +201,9 @@ func (r *refEngine) wake(k int) (Time, bool) {
 	return r.queue[r.index(k)].at, true
 }
 
+// due returns the instant live handle k is queued for.
+func (r *refEngine) due(k int) Time { return r.queue[r.index(k)].at }
+
 // index returns the queue position of live handle k.
 func (r *refEngine) index(k int) int {
 	for i, ev := range r.queue {
@@ -210,21 +215,17 @@ func (r *refEngine) index(k int) int {
 }
 
 // quietPending reports whether any live handle is quiet.
-func (r *refEngine) quietPending() bool { return r.quietHandle(0) >= 0 }
+func (r *refEngine) quietPending() bool { return len(r.quietHandles()) > 0 }
 
-// quietHandle returns the n-th live quiet handle, wrapping around, or -1
-// when none is quiet.
-func (r *refEngine) quietHandle(n int) int {
+// quietHandles returns the live quiet handles in ascending order.
+func (r *refEngine) quietHandles() []int {
 	var qs []int
 	for k, p := range r.period {
 		if p > 0 && r.live[k] {
 			qs = append(qs, k)
 		}
 	}
-	if len(qs) == 0 {
-		return -1
-	}
-	return qs[n%len(qs)]
+	return qs
 }
 
 // next returns the index of the minimum (at, seq) event, or -1.
@@ -250,8 +251,10 @@ func (r *refEngine) dispatch(i int) {
 		r.queue = append(r.queue, refEvent{at: r.t.Add(p), seq: r.nextSeq, k: ev.k})
 		r.nextSeq++
 		r.passes++
+		r.passed++
 		return
 	}
+	r.ran++
 	r.live[ev.k] = false
 	fire(r, r.salt, ev.k)
 }
@@ -285,10 +288,11 @@ func (r *refEngine) run() {
 	}
 }
 
-// reset empties the queue and rewinds the clock and sequence numbers to
-// zero. Handles issued before it stay dead: cancelling one returns false.
+// reset empties the queue and rewinds the clock, sequence numbers and
+// counts to zero. Handles issued before it stay dead: cancelling one returns false.
 func (r *refEngine) reset() {
 	r.t, r.nextSeq, r.stopped = 0, 0, false
+	r.ran, r.passed = 0, 0
 	r.queue = r.queue[:0]
 	clear(r.live)
 	clear(r.period)
@@ -301,8 +305,15 @@ func (r *refEngine) handles() int          { return len(r.live) }
 func (r *refEngine) record(rec traceRec)   { r.trace = append(r.trace, rec) }
 func (r *refEngine) takeTrace() []traceRec { t := r.trace; r.trace = nil; return t }
 
-// TestEngineMatchesReference drives the engine and the reference through the
-// same seeded random operations — AtFunc and AfterFunc with past,
+// refStats is what one reference run exercised: the deepest queue, how
+// often it drained, how many Quiet and Wake calls succeeded, how many quiet
+// events were passed and how many Runs drained the queue.
+type refStats struct {
+	maxDepth, empties, quiets, wakes, passes, runs int
+}
+
+// matchReference drives the engine and the reference through the same
+// random operations drawn from seed — AtFunc and AfterFunc with past,
 // same-instant and future times, nested scheduling from callbacks, valid,
 // stale, double and zero Cancels, Quiet with valid and invalid periods on
 // live, quiet, fired and cancelled handles, Wake from outside and inside
@@ -310,115 +321,172 @@ func (r *refEngine) takeTrace() []traceRec { t := r.trace; r.trace = nil; return
 // Stop, and Reset mid-sequence, after which no earlier handle may cancel,
 // quiet or wake anything — at queue depths from 0 to about 2,000.
 // Dispatch traces (callback id, clock), Cancel, Quiet and Wake results, the
-// clock and Pending must agree after every operation.
-func TestEngineMatchesReference(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		rng := rand.New(rand.NewSource(seed))
-		salt := uint64(seed) * 0x2545f4914f6cdd1d
-		eng := &engineUnderTest{e: NewEngine(), salt: salt}
-		ref := &refEngine{salt: salt}
-		models := []engineModel{eng, ref}
-		target, maxDepth, empties := 0, 0, 0
-		quiets, wakes, runs := 0, 0, 0
-		// recent picks a handle: mostly a recent one, which is most likely
-		// live, else any issued one or the zero EventID.
-		recent := func() int {
-			k := rng.Intn(ref.handles()+1) - 1
-			if n := ref.handles(); rng.Intn(2) == 0 && n > 0 {
-				k = n - 1 - rng.Intn(min(n, 16))
-			}
-			return k
+// clock, Pending and the run and passed counts must agree after every
+// operation.
+func matchReference(t *testing.T, seed int64) refStats {
+	rng := rand.New(rand.NewSource(seed))
+	salt := uint64(seed) * 0x2545f4914f6cdd1d
+	eng := &engineUnderTest{e: NewEngine(), salt: salt}
+	ref := &refEngine{salt: salt}
+	models := []engineModel{eng, ref}
+	var st refStats
+	target := 0
+	// recent picks a handle: mostly a recent one, which is most likely
+	// live, else any issued one or the zero EventID.
+	recent := func() int {
+		k := rng.Intn(ref.handles()+1) - 1
+		if n := ref.handles(); rng.Intn(2) == 0 && n > 0 {
+			k = n - 1 - rng.Intn(min(n, 16))
 		}
-		for op := 0; op < 5_000; op++ {
-			if op%500 == 0 {
-				target = []int{0, 10, 100, 2000}[(op/500+int(seed))%4]
+		return k
+	}
+	for op := 0; op < 5_000; op++ {
+		if op%500 == 0 {
+			target = []int{0, 10, 100, 2000}[(op/500+int(uint64(seed)%4))%4]
+		}
+		depth := ref.pending()
+		spread := 60 + target/4
+		var apply func(m engineModel)
+		switch r := rng.Intn(100); {
+		case depth < target && r < 30:
+			// Grow toward the target depth in a burst.
+			n := 1 + rng.Intn(min(target-depth, 200))
+			kinds, offs := make([]int, n), make([]Duration, n)
+			for i := range kinds {
+				kinds[i], offs[i] = rng.Intn(4), Duration(rng.Intn(spread)-5)
 			}
-			depth := ref.pending()
-			spread := 60 + target/4
-			var apply func(m engineModel)
-			switch r := rng.Intn(100); {
-			case depth < target && r < 30:
-				// Grow toward the target depth in a burst.
-				n := 1 + rng.Intn(min(target-depth, 200))
-				kinds, offs := make([]int, n), make([]Duration, n)
+			apply = func(m engineModel) {
 				for i := range kinds {
-					kinds[i], offs[i] = rng.Intn(4), Duration(rng.Intn(spread)-5)
-				}
-				apply = func(m engineModel) {
-					for i := range kinds {
-						m.schedule(kinds[i], offs[i])
-					}
-				}
-			case r < 55:
-				kind, off := rng.Intn(4), Duration(rng.Intn(spread)-5)
-				apply = func(m engineModel) { m.schedule(kind, off) }
-			case r < 66:
-				// Half the cancels aim at recent handles, which are most
-				// likely live; the rest hit fired, cancelled or zero ones.
-				k := recent()
-				apply = func(m engineModel) { m.record(traceRec{op: opCancel, k: k, ok: m.cancel(k)}) }
-			case r < 73:
-				// Periods from 0 (refused) to past the spread of offsets.
-				k, period := recent(), Duration(rng.Intn(80))
-				apply = func(m engineModel) { doQuiet(m, k, period) }
-			case r < 76:
-				// Most wakes aim at a quiet event.
-				k := recent()
-				if q := ref.quietHandle(rng.Int()); q >= 0 && rng.Intn(4) != 0 {
-					k = q
-				}
-				apply = func(m engineModel) { doWake(m, k) }
-			case r < 93 && depth > target:
-				d := Duration(rng.Intn(40 + spread))
-				apply = func(m engineModel) { m.runUntil(m.now().Add(d)) }
-			case r < 93:
-				d := Duration(rng.Intn(40) - 10)
-				apply = func(m engineModel) { m.runUntil(m.now().Add(d)) }
-			case r < 95:
-				// Run drains the queue only when no quiet event re-arms.
-				if target > 10 || ref.quietPending() {
-					continue
-				}
-				runs++
-				apply = func(m engineModel) { m.run() }
-			case r < 96:
-				apply = func(m engineModel) { m.stop() }
-			default:
-				apply = func(m engineModel) { m.reset() }
-			}
-			for _, m := range models {
-				apply(m)
-			}
-			got, want := eng.takeTrace(), ref.takeTrace()
-			if len(got) != len(want) {
-				t.Fatalf("seed %d op %d: engine traced %d effects, reference %d", seed, op, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d op %d: effect %d is %+v, reference %+v", seed, op, i, got[i], want[i])
-				}
-				if got[i].ok && got[i].op == opQuiet {
-					quiets++
-				}
-				if got[i].ok && got[i].op == opWake {
-					wakes++
+					m.schedule(kinds[i], offs[i])
 				}
 			}
-			if eng.now() != ref.now() || eng.pending() != ref.pending() {
-				t.Fatalf("seed %d op %d: now %v pending %d, reference now %v pending %d",
-					seed, op, eng.now(), eng.pending(), ref.now(), ref.pending())
+		case r < 55:
+			kind, off := rng.Intn(4), Duration(rng.Intn(spread)-5)
+			apply = func(m engineModel) { m.schedule(kind, off) }
+		case r < 66:
+			// Half the cancels aim at recent handles, which are most
+			// likely live; the rest hit fired, cancelled or zero ones.
+			k := recent()
+			apply = func(m engineModel) { m.record(traceRec{op: opCancel, k: k, ok: m.cancel(k)}) }
+		case r < 73 && rng.Intn(3) == 0:
+			// Quiet the next live event k on a quiet event j's grid, a
+			// period or more ahead of j, run past k and wake both. The
+			// bulk pass that passes k passes j more often, both last pass
+			// at one instant, and the order the pass gave them shows when
+			// they run.
+			i, qs := ref.next(), ref.quietHandles()
+			if i < 0 || len(qs) == 0 {
+				continue
 			}
-			maxDepth = max(maxDepth, ref.pending())
-			if ref.pending() == 0 {
-				empties++
+			k, j := ref.queue[i].k, qs[rng.Intn(len(qs))]
+			gap := ref.due(k).Sub(ref.due(j))
+			if ref.period[k] > 0 || gap <= 0 {
+				continue
+			}
+			period := gap / Duration(1+rng.Intn(3))
+			deadline := ref.due(k).Add(Duration(rng.Intn(int(period))))
+			apply = func(m engineModel) {
+				doQuiet(m, j, period)
+				doQuiet(m, k, period)
+				m.runUntil(deadline)
+				doWake(m, j)
+				doWake(m, k)
+			}
+		case r < 73:
+			// Periods from 0 (refused) to past the spread of offsets.
+			k, period := recent(), Duration(rng.Intn(80))
+			apply = func(m engineModel) { doQuiet(m, k, period) }
+		case r < 76 && rng.Intn(4) == 0:
+			// Wake every quiet event at once: events that tie on an
+			// instant then run in the order the passes left them.
+			qs := ref.quietHandles()
+			apply = func(m engineModel) {
+				for _, k := range qs {
+					doWake(m, k)
+				}
+			}
+		case r < 76:
+			// Most wakes aim at a quiet event.
+			k := recent()
+			if qs := ref.quietHandles(); len(qs) > 0 && rng.Intn(4) != 0 {
+				k = qs[rng.Intn(len(qs))]
+			}
+			apply = func(m engineModel) { doWake(m, k) }
+		case r < 93 && depth > target:
+			d := Duration(rng.Intn(40 + spread))
+			apply = func(m engineModel) { m.runUntil(m.now().Add(d)) }
+		case r < 93:
+			d := Duration(rng.Intn(40) - 10)
+			apply = func(m engineModel) { m.runUntil(m.now().Add(d)) }
+		case r < 95:
+			// Run drains the queue only when no quiet event re-arms.
+			if target > 10 || ref.quietPending() {
+				continue
+			}
+			st.runs++
+			apply = func(m engineModel) { m.run() }
+		case r < 96:
+			apply = func(m engineModel) { m.stop() }
+		default:
+			apply = func(m engineModel) { m.reset() }
+		}
+		for _, m := range models {
+			apply(m)
+		}
+		got, want := eng.takeTrace(), ref.takeTrace()
+		if len(got) != len(want) {
+			t.Fatalf("seed %d op %d: engine traced %d effects, reference %d", seed, op, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d op %d: effect %d is %+v, reference %+v", seed, op, i, got[i], want[i])
+			}
+			if got[i].ok && got[i].op == opQuiet {
+				st.quiets++
+			}
+			if got[i].ok && got[i].op == opWake {
+				st.wakes++
 			}
 		}
-		if maxDepth < 1500 || empties == 0 {
-			t.Fatalf("seed %d: queue depth reached %d and was empty after %d ops; want ~2000 and some", seed, maxDepth, empties)
+		if eng.now() != ref.now() || eng.pending() != ref.pending() {
+			t.Fatalf("seed %d op %d: now %v pending %d, reference now %v pending %d",
+				seed, op, eng.now(), eng.pending(), ref.now(), ref.pending())
 		}
-		if quiets < 200 || wakes < 30 || ref.passes < 1000 || runs < 10 {
-			t.Fatalf("seed %d: %d events went quiet, %d woke, %d were passed and %d Runs drained; want hundreds, dozens, thousands and some",
-				seed, quiets, wakes, ref.passes, runs)
+		if ran, passed := eng.e.Counts(); ran != ref.ran || passed != ref.passed {
+			t.Fatalf("seed %d op %d: %d run and %d passed, reference %d and %d",
+				seed, op, ran, passed, ref.ran, ref.passed)
+		}
+		st.maxDepth = max(st.maxDepth, ref.pending())
+		if ref.pending() == 0 {
+			st.empties++
 		}
 	}
+	st.passes = ref.passes
+	return st
+}
+
+// TestEngineMatchesReference runs matchReference at three seeds and checks
+// that each reached the depths and the Quiet, Wake, pass and Run counts that
+// make the comparison mean something.
+func TestEngineMatchesReference(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		st := matchReference(t, seed)
+		if st.maxDepth < 1500 || st.empties == 0 {
+			t.Fatalf("seed %d: queue depth reached %d and was empty after %d ops; want ~2000 and some", seed, st.maxDepth, st.empties)
+		}
+		if st.quiets < 200 || st.wakes < 30 || st.passes < 1000 || st.runs < 10 {
+			t.Fatalf("seed %d: %d events went quiet, %d woke, %d were passed and %d Runs drained; want hundreds, dozens, thousands and some",
+				seed, st.quiets, st.wakes, st.passes, st.runs)
+		}
+	}
+}
+
+// FuzzEngineMatchesReference runs matchReference at fuzzed seeds:
+//
+//	go test -run '^$' -fuzz FuzzEngineMatchesReference -fuzztime 30s ./internal/sim
+func FuzzEngineMatchesReference(f *testing.F) {
+	for seed := int64(1); seed <= 12; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) { matchReference(t, seed) })
 }

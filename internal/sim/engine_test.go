@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -118,6 +119,51 @@ func TestEngineStop(t *testing.T) {
 	}
 	if e.Pending() != 7 {
 		t.Fatalf("pending = %d, want 7", e.Pending())
+	}
+}
+
+// TestEngineBulkPassTies pins two orders a bulk pass gives quiet events
+// that land on one instant, each worked out by passing one tick at a time.
+// The events are woken where they land, so they run in that order.
+func TestEngineBulkPassTies(t *testing.T) {
+	var order []string
+	rec := func(name string) func() { return func() { order = append(order, name) } }
+
+	// Passed fewer times first: a is passed at 20, 30 and 40, b, queued
+	// later on a's grid, at 30 and 40. At 30 b's old entry runs ahead of
+	// the one a's pass at 20 queued, and so at 40 and 50.
+	e := NewEngine()
+	a := e.AfterFunc(10, rec("a"))
+	e.Quiet(a, 10)
+	e.RunUntil(15)
+	b := e.AtFunc(30, rec("b"))
+	e.Quiet(b, 10)
+	e.RunUntil(45)
+	e.Wake(a)
+	e.Wake(b)
+	e.RunUntil(50)
+	if got := fmt.Sprint(order); got != "[b a]" {
+		t.Errorf("fewer passes: ran %s, want [b a]", got)
+	}
+
+	// Overdue entries passed equally often keep the order of their
+	// instants: a stopped RunUntil leaves a (at 30, queued second) and b
+	// (at 40, queued first) behind the clock at 50, and both are passed at
+	// 50, 60 and 70, a first each time.
+	order = order[:0]
+	e = NewEngine()
+	e.AtFunc(20, e.Stop)
+	b = e.AtFunc(40, rec("b"))
+	a = e.AtFunc(30, rec("a"))
+	e.Quiet(a, 10)
+	e.Quiet(b, 10)
+	e.RunUntil(50)
+	e.RunUntil(75)
+	e.Wake(b)
+	e.Wake(a)
+	e.RunUntil(80)
+	if got := fmt.Sprint(order); got != "[a b]" {
+		t.Errorf("overdue: ran %s, want [a b]", got)
 	}
 }
 

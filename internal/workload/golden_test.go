@@ -396,3 +396,51 @@ func TestLegacyBenchGolden(t *testing.T) {
 		t.Errorf("legacybench trace hash = %s over %d ground truths, want %s over %d", got, truths, golden, lags)
 	}
 }
+
+// TestReplayEventCounts pins the engine's work on two replays: the
+// callbacks it runs and the quiet events it passes (sim.Engine.Counts). A
+// bulk pass counts every tick it stands for, so run + passed is the number
+// of events a replay dispatches, quiet or live. The constants were taken
+// before the paused music decoder went quiet, as 2,315 run + 18,931 passed
+// on the record-only big.LITTLE row and 7,894 + 31,054 on dataset03; quieting
+// it moved exactly its 720 and 2,640 paused ticks from run to passed. A
+// speed-only change must keep the sums; a change that moves work between
+// run and passed states by how much and why.
+func TestReplayEventCounts(t *testing.T) {
+	recordOnly := func() *Workload {
+		w := Quickstart()
+		w.Profile.SoC = soc.WithDefaultIdle(soc.BigLittle44())
+		w.Profile.Thermal = thermal.PhoneConfig(2, -1, 0)
+		model, err := w.Profile.SoC.Calibrate(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Profile.ThermalPower = model
+		return w
+	}
+	rows := []struct {
+		name        string
+		w           func() *Workload
+		govs        func() []governor.Governor
+		run, passed uint64
+	}{
+		{"biglittle-idle/record-only/quickstart/interactive", recordOnly, func() []governor.Governor {
+			return []governor.Governor{governor.NewInteractive(), governor.NewInteractive()}
+		}, 2315 - 720, 18931 + 720},
+		{"dragonboard/dataset03/ondemand", Dataset03, func() []governor.Governor {
+			return []governor.Governor{governor.NewOndemand()}
+		}, 7894 - 2640, 31054 + 2640},
+	}
+	for _, row := range rows {
+		w := row.w()
+		rec, _, err := w.Record(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := NewReplaySession(w, rec)
+		sess.Replay(row.govs(), row.name, 1, false)
+		if run, passed := sess.Eng.Counts(); run != row.run || passed != row.passed {
+			t.Errorf("%s: %d run and %d passed, want %d and %d", row.name, run, passed, row.run, row.passed)
+		}
+	}
+}
