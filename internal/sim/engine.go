@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 )
 
@@ -345,7 +343,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // the grid instant lies before at: each later pass carries a sequence number
 // newer than seq. The entry lands where its last pass would queue it, and
 // the entries passed take fresh sequence numbers in the order their last
-// passes would have run (lastPassOrder).
+// passes would have run (lastPassBefore).
 func (e *Engine) pass(at Time, seq uint64) {
 	e.quietAt = never
 	k := 0
@@ -360,15 +358,21 @@ func (e *Engine) pass(at Time, seq uint64) {
 			q.from, q.n = q.at, int64(n)
 			q.at = start.Add(n * q.period)
 			e.passed += uint64(n)
-			e.quiet[i], e.quiet[k] = e.quiet[k], e.quiet[i]
-			q = &e.quiet[k]
+			if i != k {
+				e.quiet[i], e.quiet[k] = e.quiet[k], e.quiet[i]
+				q = &e.quiet[k]
+			}
 			k++
 		}
 		e.quietAt = min(e.quietAt, q.at)
 	}
+	// An insertion sort: a bulk pass in a replay passes one to three
+	// entries.
 	passed := e.quiet[:k]
-	if k > 1 {
-		slices.SortFunc(passed, lastPassOrder)
+	for i := 1; i < k; i++ {
+		for j := i; j > 0 && lastPassBefore(&passed[j], &passed[j-1]); j-- {
+			passed[j], passed[j-1] = passed[j-1], passed[j]
+		}
 	}
 	for i := range passed {
 		passed[i].seq = e.nextSeq
@@ -376,8 +380,8 @@ func (e *Engine) pass(at Time, seq uint64) {
 	}
 }
 
-// lastPassOrder orders the entries of one bulk pass as their last passes
-// would have run one tick at a time, wherever that order can show. A
+// lastPassBefore reports whether x's last pass in one bulk pass would have
+// run before y's, passing one tick at a time, wherever that order can show. A
 // sequence number only ever breaks a tie between entries due at one
 // instant, so only entries that land on one instant need their true order.
 // Entries whose last passes ran at different instants keep the order of
@@ -388,13 +392,17 @@ func (e *Engine) pass(at Time, seq uint64) {
 // ran ahead there and at every instant after. Entries passed equally often
 // started at one instant and keep the order of their entries before the
 // pass.
-func lastPassOrder(x, y quietEnt) int {
-	return cmp.Or(
-		cmp.Compare(x.lastAt(), y.lastAt()),
-		cmp.Compare(x.n, y.n),
-		cmp.Compare(x.from, y.from),
-		cmp.Compare(x.seq, y.seq),
-	)
+func lastPassBefore(x, y *quietEnt) bool {
+	if xl, yl := x.lastAt(), y.lastAt(); xl != yl {
+		return xl < yl
+	}
+	if x.n != y.n {
+		return x.n < y.n
+	}
+	if x.from != y.from {
+		return x.from < y.from
+	}
+	return x.seq < y.seq
 }
 
 // step runs the earliest live event, advancing the clock to its timestamp,

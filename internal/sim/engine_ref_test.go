@@ -383,7 +383,7 @@ func matchReference(t *testing.T, seed int64) refStats {
 			if ref.period[k] > 0 || gap <= 0 {
 				continue
 			}
-			period := gap / Duration(1+rng.Intn(3))
+			period := max(gap/Duration(1+rng.Intn(3)), 1)
 			deadline := ref.due(k).Add(Duration(rng.Intn(int(period))))
 			apply = func(m engineModel) {
 				doQuiet(m, j, period)
