@@ -289,7 +289,8 @@ func (r *refEngine) run() {
 }
 
 // reset empties the queue and rewinds the clock, sequence numbers and
-// counts to zero. Handles issued before it stay dead: cancelling one returns false.
+// counts to zero. Handles issued before it stay dead: cancelling one
+// returns false.
 func (r *refEngine) reset() {
 	r.t, r.nextSeq, r.stopped = 0, 0, false
 	r.ran, r.passed = 0, 0
